@@ -28,7 +28,7 @@ from .closed_forms import (
     z_path,
 )
 from .enumeration import MAX_ENUM_VERTICES, brute_correlation, enumerate_forests
-from .errors import FormatError, LepartError, NumericError, ParameterError
+from .errors import FormatError, LepartError, NumericError, ParameterError, check_q
 from .estimators import (
     CorrelationQuery,
     closed_form_correlation,
@@ -137,11 +137,18 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise ParameterError(f"--q-grid: {exc}") from exc
-    if not (0 < lo < hi) or count < 2:
-        raise ParameterError("--q-grid needs 0 < lo < hi and count >= 2")
+    if not (0 < lo < hi < math.inf) or count < 2:
+        raise ParameterError("--q-grid needs 0 < lo < hi < inf and count >= 2")
     if parts[0] == "log":
         return list(np.logspace(math.log10(lo), math.log10(hi), count))
     return list(np.linspace(lo, hi, count))
+
+
+def _check_shared_args(args) -> None:
+    if getattr(args, "q", None) is not None:
+        check_q(args.q)
+    if getattr(args, "replicas", 0) < 0:
+        raise ParameterError(f"--replicas must be nonnegative, got {args.replicas}")
 
 
 def _print_config(args, out, **extra) -> None:
@@ -305,6 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        _check_shared_args(args)
         return _COMMANDS[args.command](args, sys.stdout)
     except (ParameterError, FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import ParameterError
+from .errors import ParameterError, check_q
 from .logvalue import LogValue
 
 __all__ = [
@@ -53,11 +53,6 @@ MAX_SPECTRAL_N = 10_000
 Z_PATH_METHODS = ("combinatorial", "spectral", "recurrence", "chebyshev", "closed")
 
 
-def _check_q(q: float) -> None:
-    if not q > 0:
-        raise ParameterError(f"killing rate must be positive, got q={q}")
-
-
 def _log_binom(n, k):
     """log C(n, k), elementwise; -inf outside the triangle."""
     n = np.asarray(n, dtype=float)
@@ -88,7 +83,7 @@ def z_path(n: int, q: float, method: str = "closed") -> LogValue:
     """
     if n < 1:
         raise ParameterError(f"path needs n >= 1, got {n}")
-    _check_q(q)
+    check_q(q)
     if method == "combinatorial":
         k = np.arange(1, n + 1)
         terms = _log_binom(n + k - 1, 2 * k - 1) + k * math.log(q)
@@ -149,7 +144,7 @@ def z_cycle(n: int, q: float, method: str = "path") -> LogValue:
     """
     if n < 3:
         raise ParameterError(f"cycle needs n >= 3, got {n}")
-    _check_q(q)
+    check_q(q)
     if method == "path":
         zn = _z_path_value(n, q)
         zn1 = _z_path_value(n - 1, q)
@@ -172,7 +167,7 @@ def path_correlation(n: int, x: int, y: int, q: float) -> float:
     """
     if not 1 <= x < y <= n:
         raise ParameterError(f"need 1 <= x < y <= n, got x={x}, y={y}, n={n}")
-    _check_q(q)
+    check_q(q)
     d = y - x
     zn = _z_path_value(n, q)
     ratio_bulk = (_z_path_value(n - d, q) / zn).to_float()
@@ -204,7 +199,7 @@ def path_root_measures(n: int, q: float) -> PathRootMeasures:
     """Boundary rooting measures Z_n - Z_{n-1} and q Z_{n-1}."""
     if n < 1:
         raise ParameterError(f"path needs n >= 1, got {n}")
-    _check_q(q)
+    check_q(q)
     zn = _z_path_value(n, q)
     zn1 = _z_path_value(n - 1, q)
     return PathRootMeasures(
@@ -224,7 +219,7 @@ def path_interior_root_measure(n: int, d: int, q: float) -> LogValue:
     """
     if not 0 <= d <= n - 1:
         raise ParameterError(f"need 0 <= d <= n-1, got d={d}, n={n}")
-    _check_q(q)
+    check_q(q)
     left = path_root_measures(d + 1, q).boundary_root
     right = path_root_measures(n - d, q).boundary_root
     return left * right / LogValue.from_float(q)
@@ -286,7 +281,7 @@ def path_rw_bounds(d: int, q: float, m: int) -> PathRwBounds:
         raise ParameterError(f"need d >= 1, got {d}")
     if m < 1:
         raise ParameterError(f"need m >= 1, got {m}")
-    _check_q(q)
+    check_q(q)
     survive = (2.0 / (2.0 + q)) ** m
     band = simple_rw_band_prob(m, d / 2.0)
     lower = (1.0 - survive) ** 2 * (2.0 * band - 1.0) ** 2 if band >= 0.5 else None
@@ -346,7 +341,7 @@ def star_quantities(n: int, w: float, q: float) -> StarQuantities:
         raise ParameterError(f"star closed forms need n >= 3, got {n}")
     if not w > 0:
         raise ParameterError(f"need w > 0, got {w}")
-    _check_q(q)
+    check_q(q)
     z = LogValue.from_float(q) * LogValue.from_float(q + w) ** (n - 2) * LogValue.from_float(q + n * w)
     center_leaf = q * (q + (n - 1) * w) / ((q + w) * (q + n * w))
     leaf_leaf = q * (q * q + (n + 2) * w * q + 2 * (n - 1) * w * w) / ((q + w) ** 2 * (q + n * w))
@@ -400,7 +395,7 @@ def community_star_quantities(n: int, k: int, w: float, q: float) -> CommunitySt
         raise ParameterError(f"need 0 <= k <= n-1, got k={k}")
     if not w > 0:
         raise ParameterError(f"need w > 0, got {w}")
-    _check_q(q)
+    check_q(q)
     quad = q * q + ((n - k) * w + k + 1) * q + n * w
     z = (
         LogValue.from_float(q)
@@ -485,7 +480,7 @@ def z_complete(n: int, q: float) -> LogValue:
     """Partition function q (q+n)^{n-1} of the unit-weight complete graph."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
-    _check_q(q)
+    check_q(q)
     return LogValue.from_float(q) * LogValue.from_float(q + n) ** (n - 1)
 
 
@@ -497,7 +492,7 @@ def complete_rooting_measure(n: int, r: int, q: float) -> LogValue:
     """
     if not 1 <= r <= n:
         raise ParameterError(f"need 1 <= r <= n, got r={r}, n={n}")
-    _check_q(q)
+    check_q(q)
     return (
         LogValue.from_float(q) ** r
         * LogValue.from_float(q + r)
@@ -526,7 +521,7 @@ def bottleneck_quantities(n: int, m: int, w: float, q: float) -> BottleneckQuant
         raise ParameterError(f"bottleneck closed forms need n, m >= 2, got n={n}, m={m}")
     if not w > 0:
         raise ParameterError(f"need w > 0, got {w}")
-    _check_q(q)
+    check_q(q)
     core = q * (q + n) * (q + m) + w * (q + 1) * (2 * q + n + m)
     z = (
         LogValue.from_float(q)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, SizeError, UndefinedConditionalError
+from .errors import SizeError, UndefinedConditionalError, check_q
 from .graphs import WeightedDigraph
 from .wilson import ROOT, RootedForest
 
@@ -47,8 +47,7 @@ class ForestEnsemble:
 
     def masses(self, q: float) -> np.ndarray:
         """Unnormalized masses q^{#roots} * weight, one per forest."""
-        if not q > 0:
-            raise ParameterError(f"killing rate must be positive, got q={q}")
+        check_q(q)
         return self.weights * q ** self.root_counts.astype(float)
 
 

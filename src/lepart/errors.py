@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shared killing-rate check."""
+
+import math
 
 
 class LepartError(Exception):
@@ -27,3 +29,9 @@ class NumericError(LepartError, RuntimeError):
 
 class UndefinedConditionalError(LepartError, ValueError):
     """A conditional expectation was requested on a probability-zero event."""
+
+
+def check_q(q: float) -> None:
+    """Raise ParameterError unless the killing rate q is positive and finite."""
+    if not (math.isfinite(q) and q > 0):
+        raise ParameterError(f"killing rate must be positive and finite, got q={q}")

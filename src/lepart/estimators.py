@@ -24,7 +24,7 @@ from .closed_forms import (
     star_quantities,
 )
 from .enumeration import MAX_ENUM_VERTICES, brute_correlation, enumerate_forests
-from .errors import ParameterError
+from .errors import ParameterError, check_q
 from .graphs import (
     Bottleneck,
     CommunityStar,
@@ -33,6 +33,7 @@ from .graphs import (
     Path,
     Star,
     WeightedDigraph,
+    check_vertices,
     is_tree,
     make_family,
 )
@@ -100,6 +101,7 @@ def mc_correlation(
     g: WeightedDigraph, q: float, x: int, y: int, replicas: int, seed: int
 ) -> SampleStats:
     """Fraction of sampled forests in which x and y land in different trees."""
+    check_vertices(g, (x, y))
     if x == y:
         raise ParameterError("need two distinct vertices")
     sampler = ForestSampler(g, q)
@@ -156,6 +158,8 @@ def mc_root_count(g: WeightedDigraph, q: float, replicas: int, seed: int) -> Roo
     """Sample root counts and chi-square them against q/(q + lambda_i) Bernoullis."""
     if not g.is_symmetric:
         raise ParameterError("the root-count law is only asserted for undirected graphs")
+    if replicas < 1:
+        raise ParameterError(f"need at least one replica, got {replicas}")
     sampler = ForestSampler(g, q)
     counts = np.zeros(g.n + 1, dtype=np.int64)
     for r in range(replicas):
@@ -263,6 +267,7 @@ def exact_correlation(
     Dispatch order: exhaustive enumeration (n <= 8), tree-exact, then family
     closed forms.
     """
+    check_vertices(g, (x, y))
     if g.n <= MAX_ENUM_VERTICES:
         return brute_correlation(enumerate_forests(g), q, x, y)
     if is_tree(g):
@@ -315,8 +320,14 @@ def sweep(
     else:
         family, g = target, make_family(target)
     qs = [float(q) for q in q_grid]
-    if any(b <= a for a, b in zip(qs, qs[1:])) or any(q <= 0 for q in qs):
-        raise ParameterError("q grid must be positive and strictly ascending")
+    if any(b <= a for a, b in zip(qs, qs[1:])):
+        raise ParameterError("q grid must be strictly ascending")
+    for q in qs:
+        check_q(q)
+    if replicas < 0:
+        raise ParameterError(f"replica count must be nonnegative, got {replicas}")
+    for query in queries:
+        check_vertices(g, (query.x, query.y) if isinstance(query, CorrelationQuery) else query.vertices)
     rows: list[SweepRow] = []
     ensemble = enumerate_forests(g) if g.n <= MAX_ENUM_VERTICES else None
     pairs: dict[tuple[int, int], TreePairCorrelation] = {}

@@ -50,6 +50,7 @@ __all__ = [
     "is_tree",
     "tree_path",
     "undirected_adjacency",
+    "check_vertices",
 ]
 
 
@@ -440,8 +441,16 @@ def is_tree(g: WeightedDigraph) -> bool:
     return len(seen) == g.n
 
 
+def check_vertices(g: WeightedDigraph, vertices: Iterable[int]) -> None:
+    """Raise ParameterError unless every vertex id lies in 0..n-1."""
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ParameterError(f"vertex {v} out of range for n={g.n}")
+
+
 def tree_path(g: WeightedDigraph, x: int, y: int) -> list[int]:
     """The unique undirected path from x to y in a tree."""
+    check_vertices(g, (x, y))
     if x == y:
         raise ParameterError("need two distinct vertices")
     adj = undirected_adjacency(g)

@@ -3,21 +3,20 @@
 The measure on spanning rooted forests of a weighted digraph G with killing
 rate q > 0 puts mass q^{#roots} * prod(edge weights) on each forest; its
 normalizing constant is det(qI - L) with L the graph Laplacian. Roots form a
-determinantal process with kernel q(qI - L)^{-1}, and two-point block
-separation probabilities on trees reduce to partition functions of edge-cut
-components.
+determinantal process with kernel q(qI - L)^{-1}, and on a tree the
+probability that two vertices share a block is a sum of positive products of
+subtree determinants, which one leaf-to-path elimination evaluates in O(n).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, StructureError
-from .graphs import WeightedDigraph, is_tree, laplacian, tree_path
+from .errors import NumericError, ParameterError, StructureError, check_q
+from .graphs import WeightedDigraph, is_tree, laplacian, tree_path, undirected_adjacency
 from .logvalue import LogValue
 
 __all__ = [
@@ -32,16 +31,7 @@ __all__ = [
     "tree_correlation",
     "tree_correlation_profile",
     "TreePairCorrelation",
-    "MAX_PATH_EDGES",
 ]
-
-#: Separation probabilities on trees are exact up to this many path edges.
-MAX_PATH_EDGES = 30
-
-
-def _check_q(q: float) -> None:
-    if not q > 0:
-        raise ParameterError(f"killing rate must be positive, got q={q}")
 
 
 def _logdet_shifted(L: np.ndarray, q: float) -> LogValue:
@@ -54,7 +44,7 @@ def _logdet_shifted(L: np.ndarray, q: float) -> LogValue:
 
 def partition_function(g: WeightedDigraph, q: float) -> LogValue:
     """Normalizing constant det(qI - L) of the forest measure, in log space."""
-    _check_q(q)
+    check_q(q)
     value = _logdet_shifted(laplacian(g), q)
     if value.sign <= 0:
         raise NumericError(f"partition function came out nonpositive at q={q}")
@@ -75,7 +65,7 @@ class GreenKernel:
 
 
 def green_kernel(g: WeightedDigraph, q: float) -> GreenKernel:
-    _check_q(q)
+    check_q(q)
     M = q * np.eye(g.n) - laplacian(g)
     try:
         K = np.linalg.solve(M, q * np.eye(g.n))
@@ -105,7 +95,7 @@ def laplacian_spectrum(g: WeightedDigraph) -> np.ndarray:
 
 def expected_root_count(g: WeightedDigraph, q: float) -> float:
     """Mean number of roots: sum of q/(q + lambda_i) over the spectrum of -L."""
-    _check_q(q)
+    check_q(q)
     lam = laplacian_spectrum(g)
     return float(np.sum(q / (q + lam)))
 
@@ -117,7 +107,7 @@ def hitting_prob(g: WeightedDigraph, x: int, y: int, q: float) -> float:
     ``(q + W(v)) h(v) = sum_{z != y} w(v, z) h(z) + w(v, y)``
     with W(v) the total out-weight, and returns h(x).
     """
-    _check_q(q)
+    check_q(q)
     if x == y:
         raise ParameterError("need two distinct vertices")
     others = [v for v in range(g.n) if v != y]
@@ -146,7 +136,7 @@ def tree_correlation_adjacent(g: WeightedDigraph, x: int, y: int, q: float) -> f
     Computed from the two killed-walk hitting probabilities p = P_x(hit y
     first) and r = P_y(hit x first) as (1 - p - r + pr) / (1 - pr).
     """
-    _check_q(q)
+    check_q(q)
     _require_tree(g)
     if g.weight(x, y) == 0.0 and g.weight(y, x) == 0.0:
         raise ParameterError(f"vertices {x} and {y} are not adjacent")
@@ -158,88 +148,59 @@ def tree_correlation_adjacent(g: WeightedDigraph, x: int, y: int, q: float) -> f
 class TreePairCorrelation:
     """Exact two-point separation probability on a tree, reusable across q.
 
-    Cutting the d path edges between x and y splits the tree into d+1 pieces,
-    one per path vertex. The probability that x and y share a tree is an
-    alternating sum over nonempty cut subsets of products of component
-    partition functions; grouping subsets by their segments turns that sum
-    into a quadratic-time recursion over contiguous piece ranges, which is
-    what ``at`` evaluates. Building the object precomputes the segment
-    Laplacians; each call then costs O(d^2) small determinants.
+    x and y share a tree exactly when all d path edges z_0 - ... - z_d are in
+    the forest; then one path vertex z_k points off the path (or is a root),
+    those before it point forward and those after it point back. Cutting the
+    path edges leaves one subtree (piece) per path vertex, so by the
+    matrix-forest theorem
+
+        P(same) = sum_k s_k prod_{j<k} w(z_j, z_{j+1}) prod_{j>k} w(z_j, z_{j-1}) / det T,
+
+    where s_j is z_j's pivot after eliminating its piece leaf to root and T
+    is the tridiagonal Schur complement of qI - L on the path. Pivots follow
+    the positive recurrence s_v = q + sum_c w(v, c) s_c / (s_c + w(c, v)).
+    ``at`` runs it over the pieces, then along the path with the sum carried
+    as a ratio to the pivots. Every quantity stays below q + W(v) and every
+    update adds positive terms, so a call costs O(n) without cancellation or
+    overflow, and a tiny separation probability keeps its relative precision.
     """
 
     def __init__(self, g: WeightedDigraph, x: int, y: int):
         _require_tree(g)
-        if x == y:
-            raise ParameterError("need two distinct vertices")
         path = tree_path(g, x, y)
-        self.d = len(path) - 1
-        if self.d > MAX_PATH_EDGES:
-            raise ParameterError(
-                f"path distance {self.d} exceeds the exact-method cap {MAX_PATH_EDGES}; "
-                "use closed forms or Monte Carlo"
-            )
         self.path = path
-        L = laplacian(g)
-        piece = self._pieces(g, path)
-        # Segment (a, b): the component spanning path vertices a..b once the
-        # boundary path edges are cut. Its Laplacian is the submatrix of L
-        # with the cut edge weights added back on the boundary diagonal.
-        self._segments: dict[tuple[int, int], np.ndarray] = {}
-        for a in range(self.d + 1):
-            members: list[int] = []
-            for b in range(a, self.d + 1):
-                members.extend(piece[b])
-                idx = np.array(sorted(members))
-                sub = L[np.ix_(idx, idx)].copy()
-                where = {v: i for i, v in enumerate(idx)}
-                if a > 0:
-                    za = path[a]
-                    sub[where[za], where[za]] += g.weight(za, path[a - 1])
-                if b < self.d:
-                    zb = path[b]
-                    sub[where[zb], where[zb]] += g.weight(zb, path[b + 1])
-                self._segments[(a, b)] = sub
-        self._L = L
-
-    @staticmethod
-    def _pieces(g: WeightedDigraph, path: list[int]) -> list[list[int]]:
-        on_path = set(path)
-        nbrs: list[set[int]] = [set() for _ in range(g.n)]
-        for u, v, _ in g.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        pieces = []
-        for j, z in enumerate(path):
-            block = {z}
-            stack = [z]
-            while stack:
-                v = stack.pop()
-                for u in nbrs[v]:
-                    # other path vertices are only reachable through cut edges
-                    if u in block or u in on_path:
-                        continue
-                    block.add(u)
-                    stack.append(u)
-            pieces.append(sorted(block))
-        return pieces
+        self.d = len(path) - 1
+        self._n = g.n
+        self._steps = [(b, g.weight(a, b), g.weight(b, a)) for a, b in zip(path, path[1:])]
+        # Breadth-first from the whole path: path vertices are seen from the
+        # start, so no path edge is crossed and every reached vertex hangs off
+        # its parent inside one piece. Reversed, the list runs leaves first.
+        adj, seen, queue = undirected_adjacency(g), set(path), list(path)
+        self._elim: list[tuple[int, int, float, float]] = []
+        for p in queue:  # the queue grows while it is read
+            for v in adj[p]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+                    self._elim.append((v, p, g.weight(v, p), g.weight(p, v)))
+        self._elim.reverse()
 
     def at(self, q: float) -> float:
         """Separation probability at killing rate q."""
-        _check_q(q)
-        d = self.d
-        T: dict[tuple[int, int], LogValue] = {
-            key: _logdet_shifted(sub, q) for key, sub in self._segments.items()
-        }
-        z_full = _logdet_shifted(self._L, q)
-        # E[m] = signed sum over cut subsets of products of segment values
-        # for the path prefix 0..m; E[d] is the connection measure.
-        E: list[LogValue] = [LogValue.zero()] * (d + 1)
-        for m in range(d + 1):
-            acc = T[(0, m)]
-            for a in range(1, m + 1):
-                acc = acc - E[a - 1] * T[(a, m)]
-            E[m] = acc
-        u = ((z_full - E[d]) / z_full).to_float()
+        check_q(q)
+        s = [q] * self._n
+        for v, p, w_vp, w_pv in self._elim:
+            s[p] += w_pv * s[v] / (s[v] + w_vp)
+        # Over the prefix z_0..z_m with the edge to z_{m+1} cut: sigma is the
+        # last pivot of T, sep is sigma * P(z_0, z_m in different trees), and
+        # cut is 1 - prod_{j<m} w(z_j, z_{j+1}) / pivot_j.
+        sigma, sep, cut = s[self.path[0]], 0.0, 0.0
+        for z, fwd, back in self._steps:
+            pivot = sigma + fwd
+            cut = (sigma + fwd * cut) / pivot
+            sep = s[z] * cut + back * sep / pivot
+            sigma = s[z] + back * sigma / pivot
+        u = sep / sigma
         if not -1e-8 <= u <= 1 + 1e-8:
             warnings.warn(
                 f"tree correlation {u!r} left [0,1] beyond roundoff at q={q}",

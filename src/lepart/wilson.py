@@ -20,7 +20,7 @@ from itertools import accumulate
 from random import Random
 from typing import Sequence
 
-from .errors import FormatError, ParameterError, StructureError
+from .errors import FormatError, ParameterError, StructureError, check_q
 from .graphs import WeightedDigraph
 
 __all__ = [
@@ -135,8 +135,7 @@ class ForestSampler:
     """
 
     def __init__(self, g: WeightedDigraph, q: float, order: Sequence[int] | None = None):
-        if not q > 0:
-            raise ParameterError(f"killing rate must be positive, got q={q}")
+        check_q(q)
         self.graph = g
         self.q = q
         if order is None:

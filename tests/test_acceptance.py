@@ -272,10 +272,7 @@ def test_criterion_9_monotonicity_on_random_trees():
     while trees < 200:
         g, wmin, wmax = _random_weighted_tree(rng)
         x, y = rng.sample(range(g.n), 2)
-        try:
-            pair = TreePairCorrelation(g, x, y)
-        except Exception:
-            continue  # pair beyond the exact-method distance cap; redraw
+        pair = TreePairCorrelation(g, x, y)
         trees += 1
         qs = np.logspace(math.log10(1e-9 * wmin), math.log10(1e9 * wmax), 100)
         values = [pair.at(float(q)) for q in qs]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lepart import load_edge_list, make_family, parse_family
+from lepart import load_edge_list, make_family, parse_family, path_correlation
 from lepart.cli import main
 from lepart.wilson import RootedForest
 
@@ -118,6 +118,29 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "z", "--family", "path:n=4", "--q", "-1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "z", "--q", "1")[0] == 2  # neither --family nor --graph
+
+
+def test_non_finite_q_exits_2(capsys):
+    for q in ("inf", "nan"):
+        assert run(capsys, "z", "--family", "path:n=5", "--q", q)[0] == 2
+        assert run(capsys, "corr", "--family", "path:n=40", "--pair", "1,40", "--q", q, "--method", "tree")[0] == 2
+        assert run(capsys, "sample", "--family", "path:n=5", "--q", q)[0] == 2
+    assert run(capsys, "sweep", "--family", "path:n=40", "--q-grid", "log:1:inf:3", "--pair", "1,2")[0] == 2
+
+
+def test_negative_replicas_exit_2(capsys):
+    assert run(capsys, "corr", "--family", "path:n=5", "--pair", "1,5", "--q", "1", "--method", "mc", "--replicas", "-5")[0] == 2
+    assert run(capsys, "sweep", "--family", "path:n=5", "--q-grid", "log:0.1:1:3", "--pair", "1,5", "--replicas", "-3")[0] == 2
+
+
+def test_tree_route_beyond_thirty_edges(capsys):
+    want = path_correlation(40, 1, 40, 0.05)
+    code, out, _ = run(capsys, "corr", "--family", "path:n=40", "--pair", "1,40", "--q", "0.05", "--method", "tree")
+    assert code == 0
+    assert float(out.strip().splitlines()[2].split(",")[1]) == pytest.approx(want, abs=1e-12)
+    code, out, _ = run(capsys, "sweep", "--family", "path:n=40", "--q-grid", "lin:0.05:0.1:2", "--pair", "1,40")
+    assert code == 0
+    assert float(out.strip().splitlines()[2].split(",")[2]) == pytest.approx(want, abs=1e-12)
 
 
 def test_graph_file_input(tmp_path, capsys):

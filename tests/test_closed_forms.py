@@ -59,6 +59,8 @@ def test_z_path_errors():
     with pytest.raises(ParameterError):
         z_path(3, -1.0)
     with pytest.raises(ParameterError):
+        z_path(3, math.inf)
+    with pytest.raises(ParameterError):
         z_path(3, 1.0, "newton")
     with pytest.raises(ParameterError):
         z_path(10_001, 1.0, "spectral")

@@ -123,6 +123,24 @@ def test_mc_root_count_path5():
     assert abs(fit.mean - mean_exact) < 4 * sd / math.sqrt(30_000)
 
 
+def test_mc_root_count_needs_a_replica():
+    with pytest.raises(ParameterError):
+        mc_root_count(make_family(Path(3)), 1.0, 0, 1)
+
+
+def test_out_of_range_vertices():
+    g = make_family(Path(5))
+    for x, y in ((0, 9), (-1, 2)):
+        with pytest.raises(ParameterError):
+            mc_correlation(g, 1.0, x, y, 10, 1)
+        with pytest.raises(ParameterError):
+            sweep(g, [1.0], [CorrelationQuery("c", x, y)], 0, 1)
+        with pytest.raises(ParameterError):
+            exact_correlation(g, x, y, 1.0)
+    with pytest.raises(ParameterError):
+        sweep(g, [1.0], [RootQuery("r", (9,))], 0, 1)
+
+
 def test_mc_root_count_rejects_directed():
     g = WeightedDigraph(2, ((0, 1, 1.0),))
     with pytest.raises(ParameterError):
@@ -143,6 +161,10 @@ def test_sweep_grid_validation():
         sweep(make_family(Path(4)), [1.0, 0.5], [CorrelationQuery("x", 0, 1)], 0, 1)
     with pytest.raises(ParameterError):
         sweep(make_family(Path(4)), [-1.0, 0.5], [CorrelationQuery("x", 0, 1)], 0, 1)
+    with pytest.raises(ParameterError):
+        sweep(make_family(Path(4)), [0.5, math.inf], [CorrelationQuery("x", 0, 1)], 0, 1)
+    with pytest.raises(ParameterError):
+        sweep(make_family(Path(4)), [0.5, 1.0], [CorrelationQuery("x", 0, 1)], -3, 1)
 
 
 def test_sweep_exact_dispatch():

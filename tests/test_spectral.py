@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from lepart import (
     Bottleneck,
@@ -26,6 +27,7 @@ from lepart import (
     laplacian_spectrum,
     make_family,
     partition_function,
+    path_correlation,
     roots_marginal,
     tree_correlation,
     tree_correlation_adjacent,
@@ -59,6 +61,8 @@ def test_partition_function_examples():
     assert partition_function(make_family(Star(4)), 1.0).to_float() == pytest.approx(20.0)
     with pytest.raises(ParameterError):
         partition_function(make_family(Path(3)), -1.0)
+    with pytest.raises(ParameterError):
+        partition_function(make_family(Path(3)), math.inf)
 
 
 @pytest.mark.parametrize("fam", TINY, ids=str)
@@ -196,7 +200,7 @@ def test_adjacent_errors():
 
 def test_tree_correlation_examples():
     g2 = make_family(Path(2))
-    for q in QS:
+    for q in QS + (1e-12,):  # full relative precision where the probability is tiny
         assert tree_correlation(g2, 0, 1, q) == pytest.approx(q / (q + 2), rel=1e-12)
     # star leaves: q(q^2+(n+2)wq+2(n-1)w^2)/((q+w)^2(q+nw))
     n, w, q = 5, 0.7, 1.3
@@ -216,7 +220,102 @@ def test_tree_correlation_errors():
     with pytest.raises(ParameterError):
         tree_correlation(make_family(Path(3)), 1, 1, 1.0)
     with pytest.raises(ParameterError):
-        TreePairCorrelation(make_family(Path(40)), 0, 39)  # distance beyond the cap
+        tree_correlation(make_family(Path(3)), 0, 3, 1.0)  # vertex out of range
+    with pytest.raises(ParameterError):
+        TreePairCorrelation(make_family(Path(3)), 0, 2).at(math.inf)
+
+
+def test_tree_correlation_long_path_exact():
+    pair = TreePairCorrelation(make_family(Path(40)), 0, 39)
+    assert pair.d == 39
+    for q in (1e-4, 1e-2, 1.0, 100.0):
+        assert abs(pair.at(q) - path_correlation(40, 1, 40, q)) <= 1e-12
+
+
+def _separation_by_slogdet(g: WeightedDigraph, path: list[int], q: float) -> float:
+    """1 - P(same tree) as the d+1-term sum, every determinant by dense LU.
+
+    Term k: z_k's whole piece is free, every other path vertex z_j is fixed
+    to point toward z_k, which deletes its row and column from its piece.
+    """
+    d = len(path) - 1
+    on_path = set(path)
+    adj = [set(g.out[v]) | {u for u in range(g.n) if v in g.out[u]} for v in range(g.n)]
+    pieces = []
+    for z in path:
+        block, stack = {z}, [z]
+        while stack:
+            for u in adj[stack.pop()] - block - on_path:
+                block.add(u)
+                stack.append(u)
+        pieces.append(sorted(block))
+    L = laplacian(g)
+
+    def logdet(rows: list[int], piece: list[int]) -> float:
+        if not rows:
+            return 0.0
+        inside = np.array(piece)
+        M = -L[np.ix_(rows, rows)]
+        # within its piece a vertex keeps only its in-piece out-weight
+        M[np.diag_indices(len(rows))] = q + np.array([L[v, inside].sum() - L[v, v] for v in rows])
+        sign, value = np.linalg.slogdet(M)
+        assert sign > 0
+        return float(value)
+
+    log_a = [logdet([v for v in pieces[j] if v != path[j]], pieces[j]) for j in range(d + 1)]
+    log_b = [logdet(pieces[j], pieces[j]) for j in range(d + 1)]
+    terms = []
+    for k in range(d + 1):
+        t = log_b[k] + sum(log_a[j] for j in range(d + 1) if j != k)
+        t += sum(math.log(g.weight(path[j], path[j + 1])) for j in range(k))
+        t += sum(math.log(g.weight(path[j], path[j - 1])) for j in range(k + 1, d + 1))
+        terms.append(t)
+    sign, log_z = np.linalg.slogdet(q * np.eye(g.n) - L)
+    assert sign > 0
+    return -math.expm1(float(logsumexp(terms)) - float(log_z))
+
+
+def test_tree_pair_matches_slogdet_sum_on_random_trees():
+    rng = random.Random(20261018)
+    beyond_30 = 0
+    for _ in range(40):
+        n = rng.randrange(2, 61)
+        spine = rng.random() < 0.5  # a long spine gives pairs more than 30 edges apart
+        edges, end = [], 0
+        for v in range(1, n):
+            if spine and rng.random() < 0.8:
+                u, end = end, v
+            else:
+                u = rng.randrange(v)
+            edges.append((u, v, math.exp(rng.uniform(-3.0, 3.0))))
+            edges.append((v, u, math.exp(rng.uniform(-3.0, 3.0))))
+        g = WeightedDigraph(n, tuple(edges))
+        x, y = (0, end) if spine and end else rng.sample(range(n), 2)
+        pair = TreePairCorrelation(g, x, y)
+        beyond_30 += pair.d > 30
+        for q in (1e-3, 0.2, 5.0, 1e3):
+            want = _separation_by_slogdet(g, pair.path, q)
+            assert pair.at(q) == pytest.approx(want, rel=1e-9, abs=1e-12), (n, x, y, q)
+    assert beyond_30 >= 3, beyond_30
+
+
+def test_tree_correlation_one_way_edges_vs_enumeration():
+    # a tree edge may exist in one direction only; some pairs can then never share a tree
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randrange(2, 8)
+        edges = []
+        for v in range(1, n):
+            u, kind = rng.randrange(v), rng.randrange(3)
+            if kind != 1:
+                edges.append((u, v, math.exp(rng.uniform(-2.0, 2.0))))
+            if kind != 0:
+                edges.append((v, u, math.exp(rng.uniform(-2.0, 2.0))))
+        g = WeightedDigraph(n, tuple(edges))
+        x, y = rng.sample(range(n), 2)
+        pair, ens = TreePairCorrelation(g, x, y), enumerate_forests(g)
+        for q in (0.01, 1.0, 50.0):
+            assert abs(pair.at(q) - brute_correlation(ens, q, x, y)) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)

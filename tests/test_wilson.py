@@ -82,8 +82,9 @@ def test_sampler_determinism_and_seed_splitting():
 
 def test_invalid_q_and_order():
     g = make_family(Path(3))
-    with pytest.raises(ParameterError):
-        sample_forest(g, 0.0, 1)
+    for q in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            sample_forest(g, q, 1)
     with pytest.raises(ParameterError):
         ForestSampler(g, 1.0, order=(0, 1))
 
