@@ -67,12 +67,15 @@ _QS = (0.3, 1.0, 3.0)
 
 
 def _check_enumeration_vs_determinant() -> str:
+    """Sparse-LU partition function against enumeration and dense LU."""
     worst = 0.0
     for fam in _TINY_FAMILIES:
         g = make_family(fam)
         ens = enumerate_forests(g)
         for q in _QS:
-            worst = max(worst, _rel(brute_z(ens, q), partition_function(g, q).to_float()))
+            z = partition_function(g, q)
+            _, dense = np.linalg.slogdet(q * np.eye(g.n) - g_.laplacian(g))
+            worst = max(worst, _rel(brute_z(ens, q), z.to_float()), abs(z.log() - dense))
     if worst > 1e-9:
         raise AssertionError(f"worst relative gap {worst:.3e} > 1e-9")
     return f"worst relative gap {worst:.2e}"

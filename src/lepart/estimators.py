@@ -101,7 +101,7 @@ def mc_correlation(
     g: WeightedDigraph, q: float, x: int, y: int, replicas: int, seed: int
 ) -> SampleStats:
     """Fraction of sampled forests in which x and y land in different trees."""
-    check_vertices(g, (x, y))
+    check_vertices(g.n, (x, y))
     if x == y:
         raise ParameterError("need two distinct vertices")
     sampler = ForestSampler(g, q)
@@ -267,7 +267,7 @@ def exact_correlation(
     Dispatch order: exhaustive enumeration (n <= 8), tree-exact, then family
     closed forms.
     """
-    check_vertices(g, (x, y))
+    check_vertices(g.n, (x, y))
     if g.n <= MAX_ENUM_VERTICES:
         return brute_correlation(enumerate_forests(g), q, x, y)
     if is_tree(g):
@@ -276,6 +276,11 @@ def exact_correlation(
 
 
 def closed_form_correlation(family: FamilySpec | None, x: int, y: int, q: float) -> float | None:
+    """Family closed form for one pair, or None when the family has none."""
+    if isinstance(family, (Path, Star, CommunityStar)):
+        check_vertices(family.n, (x, y))
+    elif isinstance(family, Bottleneck):
+        check_vertices(family.n + family.m, (x, y))
     if isinstance(family, Path):
         lo, hi = min(x, y), max(x, y)
         return path_correlation(family.n, lo + 1, hi + 1, q)
@@ -327,7 +332,7 @@ def sweep(
     if replicas < 0:
         raise ParameterError(f"replica count must be nonnegative, got {replicas}")
     for query in queries:
-        check_vertices(g, (query.x, query.y) if isinstance(query, CorrelationQuery) else query.vertices)
+        check_vertices(g.n, (query.x, query.y) if isinstance(query, CorrelationQuery) else query.vertices)
     rows: list[SweepRow] = []
     ensemble = enumerate_forests(g) if g.n <= MAX_ENUM_VERTICES else None
     pairs: dict[tuple[int, int], TreePairCorrelation] = {}

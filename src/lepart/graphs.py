@@ -24,6 +24,8 @@ from functools import cached_property
 from typing import Iterable, Union
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import FormatError, ParameterError, StructureError
 
@@ -57,49 +59,89 @@ __all__ = [
 Edge = tuple[int, int, float]
 
 
-@dataclass(frozen=True)
 class WeightedDigraph:
-    """A finite weighted digraph without self-loops or parallel edges.
+    """A finite weighted digraph without self-loops or parallel edges, in CSR form.
 
-    ``edges`` is canonically sorted by (src, dst); weights are strictly
-    positive (a weight-0 edge is simply absent). Instances are immutable and
-    safe to share across threads.
+    The out-edges of vertex v are ``indices[indptr[v]:indptr[v + 1]]``, sorted
+    by destination, with weights ``weights[indptr[v]:indptr[v + 1]]``;
+    ``out_weight[v]`` is their total. Weights are positive and finite (a
+    weight-0 edge is simply absent).
+
+    ``WeightedDigraph(n, edges)`` takes ``(src, dst, weight)`` triples and
+    :meth:`from_arrays` takes three parallel arrays; both run the same checks.
+    ``edges``, ``out`` and :meth:`weight` are views derived from the arrays
+    on first use. The arrays are read-only, so instances are immutable and
+    safe to share across threads. Two graphs are equal when they have the
+    same vertex count and the same edges.
     """
 
     n: int
-    edges: tuple[Edge, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+    out_weight: np.ndarray
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"need at least one vertex, got n={self.n}")
-        seen = set()
-        for x, y, w in self.edges:
-            if not (0 <= x < self.n and 0 <= y < self.n):
-                raise ParameterError(f"edge ({x},{y}) out of range for n={self.n}")
-            if x == y:
-                raise FormatError(f"self-loop at vertex {x}")
-            if (x, y) in seen:
-                raise FormatError(f"duplicate edge ({x},{y})")
-            if not w > 0:
-                raise FormatError(f"nonpositive weight {w} on edge ({x},{y})")
-            seen.add((x, y))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+    def __init__(self, n: int, edges: Iterable[Edge] = ()):
+        edges = tuple(edges)
+        src, dst, w = zip(*edges) if edges else ((), (), ())
+        self._build(n, src, dst, w)
+
+    @classmethod
+    def from_arrays(cls, n: int, src, dst, weights) -> "WeightedDigraph":
+        """The graph with edges ``src[i] -> dst[i]`` of weight ``weights[i]``."""
+        g = cls.__new__(cls)
+        g._build(n, src, dst, weights)
+        return g
+
+    def _build(self, n: int, src, dst, weights) -> None:
+        if n < 1:
+            raise ParameterError(f"need at least one vertex, got n={n}")
+        try:
+            src = np.asarray(src, dtype=np.int64)
+            dst = np.asarray(dst, dtype=np.int64)
+        except OverflowError as exc:
+            raise ParameterError(f"vertex id out of range for n={n}") from exc
+        w = np.asarray(weights, dtype=float)
+        for error, bad, what in (
+            (ParameterError, (src < 0) | (src >= n) | (dst < 0) | (dst >= n), f"is out of range for n={n}"),
+            (FormatError, src == dst, "is a self-loop"),
+            (FormatError, ~(np.isfinite(w) & (w > 0)), "needs a positive, finite weight"),
+        ):
+            if bad.any():
+                i = int(bad.argmax())
+                raise error(f"edge ({src[i]},{dst[i]}) of weight {w[i]} {what}")
+        key = src * n + dst
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        bad = key[1:] == key[:-1]
+        if bad.any():
+            i = int(bad.argmax())
+            raise FormatError(f"duplicate edge ({key[i] // n},{key[i] % n})")
+        src = src[order]
+        self.n = int(n)
+        self.indptr = np.searchsorted(src, np.arange(n + 1))
+        self.indices = dst[order]
+        self.weights = w[order]
+        # bincount adds in edge order, as a per-edge loop would
+        self.out_weight = np.bincount(src, weights=self.weights, minlength=n)
+        for a in (self.indptr, self.indices, self.weights, self.out_weight):
+            a.flags.writeable = False
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """Source vertex of each edge, in CSR order."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """``(src, dst, weight)`` triples sorted by (src, dst)."""
+        return tuple(zip(self._rows.tolist(), self.indices.tolist(), self.weights.tolist()))
 
     @cached_property
     def out(self) -> tuple[dict[int, float], ...]:
         """Out-neighbor weight maps, one per vertex."""
-        adj: list[dict[int, float]] = [dict() for _ in range(self.n)]
-        for x, y, w in self.edges:
-            adj[x][y] = w
-        return tuple(adj)
-
-    @cached_property
-    def out_weight(self) -> np.ndarray:
-        """Total outgoing weight per vertex."""
-        tot = np.zeros(self.n)
-        for x, _, w in self.edges:
-            tot[x] += w
-        return tot
+        ptr, dst, w = self.indptr.tolist(), self.indices.tolist(), self.weights.tolist()
+        return tuple(dict(zip(dst[a:b], w[a:b])) for a, b in zip(ptr, ptr[1:]))
 
     def weight(self, x: int, y: int) -> float:
         """Weight of the directed edge (x, y), or 0 if absent."""
@@ -107,27 +149,51 @@ class WeightedDigraph:
 
     @cached_property
     def is_symmetric(self) -> bool:
-        return all(self.out[y].get(x) == w for x, y, w in self.edges)
+        rows = self._rows
+        order = np.lexsort((rows, self.indices))  # the reversed edges in CSR order
+        return bool(
+            np.array_equal(self.indices[order], rows)
+            and np.array_equal(rows[order], self.indices)
+            and np.array_equal(self.weights[order], self.weights)
+        )
 
     def subgraph(self, vertices: Iterable[int]) -> "WeightedDigraph":
         """Induced subgraph; vertices are relabeled in sorted order."""
         keep = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(keep)}
-        edges = tuple(
-            (index[x], index[y], w)
-            for x, y, w in self.edges
-            if x in index and y in index
+        check_vertices(self.n, keep)
+        index = np.full(self.n, -1)
+        index[keep] = np.arange(len(keep))
+        src, dst = index[self._rows], index[self.indices]
+        inside = (src >= 0) & (dst >= 0)
+        return WeightedDigraph.from_arrays(len(keep), src[inside], dst[inside], self.weights[inside])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightedDigraph):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.weights, other.weights)
         )
-        return WeightedDigraph(len(keep), edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.indices.tobytes(), self.weights.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"WeightedDigraph(n={self.n}, edges={len(self.indices)})"
 
 
 def undirected(n: int, pairs: Iterable[Edge]) -> WeightedDigraph:
     """Build a graph from undirected weighted pairs (both orientations added)."""
-    edges: list[Edge] = []
-    for x, y, w in pairs:
-        edges.append((x, y, float(w)))
-        edges.append((y, x, float(w)))
-    return WeightedDigraph(n, tuple(edges))
+    pairs = tuple(pairs)
+    a, b, w = zip(*pairs) if pairs else ((), (), ())
+    return _both_ways(n, a, b, w)
+
+
+def _both_ways(n: int, a, b, w) -> WeightedDigraph:
+    """The graph with edges a[i] -> b[i] and b[i] -> a[i], both of weight w[i]."""
+    return WeightedDigraph.from_arrays(n, np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((w, w)))
 
 
 # -- graph families ------------------------------------------------------
@@ -183,25 +249,27 @@ def make_family(spec: FamilySpec) -> WeightedDigraph:
     if isinstance(spec, Path):
         if spec.n < 1:
             raise ParameterError("path needs n >= 1")
-        return undirected(spec.n, [(i, i + 1, 1.0) for i in range(spec.n - 1)])
+        i = np.arange(spec.n - 1)
+        return _both_ways(spec.n, i, i + 1, np.ones(spec.n - 1))
     if isinstance(spec, Cycle):
         if spec.n < 3:
             raise ParameterError("cycle needs n >= 3")
-        return undirected(spec.n, [(i, (i + 1) % spec.n, 1.0) for i in range(spec.n)])
+        i = np.arange(spec.n)
+        return _both_ways(spec.n, i, (i + 1) % spec.n, np.ones(spec.n))
     if isinstance(spec, Star):
         if spec.n < 1:
             raise ParameterError("star needs n >= 1")
         if not spec.w > 0:
             raise ParameterError("star needs w > 0")
-        return undirected(spec.n, [(0, i, spec.w) for i in range(1, spec.n)])
+        leaves = np.arange(1, spec.n)
+        return _both_ways(spec.n, np.zeros_like(leaves), leaves, np.full(spec.n - 1, float(spec.w)))
     if isinstance(spec, CommunityStar):
         if spec.n < 1 or not 0 <= spec.k <= spec.n - 1:
             raise ParameterError("community star needs n >= 1 and 0 <= k <= n-1")
         if not spec.w > 0:
             raise ParameterError("community star needs w > 0")
-        pairs = [(0, i, 1.0) for i in range(1, spec.k + 1)]
-        pairs += [(0, i, spec.w) for i in range(spec.k + 1, spec.n)]
-        return undirected(spec.n, pairs)
+        leaves = np.arange(1, spec.n)
+        return _both_ways(spec.n, np.zeros_like(leaves), leaves, np.where(leaves <= spec.k, 1.0, float(spec.w)))
     if isinstance(spec, HierarchicalTree):
         return _make_hierarchical(spec)
     if isinstance(spec, Bottleneck):
@@ -210,14 +278,17 @@ def make_family(spec: FamilySpec) -> WeightedDigraph:
         if not spec.w > 0:
             raise ParameterError("bottleneck needs w > 0")
         n, m = spec.n, spec.m
-        pairs = [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)]
-        pairs += [(n + i, n + j, 1.0) for i in range(m) for j in range(i + 1, m)]
-        pairs.append((0, n, spec.w))
-        return undirected(n + m, pairs)
+        big, small = np.triu_indices(n, 1), np.triu_indices(m, 1)
+        a = np.concatenate((big[0], small[0] + n, [0]))
+        b = np.concatenate((big[1], small[1] + n, [n]))
+        w = np.ones(len(a))
+        w[-1] = spec.w
+        return _both_ways(n + m, a, b, w)
     if isinstance(spec, Complete):
         if spec.n < 1:
             raise ParameterError("complete graph needs n >= 1")
-        return undirected(spec.n, [(i, j, 1.0) for i in range(spec.n) for j in range(i + 1, spec.n)])
+        a, b = np.triu_indices(spec.n, 1)
+        return _both_ways(spec.n, a, b, np.ones(len(a)))
     raise ParameterError(f"unknown family spec {spec!r}")
 
 
@@ -230,18 +301,15 @@ def _make_hierarchical(spec: HierarchicalTree) -> WeightedDigraph:
         raise ParameterError("hierarchical tree weights must be positive")
     if any(a > b for a, b in zip(spec.weights, spec.weights[1:])):
         raise ParameterError("hierarchical tree weights must be nondecreasing toward the leaves")
-    # Breadth-first labels: generation g occupies ids offset[g]..offset[g+1]-1.
-    offsets = [0]
-    for g in range(spec.h + 1):
-        offsets.append(offsets[-1] + spec.d**g)
-    pairs = []
-    for g in range(1, spec.h + 1):
-        w = spec.weights[g - 1]
-        for j in range(spec.d**g):
-            child = offsets[g] + j
-            parent = offsets[g - 1] + j // spec.d
-            pairs.append((parent, child, w))
-    return undirected(offsets[-1], pairs)
+    # Breadth-first labels: generation g occupies ids offset[g]..offset[g+1]-1,
+    # and its j-th vertex hangs off vertex j // d of generation g - 1.
+    sizes = [spec.d**g for g in range(spec.h + 1)]
+    offsets = np.cumsum([0] + sizes)
+    gen = np.repeat(np.arange(1, spec.h + 1), sizes[1:])
+    child = np.arange(1, offsets[-1])
+    parent = offsets[gen - 1] + (child - offsets[gen]) // spec.d
+    weights = np.repeat(np.asarray(spec.weights, dtype=float), sizes[1:])
+    return _both_ways(int(offsets[-1]), parent, child, weights)
 
 
 _FAMILY_NAMES = {
@@ -308,9 +376,8 @@ def family_to_string(spec: FamilySpec) -> str:
 def laplacian(g: WeightedDigraph) -> np.ndarray:
     """Dense Laplacian L with L[x, y] = w(x, y) off-diagonal and zero row sums."""
     L = np.zeros((g.n, g.n))
-    for x, y, w in g.edges:
-        L[x, y] = w
-        L[x, x] -= w
+    L[g._rows, g.indices] = g.weights
+    L[np.diag_indices(g.n)] -= g.out_weight
     return L
 
 
@@ -417,40 +484,36 @@ def contract_edge(g: WeightedDigraph, x: int, y: int) -> tuple[WeightedDigraph, 
 
 def undirected_adjacency(g: WeightedDigraph) -> tuple[tuple[int, ...], ...]:
     """Neighbor lists of the underlying undirected graph (direction ignored)."""
-    nbrs: list[set[int]] = [set() for _ in range(g.n)]
-    for x, y, _ in g.edges:
-        nbrs[x].add(y)
-        nbrs[y].add(x)
-    return tuple(tuple(sorted(s)) for s in nbrs)
+    rows, cols = g._rows, g.indices
+    keys = np.unique(np.concatenate((rows * g.n + cols, cols * g.n + rows)))
+    src, dst = np.divmod(keys, g.n)
+    ptr, dst = np.searchsorted(src, np.arange(g.n + 1)).tolist(), dst.tolist()
+    return tuple(tuple(dst[a:b]) for a, b in zip(ptr, ptr[1:]))
 
 
 def is_tree(g: WeightedDigraph) -> bool:
     """True when the underlying undirected graph is a spanning tree."""
-    pairs = {frozenset((x, y)) for x, y, _ in g.edges}
+    # A tree has n - 1 undirected pairs, each stored once or twice.
+    if not g.n - 1 <= len(g.indices) <= 2 * (g.n - 1):
+        return False
+    rows, cols = g._rows, g.indices
+    pairs = np.unique(np.minimum(rows, cols) * g.n + np.maximum(rows, cols))
     if len(pairs) != g.n - 1:
         return False
-    adj = undirected_adjacency(g)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == g.n
+    adjacency = sparse.csr_array((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
+    return connected_components(adjacency, directed=False, return_labels=False) == 1
 
 
-def check_vertices(g: WeightedDigraph, vertices: Iterable[int]) -> None:
+def check_vertices(n: int, vertices: Iterable[int]) -> None:
     """Raise ParameterError unless every vertex id lies in 0..n-1."""
     for v in vertices:
-        if not 0 <= v < g.n:
-            raise ParameterError(f"vertex {v} out of range for n={g.n}")
+        if not 0 <= v < n:
+            raise ParameterError(f"vertex {v} out of range for n={n}")
 
 
 def tree_path(g: WeightedDigraph, x: int, y: int) -> list[int]:
     """The unique undirected path from x to y in a tree."""
-    check_vertices(g, (x, y))
+    check_vertices(g.n, (x, y))
     if x == y:
         raise ParameterError("need two distinct vertices")
     adj = undirected_adjacency(g)

@@ -1,11 +1,14 @@
-"""Exact observables of the rooted-forest measure via dense linear algebra.
+"""Exact observables of the rooted-forest measure.
 
 The measure on spanning rooted forests of a weighted digraph G with killing
 rate q > 0 puts mass q^{#roots} * prod(edge weights) on each forest; its
-normalizing constant is det(qI - L) with L the graph Laplacian. Roots form a
-determinantal process with kernel q(qI - L)^{-1}, and on a tree the
-probability that two vertices share a block is a sum of positive products of
-subtree determinants, which one leaf-to-path elimination evaluates in O(n).
+normalizing constant is det(qI - L) with L the graph Laplacian. qI - L is a
+sparse nonsingular M-matrix, so the partition function and the killed-walk
+hitting probabilities come from one sparse LU factorization (SuperLU, via
+``scipy.sparse.linalg.splu``). Roots form a determinantal process with dense
+kernel q(qI - L)^{-1}, and on a tree the probability that two vertices share
+a block is a sum of positive products of subtree determinants, which one
+leaf-to-path elimination evaluates in O(n).
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .errors import NumericError, ParameterError, StructureError, check_q
-from .graphs import WeightedDigraph, is_tree, laplacian, tree_path, undirected_adjacency
+from .graphs import WeightedDigraph, check_vertices, is_tree, laplacian, tree_path, undirected_adjacency
 from .logvalue import LogValue
 
 __all__ = [
@@ -34,21 +39,49 @@ __all__ = [
 ]
 
 
-def _logdet_shifted(L: np.ndarray, q: float) -> LogValue:
-    """det(qI - L) as a LogValue, via LU with partial pivoting."""
-    sign, logabs = np.linalg.slogdet(q * np.eye(L.shape[0]) - L)
-    if sign == 0:
-        raise NumericError(f"singular matrix qI - L at q={q}")
-    return LogValue.from_log(float(logabs), int(sign))
+def _shifted(g: WeightedDigraph, q: float) -> sparse.csr_array:
+    """qI - L in CSR form, with every diagonal entry stored."""
+    adjacency = sparse.csr_array((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
+    return sparse.diags_array(q + g.out_weight, format="csr") - adjacency
+
+
+def _lu(M: sparse.csr_array):
+    """Sparse LU factors Pr M Pc = L U of M, with L unit lower triangular."""
+    try:
+        return splu(M.tocsc())
+    except RuntimeError as exc:
+        raise NumericError(f"sparse LU of qI - L failed: {exc}") from exc
+
+
+def _parity(perm: np.ndarray) -> int:
+    """Sign of a permutation, (-1)^(n - number of cycles).
+
+    Pointer doubling: after k rounds, low[i] is the least index among the
+    first 2^k images of i, so after ceil(log2 n) rounds it is the least index
+    of i's cycle, and each cycle has exactly one i with low[i] == i.
+    """
+    n = len(perm)
+    ids = np.arange(n)
+    low, step = ids, perm
+    for _ in range((n - 1).bit_length()):
+        low = np.minimum(low, low[step])
+        step = step[step]
+    return -1 if (n - np.count_nonzero(low == ids)) % 2 else 1
 
 
 def partition_function(g: WeightedDigraph, q: float) -> LogValue:
-    """Normalizing constant det(qI - L) of the forest measure, in log space."""
+    """Normalizing constant det(qI - L) of the forest measure, in log space.
+
+    From the sparse LU factors: log|det| is the sum of log|U_ii|, and the
+    sign is that of U's diagonal times the parities of both permutations.
+    """
     check_q(q)
-    value = _logdet_shifted(laplacian(g), q)
-    if value.sign <= 0:
+    lu = _lu(_shifted(g, q))
+    u = lu.U.diagonal()
+    sign = (-1) ** int(np.count_nonzero(u < 0)) * _parity(lu.perm_r) * _parity(lu.perm_c)
+    if sign <= 0:
         raise NumericError(f"partition function came out nonpositive at q={q}")
-    return value
+    return LogValue.from_log(float(np.sum(np.log(np.abs(u)))), sign)
 
 
 @dataclass(frozen=True)
@@ -79,6 +112,7 @@ def roots_marginal(kernel: GreenKernel, vertices) -> float:
     idx = sorted(set(int(v) for v in vertices))
     if not idx:
         raise ParameterError("need a nonempty vertex set")
+    check_vertices(len(kernel.matrix), idx)
     sub = kernel.matrix[np.ix_(idx, idx)]
     return float(np.linalg.det(sub))
 
@@ -103,26 +137,20 @@ def expected_root_count(g: WeightedDigraph, q: float) -> float:
 def hitting_prob(g: WeightedDigraph, x: int, y: int, q: float) -> float:
     """P_x(walk hits y before an independent exponential killing time of rate q).
 
-    Solves, over vertices v != y,
-    ``(q + W(v)) h(v) = sum_{z != y} w(v, z) h(z) + w(v, y)``
-    with W(v) the total out-weight, and returns h(x).
+    Solves ``(q + W(v)) h(v) = sum_z w(v, z) h(z)`` for v != y with
+    h(y) = 1, W(v) the total out-weight: the system qI - L with row y
+    replaced by the unit row, factored sparse. Returns h(x).
     """
     check_q(q)
+    check_vertices(g.n, (x, y))
     if x == y:
         raise ParameterError("need two distinct vertices")
-    others = [v for v in range(g.n) if v != y]
-    pos = {v: i for i, v in enumerate(others)}
-    A = np.zeros((len(others), len(others)))
-    b = np.zeros(len(others))
-    for i, v in enumerate(others):
-        A[i, i] = q + g.out_weight[v]
-        for z, w in g.out[v].items():
-            if z == y:
-                b[i] += w
-            else:
-                A[i, pos[z]] -= w
-    h = np.linalg.solve(A, b)
-    return float(h[pos[x]])
+    M = _shifted(g, q)
+    row = slice(M.indptr[y], M.indptr[y + 1])
+    M.data[row] = M.indices[row] == y
+    rhs = np.zeros(g.n)
+    rhs[y] = 1.0
+    return float(_lu(M).solve(rhs)[x])
 
 
 def _require_tree(g: WeightedDigraph) -> None:
@@ -138,6 +166,7 @@ def tree_correlation_adjacent(g: WeightedDigraph, x: int, y: int, q: float) -> f
     """
     check_q(q)
     _require_tree(g)
+    check_vertices(g.n, (x, y))
     if g.weight(x, y) == 0.0 and g.weight(y, x) == 0.0:
         raise ParameterError(f"vertices {x} and {y} are not adjacent")
     p = hitting_prob(g, x, y, q)

@@ -143,13 +143,11 @@ class ForestSampler:
         self.order = tuple(order)
         if sorted(self.order) != list(range(g.n)):
             raise ParameterError("processing order must be a permutation of the vertices")
-        self._total = [q + g.out_weight[v] for v in range(g.n)]
-        self._nbrs = []
-        self._cum = []
-        for v in range(g.n):
-            items = sorted(g.out[v].items())
-            self._nbrs.append([u for u, _ in items])
-            self._cum.append(list(accumulate(w for _, w in items)))
+        self._total = (q + g.out_weight).tolist()
+        ptr, dst, w = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
+        rows = list(zip(ptr, ptr[1:]))
+        self._nbrs = [dst[a:b] for a, b in rows]
+        self._cum = [list(accumulate(w[a:b])) for a, b in rows]
 
     def sample(self, rng: Random) -> RootedForest:
         q = self.q

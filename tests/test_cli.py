@@ -38,6 +38,13 @@ def test_z_det_vs_closed_agree(capsys):
     zc = float(out_c.strip().splitlines()[2].split(",")[0])
     zd = float(out_d.strip().splitlines()[2].split(",")[0])
     assert zc == pytest.approx(zd, rel=1e-9)
+    # n = 10^5: the sparse route needs no dense n x n matrix
+    code, out_d, _ = run(capsys, "z", "--family", "path:n=100000", "--q", "0.01", "--method", "det")
+    assert code == 0
+    _, out_c, _ = run(capsys, "z", "--family", "path:n=100000", "--q", "0.01", "--method", "closed")
+    zc = float(out_c.strip().splitlines()[2].split(",")[0])
+    zd = float(out_d.strip().splitlines()[2].split(",")[0])
+    assert abs(zc - zd) <= 1e-9
 
 
 def test_z_json_format(capsys):
@@ -154,6 +161,13 @@ def test_graph_file_input(tmp_path, capsys):
     assert float(out.strip().splitlines()[2].split(",")[1]) == pytest.approx(
         __import__("lepart").tree_correlation(g, 0, 1, 1.0)
     )
+
+
+def test_infinite_edge_weights_exit_2(tmp_path, capsys):
+    path = tmp_path / "g.tsv"
+    path.write_text("# n=2\n0\t1\tinf\n1\t0\tinf\n")
+    assert run(capsys, "z", "--graph", str(path), "--q", "1")[0] == 2
+    assert run(capsys, "corr", "--graph", str(path), "--pair", "1,2", "--q", "1", "--method", "tree")[0] == 2
 
 
 def test_gen_prints_config_first(capsys):

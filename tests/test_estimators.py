@@ -26,6 +26,7 @@ from lepart import (
 from lepart.estimators import (
     CorrelationQuery,
     RootQuery,
+    closed_form_correlation,
     detect_layers_experiment,
     exact_correlation,
     poisson_binomial_pmf,
@@ -139,6 +140,9 @@ def test_out_of_range_vertices():
             exact_correlation(g, x, y, 1.0)
     with pytest.raises(ParameterError):
         sweep(g, [1.0], [RootQuery("r", (9,))], 0, 1)
+    for family, x, y in ((Star(20), 0, 30), (Path(5), -1, 2), (CommunityStar(6, 2, 0.5), 1, 6), (Bottleneck(3, 2, 1.0), 0, 5)):
+        with pytest.raises(ParameterError):
+            closed_form_correlation(family, x, y, 1.0)
 
 
 def test_mc_root_count_rejects_directed():

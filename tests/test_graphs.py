@@ -1,3 +1,6 @@
+import math
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +32,7 @@ from lepart.graphs import (
     is_tree,
     tree_path,
 )
+from lepart.wilson import ForestSampler
 
 ALL_FAMILIES = [
     Path(5),
@@ -42,14 +46,23 @@ ALL_FAMILIES = [
 
 
 def test_validation_errors():
-    with pytest.raises(FormatError):
-        WeightedDigraph(2, ((0, 0, 1.0),))
-    with pytest.raises(FormatError):
-        WeightedDigraph(2, ((0, 1, 1.0), (0, 1, 2.0)))
-    with pytest.raises(FormatError):
-        WeightedDigraph(2, ((0, 1, 0.0),))
-    with pytest.raises(ParameterError):
-        WeightedDigraph(2, ((0, 5, 1.0),))
+    bad = [
+        (FormatError, ((0, 0, 1.0),)),
+        (FormatError, ((0, 1, 1.0), (0, 1, 2.0))),
+        (FormatError, ((0, 1, 0.0),)),
+        (FormatError, ((0, 1, math.inf), (1, 0, math.inf))),
+        (FormatError, ((0, 1, math.nan),)),
+        (FormatError, ((0, 1, -math.inf),)),
+        (ParameterError, ((0, 5, 1.0),)),
+        (ParameterError, ((-1, 0, 1.0),)),
+        (ParameterError, ((0, 2**70, 1.0),)),
+    ]
+    for error, edges in bad:
+        with pytest.raises(error):
+            WeightedDigraph(2, edges)
+        if max(max(x, y) for x, y, _ in edges) < 2**63:
+            with pytest.raises(error):
+                WeightedDigraph.from_arrays(2, *zip(*edges))
 
 
 def test_edge_counts():
@@ -158,6 +171,8 @@ def test_edge_list_errors():
         load_edge_list("# n=2\n0\t1\t-3")
     with pytest.raises(FormatError):
         load_edge_list("# n=2\n0 1 1")
+    with pytest.raises(FormatError):
+        load_edge_list("# n=2\n0\t1\tinf\n1\t0\tinf")
 
 
 def test_delete_and_contract():
@@ -205,3 +220,90 @@ def test_random_tree_paths_are_paths(n, data):
     assert p[0] == x and p[-1] == y
     assert all(g.weight(a, b) > 0 for a, b in zip(p, p[1:]))
     assert len(set(p)) == len(p)
+
+
+# -- CSR core against the per-edge tuple builder it replaced ---------------------
+
+
+def _reference_pairs(spec):
+    """Vertex count and undirected (x, y, w) pairs, one tuple at a time."""
+    if isinstance(spec, Path):
+        return spec.n, [(i, i + 1, 1.0) for i in range(spec.n - 1)]
+    if isinstance(spec, Cycle):
+        return spec.n, [(i, (i + 1) % spec.n, 1.0) for i in range(spec.n)]
+    if isinstance(spec, Star):
+        return spec.n, [(0, i, spec.w) for i in range(1, spec.n)]
+    if isinstance(spec, CommunityStar):
+        pairs = [(0, i, 1.0) for i in range(1, spec.k + 1)]
+        return spec.n, pairs + [(0, i, spec.w) for i in range(spec.k + 1, spec.n)]
+    if isinstance(spec, HierarchicalTree):
+        offsets = [0]
+        for g in range(spec.h + 1):
+            offsets.append(offsets[-1] + spec.d**g)
+        pairs = []
+        for g in range(1, spec.h + 1):
+            for j in range(spec.d**g):
+                pairs.append((offsets[g - 1] + j // spec.d, offsets[g] + j, spec.weights[g - 1]))
+        return offsets[-1], pairs
+    if isinstance(spec, Bottleneck):
+        n, m = spec.n, spec.m
+        pairs = [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)]
+        pairs += [(n + i, n + j, 1.0) for i in range(m) for j in range(i + 1, m)]
+        return n + m, pairs + [(0, n, spec.w)]
+    if isinstance(spec, Complete):
+        return spec.n, [(i, j, 1.0) for i in range(spec.n) for j in range(i + 1, spec.n)]
+    raise AssertionError(spec)
+
+
+def reference_graph(spec):
+    """Sorted edges, out maps, out-weights and Laplacian from per-edge loops."""
+    n, pairs = _reference_pairs(spec)
+    edges = []
+    for x, y, w in pairs:
+        edges += [(x, y, float(w)), (y, x, float(w))]
+    edges = tuple(sorted(edges))
+    out = tuple({} for _ in range(n))
+    total = np.zeros(n)
+    L = np.zeros((n, n))
+    for x, y, w in edges:
+        out[x][y] = w
+        total[x] += w
+        L[x, y] = w
+        L[x, x] -= w
+    return n, edges, out, total, L
+
+
+EQUIVALENCE_FAMILIES = [
+    Path(1), Path(2), Path(9), Path(60),
+    Cycle(3), Cycle(4), Cycle(41),
+    Star(1), Star(2, 0.3), Star(17, 0.1),
+    CommunityStar(1, 0, 0.5), CommunityStar(6, 2, 0.25), CommunityStar(30, 7, 0.3), CommunityStar(9, 8, 3.0),
+    HierarchicalTree(1, 1, (2.0,)), HierarchicalTree(2, 3, (0.1, 0.2, 0.7)), HierarchicalTree(3, 3, (0.1, 1.0, 10.0)),
+    Bottleneck(1, 1, 0.5), Bottleneck(4, 3, 2.0), Bottleneck(13, 6, 0.01),
+    Complete(1), Complete(2), Complete(5), Complete(23),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("fam", EQUIVALENCE_FAMILIES, ids=str)
+def test_csr_family_matches_tuple_builder(fam):
+    n, edges, out, total, L = reference_graph(fam)
+    g = make_family(fam)
+    assert g.n == n
+    assert g.edges == edges
+    assert g.out == out
+    assert g.out_weight.tobytes() == total.tobytes()
+    assert laplacian(g).tobytes() == L.tobytes()
+    assert WeightedDigraph(n, reversed(edges)) == g
+    # identical jump tables, hence identical forests for a fixed stream
+    q = 0.7
+    sampler = ForestSampler(g, q)
+    assert sampler._nbrs == [sorted(o) for o in out]
+    assert sampler._cum == [list(accumulate(w for _, w in sorted(o.items()))) for o in out]
+    assert sampler._total == [q + t for t in total]
+
+
+def test_graph_arrays_are_read_only():
+    g = make_family(Path(4))
+    for a in (g.indptr, g.indices, g.weights, g.out_weight):
+        with pytest.raises(ValueError):
+            a[0] = 1

@@ -33,9 +33,10 @@ from lepart import (
     tree_correlation_adjacent,
     tree_correlation_profile,
     undirected,
+    z_path,
 )
 from lepart.graphs import contract_edge, delete_edge
-from lepart.spectral import TreePairCorrelation
+from lepart.spectral import TreePairCorrelation, _parity
 from lepart.wilson import ROOT
 
 TINY = [Path(2), Path(4), Cycle(3), Star(4), Complete(4)]
@@ -73,6 +74,64 @@ def test_partition_function_matches_enumeration(fam, q):
     assert partition_function(g, q).to_float() == pytest.approx(brute_z(ens, q), rel=1e-10)
 
 
+def random_digraph(rng: random.Random) -> WeightedDigraph:
+    """Up to 60 vertices; every ordered pair is an edge on its own, with its own
+    weight, so pairs come joined both ways with unequal weights, one way, or not."""
+    n = rng.randint(1, 60)
+    p = rng.uniform(0.02, 0.3)
+    edges = [(x, y, math.exp(rng.uniform(-3.0, 3.0))) for x in range(n) for y in range(n) if x != y and rng.random() < p]
+    return WeightedDigraph(n, edges)
+
+
+def test_sparse_routes_match_dense_linear_algebra():
+    """Sparse LU log-det and hitting probabilities against dense LU.
+
+    At q = 1e-9 both routes lose digits to cancellation in the last pivots,
+    so the bound adds eps * c(M), with c(M) = n + 2 tr(M^{-1} N) the
+    componentwise condition number of log det M for M = D - N (first order
+    in a backward error |dM| <= eps |M|; M^{-1} >= 0 for an M-matrix).
+    """
+    eps = np.finfo(float).eps
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = random_digraph(rng)
+        for q in (1e-9, 1e-3, 1.0, 1e3):
+            M = q * np.eye(g.n) - laplacian(g)
+            sign, dense = np.linalg.slogdet(M)
+            assert sign == 1
+            tol = 1e-9
+            if q < 1e-3:
+                N = np.diag(np.diag(M)) - M
+                tol += eps * (g.n + 2 * np.trace(np.linalg.solve(M, N)))
+            assert abs(partition_function(g, q).log() - dense) <= tol
+            if g.n >= 2 and q >= 1e-3:
+                x, y = rng.sample(range(g.n), 2)
+                others = [v for v in range(g.n) if v != y]
+                h = np.linalg.solve(M[np.ix_(others, others)], -M[others, y])
+                assert hitting_prob(g, x, y, q) == pytest.approx(h[others.index(x)], abs=1e-9)
+
+
+def test_permutation_parity_matches_cycle_count():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 10, 257):
+        for _ in range(20):
+            perm = rng.permutation(n)
+            seen, cycles = set(), 0
+            for i in range(n):
+                cycles += i not in seen
+                while i not in seen:
+                    seen.add(i)
+                    i = perm[i]
+            assert _parity(perm) == (-1) ** (n - cycles)
+
+
+def test_partition_function_path_beyond_dense_reach():
+    n = 10**5  # a dense n x n matrix would take 80 GB
+    g = make_family(Path(n))
+    for q in (1e-3, 0.01, 1.0, 1e3):
+        assert abs(partition_function(g, q).log() - z_path(n, q).log()) <= 1e-9
+
+
 # -- Green kernel ----------------------------------------------------------
 
 
@@ -103,8 +162,9 @@ def test_roots_marginal_examples():
     K = green_kernel(make_family(Path(2)), 2.0)
     assert roots_marginal(K, (0,)) == pytest.approx(0.75)
     assert roots_marginal(K, (0, 1)) == pytest.approx(0.5)
-    with pytest.raises(ParameterError):
-        roots_marginal(K, ())
+    for vertices in ((), (-1,), (7,), (0, 2)):
+        with pytest.raises(ParameterError):
+            roots_marginal(K, vertices)
 
 
 @pytest.mark.parametrize("fam", TINY, ids=str)
@@ -171,6 +231,13 @@ def test_hitting_prob_no_route():
     assert hitting_prob(g, 1, 0, 1.0) == 0.0
 
 
+def test_hitting_prob_out_of_range():
+    g = make_family(Path(5))
+    for x, y in ((0, 9), (9, 0), (-1, 2)):
+        with pytest.raises(ParameterError):
+            hitting_prob(g, x, y, 1.0)
+
+
 def test_hitting_prob_small_killing():
     g = make_family(Cycle(5))
     assert hitting_prob(g, 0, 3, 1e-9) == pytest.approx(1.0, abs=1e-6)
@@ -193,6 +260,8 @@ def test_adjacent_errors():
         tree_correlation_adjacent(make_family(Cycle(3)), 0, 1, 1.0)
     with pytest.raises(ParameterError):
         tree_correlation_adjacent(make_family(Path(3)), 0, 2, 1.0)
+    with pytest.raises(ParameterError):
+        tree_correlation_adjacent(make_family(Path(5)), 0, 9, 1.0)
 
 
 # -- exact tree correlation ---------------------------------------------------
