@@ -8,7 +8,6 @@ and so on. All randomness is seeded, so a green run is reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from random import Random
 from typing import Callable
@@ -17,18 +16,9 @@ import numpy as np
 from scipy.stats import chisquare
 
 from . import graphs as g_
-from .closed_forms import (
-    bottleneck_quantities,
-    community_star_quantities,
-    path_correlation,
-    path_interior_root_measure,
-    path_root_measures,
-    star_quantities,
-    z_complete,
-    z_cycle,
-    z_path,
-)
+from .closed_forms import path_correlation, path_interior_root_measure, path_root_measures
 from .enumeration import brute_correlation, brute_event, brute_z, enumerate_forests, russo_check
+from .estimators import closed_form_z
 from .graphs import (
     Bottleneck,
     CommunityStar,
@@ -64,6 +54,12 @@ def _rel(a: float, b: float) -> float:
 
 _TINY_FAMILIES = [Path(2), Path(4), Cycle(3), Star(4), Complete(4), Bottleneck(3, 3, 1.0), CommunityStar(5, 2, 0.5)]
 _QS = (0.3, 1.0, 3.0)
+_CLOSED_FORM_FAMILIES = [
+    *(Path(n) for n in (1, 2, 5, 23, 80)),
+    *(Cycle(n) for n in (3, 11, 60)),
+    Star(5, 1.0), Star(9, 0.3), CommunityStar(6, 2, 0.5), CommunityStar(7, 4, 2.0),
+    Bottleneck(3, 3, 0.5), Bottleneck(5, 4, 2.0), Complete(2), Complete(6),
+]
 
 
 def _check_enumeration_vs_determinant() -> str:
@@ -83,26 +79,10 @@ def _check_enumeration_vs_determinant() -> str:
 
 def _check_closed_forms_vs_determinant() -> str:
     worst = 0.0
-    for n in (1, 2, 5, 23, 80):
+    for fam in _CLOSED_FORM_FAMILIES:
+        g = make_family(fam)
         for q in (0.5, 2.0):
-            worst = max(worst, abs(z_path(n, q).log() - partition_function(make_family(Path(n)), q).log()))
-    for n in (3, 11, 60):
-        for q in (0.5, 2.0):
-            worst = max(worst, abs(z_cycle(n, q).log() - partition_function(make_family(Cycle(n)), q).log()))
-    for n, w in ((5, 1.0), (9, 0.3)):
-        for q in (0.5, 2.0):
-            worst = max(worst, abs(star_quantities(n, w, q).z.log() - partition_function(make_family(Star(n, w)), q).log()))
-    for n, k, w in ((6, 2, 0.5), (7, 4, 2.0)):
-        for q in (0.5, 2.0):
-            got = community_star_quantities(n, k, w, q).z.log()
-            worst = max(worst, abs(got - partition_function(make_family(CommunityStar(n, k, w)), q).log()))
-    for n, m, w in ((3, 3, 0.5), (5, 4, 2.0)):
-        for q in (0.5, 2.0):
-            got = bottleneck_quantities(n, m, w, q).z.log()
-            worst = max(worst, abs(got - partition_function(make_family(Bottleneck(n, m, w)), q).log()))
-    for n in (2, 6):
-        for q in (0.5, 2.0):
-            worst = max(worst, abs(z_complete(n, q).log() - partition_function(make_family(Complete(n)), q).log()))
+            worst = max(worst, abs(closed_form_z(fam, q).log() - partition_function(g, q).log()))
     if worst > 1e-9:
         raise AssertionError(f"worst log gap {worst:.3e} > 1e-9")
     return f"worst log gap {worst:.2e}"

@@ -19,40 +19,10 @@ import sys
 import numpy as np
 
 from .checks import run_checks
-from .closed_forms import (
-    bottleneck_quantities,
-    community_star_quantities,
-    star_quantities,
-    z_complete,
-    z_cycle,
-    z_path,
-)
-from .enumeration import MAX_ENUM_VERTICES, brute_correlation, enumerate_forests
 from .errors import FormatError, LepartError, NumericError, ParameterError, check_q
-from .estimators import (
-    CorrelationQuery,
-    closed_form_correlation,
-    exact_correlation,
-    mc_correlation,
-    sweep,
-)
-from .graphs import (
-    Bottleneck,
-    CommunityStar,
-    Complete,
-    Cycle,
-    Path,
-    Star,
-    WeightedDigraph,
-    family_to_string,
-    is_tree,
-    load_edge_list,
-    make_family,
-    parse_family,
-    save_edge_list,
-)
-from .logvalue import LogValue
-from .spectral import partition_function, tree_correlation
+from .estimators import CORRELATION_METHODS, CorrelationQuery, closed_form_z, exact_route, mc_correlation, sweep
+from .graphs import WeightedDigraph, load_edge_list, make_family, parse_family, save_edge_list
+from .spectral import partition_function
 from .wilson import forest_to_json, partition_of, sample_forest
 
 USAGE_ERROR = 2
@@ -89,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--pair", required=True, help="1-based vertex labels, e.g. 1,5")
-    p.add_argument("--method", choices=("enum", "tree", "closed", "mc", "auto"), default="auto")
+    p.add_argument("--method", choices=CORRELATION_METHODS, default="auto")
     _add_common(p)
 
     p = sub.add_parser("sample", help="draw one forest and its partition")
@@ -162,22 +132,6 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _closed_form_z(spec, q: float) -> LogValue | None:
-    if isinstance(spec, Path):
-        return z_path(spec.n, q, "recurrence" if spec.n <= 10**6 else "closed")
-    if isinstance(spec, Cycle):
-        return z_cycle(spec.n, q)
-    if isinstance(spec, Complete):
-        return z_complete(spec.n, q)
-    if isinstance(spec, Star) and spec.n >= 3:
-        return star_quantities(spec.n, spec.w, q).z
-    if isinstance(spec, CommunityStar) and spec.n >= 3:
-        return community_star_quantities(spec.n, spec.k, spec.w, q).z
-    if isinstance(spec, Bottleneck) and min(spec.n, spec.m) >= 2:
-        return bottleneck_quantities(spec.n, spec.m, spec.w, q).z
-    return None
-
-
 def _cmd_gen(args, out) -> int:
     spec = parse_family(args.family)
     _print_config(args, out)  # '#'-prefixed, so the output stays loadable
@@ -187,14 +141,10 @@ def _cmd_gen(args, out) -> int:
 
 def _cmd_z(args, out) -> int:
     g, spec = _load_graph(args)
-    closed = _closed_form_z(spec, args.q) if spec is not None else None
-    if args.method == "closed":
-        if closed is None:
-            raise ParameterError("--method closed needs a family with a closed form")
-        value, resolved = closed, "closed"
-    elif args.method == "det":
-        value, resolved = partition_function(g, args.q), "det"
-    elif closed is not None:
+    closed = None if args.method == "det" else closed_form_z(spec, args.q)
+    if args.method == "closed" and closed is None:
+        raise ParameterError("--method closed needs a family with a closed form")
+    if closed is not None:
         value, resolved = closed, "closed"
     else:
         value, resolved = partition_function(g, args.q), "det"
@@ -212,31 +162,15 @@ def _cmd_z(args, out) -> int:
 def _cmd_corr(args, out) -> int:
     g, spec = _load_graph(args)
     x, y = _parse_pair(args.pair, g.n)
-    method = args.method
-    exact: float | None = None
-    resolved = method
-    if method == "enum":
-        exact = brute_correlation(enumerate_forests(g), args.q, x, y)
-    elif method == "tree":
-        exact = tree_correlation(g, x, y, args.q)
-    elif method == "closed":
-        exact = closed_form_correlation(spec, x, y, args.q)
-        if exact is None:
-            raise ParameterError("--method closed needs a family pair with a closed form")
-    elif method == "auto":
-        exact = exact_correlation(g, x, y, args.q, spec)
-        if exact is not None:
-            resolved = "enum" if g.n <= MAX_ENUM_VERTICES else ("tree" if is_tree(g) else "closed")
-        else:
-            resolved = "mc"
+    route = exact_route(g, x, y, spec, args.method)
     rows: list[tuple[str, float, float | None]] = []
-    if exact is not None:
-        rows.append((resolved, exact, None))
-    if method == "mc" or (method == "auto" and exact is None) or args.replicas > 0:
+    if route is not None:
+        rows.append((route.method, route.at(args.q), None))
+    if route is None or args.replicas > 0:
         replicas = args.replicas if args.replicas > 0 else 100_000
         stats = mc_correlation(g, args.q, x, y, replicas, args.seed)
         rows.append(("mc", stats.estimate, stats.stderr))
-    _print_config(args, out, resolved_method=resolved)
+    _print_config(args, out, resolved_method="mc" if route is None else route.method)
     if args.format == "json":
         payload = [
             {"method": m, "value": v, "stderr": s} for m, v, s in rows

@@ -22,12 +22,17 @@ from .closed_forms import (
     community_star_quantities,
     path_correlation,
     star_quantities,
+    z_complete,
+    z_cycle,
+    z_path,
 )
 from .enumeration import MAX_ENUM_VERTICES, brute_correlation, enumerate_forests
 from .errors import ParameterError, check_q
 from .graphs import (
     Bottleneck,
     CommunityStar,
+    Complete,
+    Cycle,
     FamilySpec,
     HierarchicalTree,
     Path,
@@ -37,6 +42,7 @@ from .graphs import (
     is_tree,
     make_family,
 )
+from .logvalue import LogValue
 from .spectral import TreePairCorrelation, green_kernel, laplacian_spectrum, roots_marginal
 from .wilson import ROOT, ForestSampler, RootedForest, split_seed
 
@@ -52,8 +58,11 @@ __all__ = [
     "CorrelationQuery",
     "RootQuery",
     "sweep",
+    "ExactRoute",
+    "exact_route",
     "exact_correlation",
     "closed_form_correlation",
+    "closed_form_z",
     "LayerCrossing",
     "detect_layers_experiment",
 ]
@@ -207,6 +216,121 @@ def _chi_square_merged(observed: np.ndarray, expected: np.ndarray, min_expected:
     return stat, len(obs) - 1
 
 
+# -- exact dispatch ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExactRoute:
+    """The exact separation probability of one pair, resolved once, evaluated per q.
+
+    ``method`` names the route: ``"enum"`` (exhaustive enumeration),
+    ``"tree"`` (tree-exact elimination) or ``"closed"`` (family closed form).
+    """
+
+    method: str
+    at: Callable[[float], float]
+
+
+#: Values of ``method`` in :func:`exact_route` (and of ``lepart corr --method``).
+CORRELATION_METHODS = ("enum", "tree", "closed", "mc", "auto")
+
+
+def exact_route(
+    g: WeightedDigraph, x: int, y: int, family: FamilySpec | None = None, method: str = "auto"
+) -> ExactRoute | None:
+    """The one exact-method dispatch for P(x and y in different blocks).
+
+    ``auto`` takes the first route that applies: enumeration (n <= 8), then
+    tree-exact (g is a tree), then the family closed form; it returns None
+    when none does. ``enum``, ``tree`` and ``closed`` force that route and
+    raise when it does not apply. ``mc`` asks for no exact route (None). The
+    enumeration ensemble or the tree elimination is built here once, so
+    ``at`` costs one evaluation per q.
+    """
+    if method not in CORRELATION_METHODS:
+        raise ParameterError(f"unknown method {method!r}; known: {CORRELATION_METHODS}")
+    check_vertices(g.n, (x, y))
+    if x == y:
+        raise ParameterError("need two distinct vertices")
+    if method == "mc":
+        return None
+    if method == "enum" or (method == "auto" and g.n <= MAX_ENUM_VERTICES):
+        ensemble = enumerate_forests(g)
+        return ExactRoute("enum", lambda q: brute_correlation(ensemble, q, x, y))
+    if method == "tree" or (method == "auto" and is_tree(g)):
+        return ExactRoute("tree", TreePairCorrelation(g, x, y).at)
+    closed = _closed_form_pair(family, x, y)
+    if closed is None:
+        if method == "closed":
+            raise ParameterError("method 'closed' needs a family pair with a closed form")
+        return None
+    return ExactRoute("closed", closed)
+
+
+def exact_correlation(
+    g: WeightedDigraph, x: int, y: int, q: float, family: FamilySpec | None = None
+) -> float | None:
+    """P(x and y in different blocks) at one q, or None when no exact route applies.
+
+    Resolves :func:`exact_route` (``auto``) and evaluates it once; to evaluate
+    many q, keep the route and call its ``at``.
+    """
+    route = exact_route(g, x, y, family)
+    return None if route is None else route.at(q)
+
+
+# -- family closed forms --------------------------------------------------------
+
+
+def _closed_form_pair(family: FamilySpec | None, x: int, y: int) -> Callable[[float], float] | None:
+    """The family closed form for one pair as a function of q, or None."""
+    if isinstance(family, Bottleneck):
+        check_vertices(family.n + family.m, (x, y))
+    elif isinstance(family, (Path, Star, CommunityStar)):
+        check_vertices(family.n, (x, y))
+    if x == y:
+        raise ParameterError("need two distinct vertices")
+    if isinstance(family, Path):
+        lo, hi = min(x, y) + 1, max(x, y) + 1
+        return lambda q: path_correlation(family.n, lo, hi, q)
+    if isinstance(family, Star):
+        kind = "center_leaf" if 0 in (x, y) else "leaf_leaf"
+        return lambda q: getattr(star_quantities(family.n, family.w, q), kind)
+    if isinstance(family, CommunityStar):
+        in_v1 = lambda v: 1 <= v <= family.k
+        if 0 in (x, y):
+            kind = "center_v1" if in_v1(y if x == 0 else x) else "center_vw"
+        else:
+            kind = ("vw_vw", "v1_vw", "v1_v1")[in_v1(x) + in_v1(y)]
+        return lambda q: getattr(community_star_quantities(family.n, family.k, family.w, q), kind)
+    if isinstance(family, Bottleneck) and {x, y} == {0, family.n}:
+        return lambda q: bottleneck_quantities(family.n, family.m, family.w, q).bridge
+    return None
+
+
+def closed_form_correlation(family: FamilySpec | None, x: int, y: int, q: float) -> float | None:
+    """Family closed form for one pair, or None when the family has none."""
+    closed = _closed_form_pair(family, x, y)
+    return None if closed is None else closed(q)
+
+
+def closed_form_z(family: FamilySpec | None, q: float) -> LogValue | None:
+    """Family closed form for the partition function det(qI - L), or None."""
+    if isinstance(family, Path):
+        return z_path(family.n, q)
+    if isinstance(family, Cycle):
+        return z_cycle(family.n, q)
+    if isinstance(family, Complete):
+        return z_complete(family.n, q)
+    if isinstance(family, Star) and family.n >= 3:
+        return star_quantities(family.n, family.w, q).z
+    if isinstance(family, CommunityStar) and family.n >= 3:
+        return community_star_quantities(family.n, family.k, family.w, q).z
+    if isinstance(family, Bottleneck) and min(family.n, family.m) >= 2:
+        return bottleneck_quantities(family.n, family.m, family.w, q).z
+    return None
+
+
 # -- sweeps -----------------------------------------------------------------
 
 
@@ -259,53 +383,6 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
-def exact_correlation(
-    g: WeightedDigraph, x: int, y: int, q: float, family: FamilySpec | None = None
-) -> float | None:
-    """Strongest exact method available for one pair, or None.
-
-    Dispatch order: exhaustive enumeration (n <= 8), tree-exact, then family
-    closed forms.
-    """
-    check_vertices(g.n, (x, y))
-    if g.n <= MAX_ENUM_VERTICES:
-        return brute_correlation(enumerate_forests(g), q, x, y)
-    if is_tree(g):
-        return TreePairCorrelation(g, x, y).at(q)
-    return closed_form_correlation(family, x, y, q)
-
-
-def closed_form_correlation(family: FamilySpec | None, x: int, y: int, q: float) -> float | None:
-    """Family closed form for one pair, or None when the family has none."""
-    if isinstance(family, (Path, Star, CommunityStar)):
-        check_vertices(family.n, (x, y))
-    elif isinstance(family, Bottleneck):
-        check_vertices(family.n + family.m, (x, y))
-    if isinstance(family, Path):
-        lo, hi = min(x, y), max(x, y)
-        return path_correlation(family.n, lo + 1, hi + 1, q)
-    if isinstance(family, Star):
-        sq = star_quantities(family.n, family.w, q)
-        return sq.center_leaf if 0 in (x, y) else sq.leaf_leaf
-    if isinstance(family, CommunityStar):
-        cs = community_star_quantities(family.n, family.k, family.w, q)
-        in_v1 = lambda v: 1 <= v <= family.k
-        if 0 in (x, y):
-            other = y if x == 0 else x
-            return cs.center_v1 if in_v1(other) else cs.center_vw
-        kinds = sorted((in_v1(x), in_v1(y)), reverse=True)
-        if kinds == [True, True]:
-            return cs.v1_v1
-        if kinds == [True, False]:
-            return cs.v1_vw
-        return cs.vw_vw
-    if isinstance(family, Bottleneck):
-        if {x, y} == {0, family.n}:
-            return bottleneck_quantities(family.n, family.m, family.w, q).bridge
-        return None
-    return None
-
-
 def sweep(
     target: WeightedDigraph | FamilySpec,
     q_grid: Sequence[float],
@@ -315,9 +392,11 @@ def sweep(
 ) -> SweepTable:
     """Exact values (where a method exists) and MC estimates over a q-grid.
 
-    ``replicas == 0`` skips sampling and fills only the exact column. Each
-    (q, query) row draws its own replica streams, derived from ``seed`` and
-    the row index.
+    The exact column of a correlation query comes from :func:`exact_route`,
+    resolved once per distinct pair before any row is computed (None where no
+    route applies); root queries use the Green kernel. ``replicas == 0``
+    skips sampling and fills only the exact column. Each (q, query) row
+    draws its own replica streams, derived from ``seed`` and the row index.
     """
     family: FamilySpec | None
     if isinstance(target, WeightedDigraph):
@@ -331,23 +410,17 @@ def sweep(
         check_q(q)
     if replicas < 0:
         raise ParameterError(f"replica count must be nonnegative, got {replicas}")
+    routes: dict[tuple[int, int], ExactRoute | None] = {}
     for query in queries:
-        check_vertices(g.n, (query.x, query.y) if isinstance(query, CorrelationQuery) else query.vertices)
+        if isinstance(query, RootQuery):
+            check_vertices(g.n, query.vertices)
+        elif (query.x, query.y) not in routes:
+            routes[query.x, query.y] = exact_route(g, query.x, query.y, family)
     rows: list[SweepRow] = []
-    ensemble = enumerate_forests(g) if g.n <= MAX_ENUM_VERTICES else None
-    pairs: dict[tuple[int, int], TreePairCorrelation] = {}
-    tree = ensemble is None and is_tree(g)
     for row_index, (q, query) in enumerate((q, query) for q in qs for query in queries):
         if isinstance(query, CorrelationQuery):
-            if ensemble is not None:
-                exact = brute_correlation(ensemble, q, query.x, query.y)
-            elif tree:
-                key = (query.x, query.y)
-                if key not in pairs:
-                    pairs[key] = TreePairCorrelation(g, query.x, query.y)
-                exact = pairs[key].at(q)
-            else:
-                exact = closed_form_correlation(family, query.x, query.y, q)
+            route = routes[query.x, query.y]
+            exact = None if route is None else route.at(q)
             hit = lambda f, qq=query: f.root_of(qq.x) != f.root_of(qq.y)
         else:
             exact = roots_marginal(green_kernel(g, q), query.vertices)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lepart import load_edge_list, make_family, parse_family, path_correlation
+from lepart import load_edge_list, make_family, parse_family, path_correlation, z_path
 from lepart.cli import main
 from lepart.wilson import RootedForest
 
@@ -47,6 +47,14 @@ def test_z_det_vs_closed_agree(capsys):
     assert abs(zc - zd) <= 1e-9
 
 
+def test_z_path_closed_form_is_the_surd_form(capsys):
+    # the O(1) surd form, not the O(n) recurrence, which drifts at small q
+    code, out, _ = run(capsys, "z", "--family", "path:n=100000", "--q", "1e-9", "--method", "closed")
+    assert code == 0
+    log_z = float(out.strip().splitlines()[2].split(",")[0])
+    assert abs(log_z - z_path(100000, 1e-9, "chebyshev").log()) <= 1e-9
+
+
 def test_z_json_format(capsys):
     code, out, _ = run(capsys, "z", "--family", "path:n=3", "--q", "1", "--format", "json")
     assert code == 0
@@ -70,6 +78,30 @@ def test_corr_methods_cross_check(capsys):
     vt = float(out_t.strip().splitlines()[2].split(",")[1])
     vc = float(out_c.strip().splitlines()[2].split(",")[1])
     assert vt == pytest.approx(vc, rel=1e-9)
+
+
+def test_explicit_corr_method_does_no_extra_work(capsys, monkeypatch):
+    import lepart.estimators as estimators
+    import lepart.spectral as spectral
+
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(name) or fn(*a))
+
+    counted(estimators, "is_tree")
+    counted(spectral, "is_tree")
+    counted(estimators, "enumerate_forests")
+    counted(estimators, "TreePairCorrelation")
+    args = ("corr", "--family", "star:n=12", "--pair", "1,2", "--q", "1.5", "--method")
+    assert run(capsys, *args, "closed")[0] == 0
+    assert calls == []
+    assert run(capsys, *args, "tree")[0] == 0
+    assert calls == ["TreePairCorrelation", "is_tree"]
+    calls.clear()
+    assert run(capsys, *args, "auto")[0] == 0
+    assert calls == ["is_tree", "TreePairCorrelation", "is_tree"]
 
 
 def test_corr_mc_with_replicas(capsys):

@@ -7,6 +7,7 @@ from lepart import (
     Bottleneck,
     CommunityStar,
     Cycle,
+    LepartError,
     ParameterError,
     Path,
     Star,
@@ -29,6 +30,7 @@ from lepart.estimators import (
     closed_form_correlation,
     detect_layers_experiment,
     exact_correlation,
+    exact_route,
     poisson_binomial_pmf,
 )
 from lepart.wilson import ROOT
@@ -143,6 +145,18 @@ def test_out_of_range_vertices():
     for family, x, y in ((Star(20), 0, 30), (Path(5), -1, 2), (CommunityStar(6, 2, 0.5), 1, 6), (Bottleneck(3, 2, 1.0), 0, 5)):
         with pytest.raises(ParameterError):
             closed_form_correlation(family, x, y, 1.0)
+    # x == y is rejected by every family and every route
+    for family, v in ((Star(20), 3), (CommunityStar(20, 5, 0.5), 2), (Bottleneck(10, 5, 0.5), 0), (Path(6), 2)):
+        g = make_family(family)
+        with pytest.raises(ParameterError, match="distinct"):
+            closed_form_correlation(family, v, v, 1.0)
+        for method in ("auto", "enum", "tree", "closed", "mc"):
+            with pytest.raises(ParameterError, match="distinct"):
+                exact_route(g, v, v, family, method)
+        with pytest.raises(ParameterError, match="distinct"):
+            exact_correlation(g, v, v, 1.0, family)
+        with pytest.raises(ParameterError, match="distinct"):
+            sweep(family, [1.0], [CorrelationQuery("c", v, v)], 0, 1)
 
 
 def test_mc_root_count_rejects_directed():
@@ -259,3 +273,36 @@ def test_exact_correlation_dispatch():
     assert exact_correlation(g9, 0, 8, 1.0) == pytest.approx(tree_correlation(g9, 0, 8, 1.0))
     cyc = make_family(Cycle(12))
     assert exact_correlation(cyc, 0, 6, 1.0) is None
+
+
+def test_exact_route_order_and_forced_methods():
+    star8, star40 = Star(8, 0.5), Star(40, 0.5)
+    assert exact_route(make_family(star8), 1, 2, star8).method == "enum"
+    assert exact_route(make_family(star40), 1, 2, star40).method == "tree"
+    b = Bottleneck(10, 5, 0.5)
+    gb = make_family(b)
+    bridge = exact_route(gb, 10, 0, b)
+    assert bridge.method == "closed"
+    assert bridge.at(0.7) == bottleneck_quantities(10, 5, 0.5, 0.7).bridge
+    assert exact_route(gb, 1, 11, b) is None
+    assert exact_route(gb, 0, 10, b, "mc") is None
+    # a forced route answers with its own method, or raises when it does not apply
+    g = make_family(star40)
+    tree = exact_route(g, 0, 7, star40, "tree")
+    closed = exact_route(g, 0, 7, star40, "closed")
+    assert (tree.method, closed.method) == ("tree", "closed")
+    for q in (1e-3, 0.4, 1.0, 30.0):
+        assert tree.at(q) == pytest.approx(closed.at(q), rel=1e-12)
+        assert tree.at(q) == exact_correlation(g, 0, 7, q)
+    small = make_family(Path(6))
+    assert exact_route(small, 0, 5, None, "tree").at(0.3) == pytest.approx(
+        exact_route(small, 0, 5).at(0.3), rel=1e-12
+    )
+    with pytest.raises(LepartError):
+        exact_route(g, 0, 7, star40, "enum")  # n > 8
+    with pytest.raises(LepartError):
+        exact_route(gb, 0, 10, b, "tree")  # not a tree
+    with pytest.raises(ParameterError):
+        exact_route(gb, 1, 11, b, "closed")  # off the bridge
+    with pytest.raises(ParameterError):
+        exact_route(g, 0, 7, star40, "det")
