@@ -111,10 +111,10 @@ def _log_sinh(t: float) -> float:
 
 def _z_path_closed(n: int, q: float) -> LogValue:
     disc = math.sqrt(q * q + 4 * q)
-    log_half_a = math.log1p((q + disc) / 2)  # log((q + 2 + disc) / 2)
-    a = q + 2 + disc
-    log_ratio = n * (math.log(4.0) - 2 * math.log(a))  # log((B/A)^n), B = 4/A
-    correction = math.log1p(-math.exp(log_ratio)) if log_ratio < 0 else -math.inf
+    log_half_a = math.log1p((q + disc) / 2)  # log(A) with A = (q + 2 + disc) / 2
+    # log((B/A)^n) with B = 1/A; formed from log1p, since log(4) - 2 log(2A) cancels at small q
+    log_ratio = -2 * n * log_half_a
+    correction = math.log(-math.expm1(log_ratio)) if log_ratio < 0 else -math.inf
     return LogValue.from_log(math.log(q) + n * log_half_a + correction - 0.5 * math.log(q * q + 4 * q))
 
 

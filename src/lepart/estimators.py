@@ -26,7 +26,7 @@ from .closed_forms import (
     z_cycle,
     z_path,
 )
-from .enumeration import MAX_ENUM_VERTICES, brute_correlation, enumerate_forests
+from .enumeration import MAX_ENUM_VERTICES, enumerate_forests
 from .errors import ParameterError, check_q
 from .graphs import (
     Bottleneck,
@@ -256,7 +256,16 @@ def exact_route(
         return None
     if method == "enum" or (method == "auto" and g.n <= MAX_ENUM_VERTICES):
         ensemble = enumerate_forests(g)
-        return ExactRoute("enum", lambda q: brute_correlation(ensemble, q, x, y))
+        # the separation mask does not depend on q: classify each forest once
+        hit = np.fromiter(
+            (f.root_of(x) != f.root_of(y) for f in ensemble.forests), dtype=bool, count=len(ensemble)
+        )
+
+        def separated(q: float) -> float:
+            masses = ensemble.masses(q)
+            return float(masses[hit].sum() / masses.sum())
+
+        return ExactRoute("enum", separated)
     if method == "tree" or (method == "auto" and is_tree(g)):
         return ExactRoute("tree", TreePairCorrelation(g, x, y).at)
     closed = _closed_form_pair(family, x, y)

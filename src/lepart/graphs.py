@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 from scipy import sparse
@@ -341,14 +341,19 @@ def parse_family(text: str) -> FamilySpec:
                 raise ParameterError(f"malformed family parameter {item!r}")
             key = key.strip()
             val = val.strip()
+            convert: Callable[[str], object]
             if key in ("n", "m", "k", "d", "h"):
-                kwargs[key] = int(val)
+                convert = int
             elif key == "w":
-                kwargs[key] = float(val)
+                convert = float
             elif key == "weights":
-                kwargs[key] = tuple(float(t) for t in val.split("+"))
+                convert = lambda v: tuple(float(t) for t in v.split("+"))
             else:
                 raise ParameterError(f"unknown family parameter {key!r}")
+            try:
+                kwargs[key] = convert(val)
+            except ValueError as exc:
+                raise ParameterError(f"bad value for family parameter {key!r}: {val!r}") from exc
     try:
         return _FAMILY_NAMES[name](**kwargs)
     except TypeError as exc:

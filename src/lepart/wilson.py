@@ -3,11 +3,18 @@
 A spanning rooted forest with law proportional to q^{#roots} * prod(weights)
 is drawn by running, from each not-yet-covered vertex in turn, the discrete
 jump chain that moves x -> y with probability w(x, y)/(q + W(x)) and dies
-(rooting the walk's endpoint) with probability q/(q + W(x)), loop-erasing as
-it goes, and attaching the erased path to the forest grown so far. This is
-the killed-walk form of Wilson's algorithm; the discrete skeleton has the
-same law as the continuous-time walk for everything measurable on the jump
-sequence and death position.
+(rooting the walk's endpoint) with probability q/(q + W(x)), and attaching
+its loop erasure to the forest grown so far. This is the killed-walk form of
+Wilson's algorithm; the discrete skeleton has the same law as the
+continuous-time walk for everything measurable on the jump sequence and
+death position.
+
+The sampler uses Wilson's next-pointer form: each step overwrites ``nxt[x]``
+with the vertex the walk left x for (or :data:`ROOT` when it died at x), and
+once the walk dies or hits the forest, a retrace from its start along
+``nxt`` follows the last exits, which is the chronological loop erasure. No
+path or position table is kept. :func:`partition_of` labels blocks in O(n)
+by following each vertex's pointers only until a vertex of known root.
 """
 
 from __future__ import annotations
@@ -64,11 +71,13 @@ class RootedForest:
 
     def root_of(self, v: int) -> int:
         """The root of the tree containing v."""
+        parent = self.parent
+        n = len(parent)
         steps = 0
-        while self.parent[v] != ROOT:
-            v = self.parent[v]
+        while parent[v] != ROOT:
+            v = parent[v]
             steps += 1
-            if steps > self.n:
+            if steps > n:
                 raise StructureError("parent pointers contain a cycle")
         return v
 
@@ -78,8 +87,7 @@ class RootedForest:
         for v, p in enumerate(self.parent):
             if p != ROOT and not 0 <= p < n:
                 raise StructureError(f"parent[{v}]={p} out of range")
-        for v in range(n):
-            self.root_of(v)
+        partition_of(self)
         if g is not None:
             if g.n != n:
                 raise StructureError(f"forest on {n} vertices, graph has {g.n}")
@@ -97,16 +105,39 @@ class Partition:
 
 
 def partition_of(forest: RootedForest) -> Partition:
-    """The partition whose blocks are the trees of the forest."""
-    by_root: dict[int, list[int]] = {}
-    for v in range(forest.n):
-        by_root.setdefault(forest.root_of(v), []).append(v)
-    blocks = tuple(tuple(sorted(b)) for b in sorted(by_root.values(), key=min))
-    block_of = [0] * forest.n
-    for i, block in enumerate(blocks):
-        for v in block:
-            block_of[v] = i
-    return Partition(tuple(block_of), blocks)
+    """The partition whose blocks are the trees of the forest, in O(n).
+
+    Each vertex's pointers are followed only until a vertex whose root is
+    already known (or a root); the whole chain then takes that root.
+    """
+    parent = forest.parent
+    n = len(parent)
+    unknown, on_chain = n, n + 1  # markers outside the vertex range
+    root = [unknown] * n
+    for v in range(n):
+        chain = []
+        x = v
+        while root[x] == unknown:
+            root[x] = on_chain
+            chain.append(x)
+            if parent[x] == ROOT:
+                r = x
+                break
+            x = parent[x]
+        else:
+            r = root[x]
+            if r == on_chain:
+                raise StructureError("parent pointers contain a cycle")
+        for c in chain:
+            root[c] = r
+    # vertices are scanned in increasing order, so blocks come out sorted
+    # internally and first seen in order of their minimum
+    index: dict[int, int] = {}
+    block_of = tuple(index.setdefault(r, len(index)) for r in root)
+    blocks: list[list[int]] = [[] for _ in index]
+    for v, b in enumerate(block_of):
+        blocks[b].append(v)
+    return Partition(block_of, tuple(map(tuple, blocks)))
 
 
 def root_set(forest: RootedForest) -> frozenset[int]:
@@ -150,35 +181,30 @@ class ForestSampler:
         self._cum = [list(accumulate(w[a:b])) for a, b in rows]
 
     def sample(self, rng: Random) -> RootedForest:
-        q = self.q
-        parent: list[int | None] = [None] * self.graph.n
+        random = rng.random
+        q, total, nbrs, cum = self.q, self._total, self._nbrs, self._cum
+        n = len(total)
+        nxt = [ROOT] * n
+        # in_tree[ROOT] is the sentinel slot n, so a retrace stops at a root
+        in_tree = [False] * n + [True]
         for start in self.order:
-            if parent[start] is not None:
+            if in_tree[start]:
                 continue
-            path = [start]
-            pos = {start: 0}
+            x = start
             while True:
-                x = path[-1]
-                u = rng.random() * self._total[x]
+                u = random() * total[x]
                 if u < q:
-                    tail: int | None = ROOT  # walk killed: endpoint becomes a root
+                    nxt[x] = ROOT  # walk killed: endpoint becomes a root
                     break
-                y = self._nbrs[x][bisect_right(self._cum[x], u - q)]
-                if parent[y] is not None:
-                    tail = y  # hit the existing forest
-                    break
-                j = pos.get(y)
-                if j is not None:
-                    for v in path[j + 1 :]:  # erase the loop just closed
-                        del pos[v]
-                    del path[j + 1 :]
-                else:
-                    pos[y] = len(path)
-                    path.append(y)
-            for a, b in zip(path, path[1:]):
-                parent[a] = b
-            parent[path[-1]] = tail
-        return RootedForest(tuple(parent))  # type: ignore[arg-type]
+                y = nxt[x] = nbrs[x][bisect_right(cum[x], u - q)]
+                if in_tree[y]:
+                    break  # hit the existing forest
+                x = y
+            x = start
+            while not in_tree[x]:  # retrace the last exits: the loop erasure
+                in_tree[x] = True
+                x = nxt[x]
+        return RootedForest(tuple(nxt))
 
     def sample_seeded(self, seed: int) -> RootedForest:
         return self.sample(Random(seed))

@@ -153,6 +153,8 @@ def test_sweep_csv(capsys):
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "corr", "--family", "path:n=2", "--pair", "1,3", "--q", "1")[0] == 2
     assert run(capsys, "z", "--family", "torus:n=3", "--q", "1")[0] == 2
+    for family in ("path:n=abc", "star:n=5,w=x", "hier:d=2,h=2,weights=1+y"):
+        assert run(capsys, "z", "--family", family, "--q", "1")[0] == 2
     assert run(capsys, "sweep", "--family", "path:n=4", "--q-grid", "log:1:0.1:5", "--pair", "1,2")[0] == 2
     assert run(capsys, "z", "--family", "path:n=4", "--q", "-1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2

@@ -45,6 +45,9 @@ def test_z_path_known_values():
         assert z_path(2, 1.5, method).to_float() == pytest.approx(1.5**2 + 3.0)
         assert z_path(5, 1.0, method).to_float() == pytest.approx(55.0)
         assert z_path(3, 2.0, method).to_float() == pytest.approx(30.0)  # 3q + 4q^2 + q^3
+    for q in (1e-12, 1e-9):  # Z_1 = q and Z_2 = q(q + 2), to full precision at small q
+        assert z_path(1, q).log() == pytest.approx(math.log(q), abs=1e-13)
+        assert z_path(2, q).log() == pytest.approx(math.log(q) + math.log(q + 2), abs=1e-13)
 
 
 def test_z_path_sequence_at_q1():

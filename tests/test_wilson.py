@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from random import Random
 
 import numpy as np
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from lepart import (
+    Bottleneck,
     Complete,
     Cycle,
+    HierarchicalTree,
     ParameterError,
+    Partition,
     Path,
     ROOT,
     RootedForest,
@@ -21,6 +25,7 @@ from lepart import (
     enumerate_forests,
     forest_from_json,
     forest_to_json,
+    laplacian,
     make_family,
     partition_of,
     root_set,
@@ -150,3 +155,120 @@ def test_processing_order_invariance():
     p = sum(freqs) / 2
     sigma = math.sqrt(2 * p * (1 - p) / R)
     assert abs(freqs[0] - freqs[1]) < 4 * sigma
+
+
+# -- next-pointer sampler against the path/position reference ----------------
+
+
+class CountingRandom(Random):
+    """A Random that counts its random() calls, i.e. the walk steps."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+def reference_sample(sampler: ForestSampler, rng: Random) -> RootedForest:
+    """Wilson's algorithm with an explicit path and position table.
+
+    The loop-erasing form the next-pointer sampler replaced; it must draw the
+    same forest from the same stream.
+    """
+    q = sampler.q
+    parent: list = [None] * sampler.graph.n
+    for start in sampler.order:
+        if parent[start] is not None:
+            continue
+        path = [start]
+        pos = {start: 0}
+        while True:
+            x = path[-1]
+            u = rng.random() * sampler._total[x]
+            if u < q:
+                tail = ROOT
+                break
+            y = sampler._nbrs[x][bisect_right(sampler._cum[x], u - q)]
+            if parent[y] is not None:
+                tail = y
+                break
+            j = pos.get(y)
+            if j is not None:
+                for v in path[j + 1 :]:
+                    del pos[v]
+                del path[j + 1 :]
+            else:
+                pos[y] = len(path)
+                path.append(y)
+        for a, b in zip(path, path[1:]):
+            parent[a] = b
+        parent[path[-1]] = tail
+    return RootedForest(tuple(parent))
+
+
+def reference_partition_of(forest: RootedForest) -> Partition:
+    """Blocks by one root_of call per vertex, O(n * depth)."""
+    by_root: dict[int, list[int]] = {}
+    for v in range(forest.n):
+        by_root.setdefault(forest.root_of(v), []).append(v)
+    blocks = tuple(tuple(sorted(b)) for b in sorted(by_root.values(), key=min))
+    block_of = [0] * forest.n
+    for i, block in enumerate(blocks):
+        for v in block:
+            block_of[v] = i
+    return Partition(tuple(block_of), blocks)
+
+
+ONE_WAY = WeightedDigraph(
+    6, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (2, 3, 1.0), (3, 4, 1.5), (4, 3, 0.2), (5, 4, 1.0), (4, 5, 3.0), (5, 0, 0.7)]
+)
+
+
+@pytest.mark.parametrize(
+    "g, q, order",
+    [
+        (make_family(Path(50)), 0.05, None),
+        (make_family(Bottleneck(20, 5, 0.3)), 0.2, None),
+        (make_family(Complete(7)), 0.5, None),
+        (make_family(HierarchicalTree(3, 3, (1.0, 2.0, 4.0))), 0.3, None),
+        (ONE_WAY, 0.4, None),
+        (make_family(Path(50)), 0.05, tuple(range(0, 50, 2)) + tuple(range(49, 0, -2))),
+    ],
+    ids=["path50", "bottleneck", "complete7", "hier33", "one-way", "path50-order"],
+)
+def test_next_pointer_sampler_matches_reference(g, q, order):
+    sampler = ForestSampler(g, q, order)
+    for seed in range(2000):
+        fast, slow = CountingRandom(seed), CountingRandom(seed)
+        forest = sampler.sample(fast)
+        expected = reference_sample(sampler, slow)
+        assert forest.parent == expected.parent
+        assert fast.calls == slow.calls
+        assert partition_of(forest) == reference_partition_of(forest)
+
+
+def test_partition_of_rejects_cycles():
+    for parent in ((1, 0), (0,), (ROOT, 2, 3, 1), (1, 2, ROOT, 4, 3)):
+        with pytest.raises(StructureError):
+            partition_of(RootedForest(parent))
+
+
+@pytest.mark.parametrize(
+    "family, q, formula",
+    [(Path(30), 0.05, 148.91), (Bottleneck(10, 4, 0.3), 0.2, 64.80), (Star(12, 2.0), 0.7, 17.09)],
+)
+def test_walk_steps_match_green_kernel(family, q, formula):
+    # Mean random() calls per forest is sum_v (q + W(v)) G_vv, G = (qI - L)^-1.
+    g = make_family(family)
+    expected = float(np.sum((q + g.out_weight) * np.diag(np.linalg.inv(q * np.eye(g.n) - laplacian(g)))))
+    assert expected == pytest.approx(formula, abs=0.005)
+    sampler = ForestSampler(g, q)
+    steps = []
+    for r in range(4000):
+        rng = CountingRandom(split_seed(11, r))
+        sampler.sample(rng)
+        steps.append(rng.calls)
+    mean = float(np.mean(steps))
+    stderr = float(np.std(steps, ddof=1)) / math.sqrt(len(steps))
+    assert abs(mean - expected) < 5 * stderr
