@@ -53,7 +53,9 @@ from .wilson import (
     ForestSampler,
     Partition,
     RootedForest,
+    TreeSampler,
     forest_from_json,
+    forest_sampler,
     forest_to_json,
     partition_of,
     root_set,

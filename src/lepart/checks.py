@@ -36,7 +36,7 @@ from .spectral import (
     tree_correlation,
     tree_correlation_adjacent,
 )
-from .wilson import ROOT, ForestSampler, split_seed
+from .wilson import ROOT, ForestSampler, forest_sampler, split_seed
 
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
 
@@ -207,23 +207,33 @@ def _check_path_root_measures() -> str:
     return f"worst gap {worst:.2e}"
 
 
+#: A 4-vertex tree with unequal weights both ways and one one-way edge (3 -> 1).
+_ASYMMETRIC_TREE = g_.WeightedDigraph(4, [(0, 1, 1.0), (1, 0, 2.5), (1, 2, 0.4), (2, 1, 1.5), (3, 1, 0.8)])
+
+
 def _check_sampler_law(seed: int = 42, replicas: int = 20_000) -> str:
-    g = make_family(Path(3))
-    ens = enumerate_forests(g)
+    """Chi-square of sampled forests against the enumerated law.
+
+    Wilson's walks on Path(3) at two q, and the route that serves trees,
+    :func:`forest_sampler`, on an asymmetric tree at one q.
+    """
+    path3 = make_family(Path(3))
+    cases = [(path3, ForestSampler(path3, q)) for q in (0.5, 2.0)]
+    cases.append((_ASYMMETRIC_TREE, forest_sampler(_ASYMMETRIC_TREE, 0.7)))
     worst_p = 1.0
-    for q in (0.5, 2.0):
-        masses = ens.masses(q)
+    for g, sampler in cases:
+        ens = enumerate_forests(g)
+        masses = ens.masses(sampler.q)
         probs = masses / masses.sum()
         index = {f.parent: i for i, f in enumerate(ens.forests)}
         counts = np.zeros(len(ens))
-        sampler = ForestSampler(g, q)
         for r in range(replicas):
             counts[index[sampler.sample(Random(split_seed(seed, r))).parent]] += 1
         _, p = chisquare(counts, probs * replicas)
         worst_p = min(worst_p, float(p))
     if worst_p <= 0.001:
         raise AssertionError(f"chi-square p-value {worst_p:.5f} <= 0.001")
-    return f"min p-value {worst_p:.3f} over {replicas} samples"
+    return f"min p-value {worst_p:.3f} over {replicas} samples per case"
 
 
 CHECKS: list[tuple[str, Callable[[], str]]] = [

@@ -105,8 +105,8 @@ def z_path(n: int, q: float, method: str = "closed") -> LogValue:
 
 
 def _log_sinh(t: float) -> float:
-    """log(sinh(t)) for t > 0 without overflow."""
-    return t + math.log1p(-math.exp(-2 * t)) - math.log(2.0)
+    """log(sinh(t)) for t > 0 without overflow, and without cancellation at small t."""
+    return t + math.log(-math.expm1(-2 * t)) - math.log(2.0)
 
 
 def _z_path_closed(n: int, q: float) -> LogValue:
@@ -135,16 +135,21 @@ def _z_path_value(n: int, q: float) -> LogValue:
     return LogValue.zero() if n == 0 else _z_path_closed(n, q)
 
 
-def z_cycle(n: int, q: float, method: str = "path") -> LogValue:
+def z_cycle(n: int, q: float, method: str = "closed") -> LogValue:
     """Partition function of the n-vertex unit-weight cycle.
 
-    ``path`` assembles it from path partition functions as
-    Z_n + (2/q)(Z_n - Z_{n-1}) - 2; ``combinatorial`` sums
-    [C(n+k, 2k) + C(n+k-1, 2k)] q^k.
+    ``closed`` (default; O(1)) is 2 cosh(n t) - 2 = 4 sinh^2(n t / 2) with
+    cosh t = 1 + q/2, evaluated as log 4 + 2 log sinh(n t / 2); ``path``
+    assembles it from path partition functions as
+    Z_n + (2/q)(Z_n - Z_{n-1}) - 2, which cancels at small q;
+    ``combinatorial`` sums the positive terms [C(n+k, 2k) + C(n+k-1, 2k)] q^k.
     """
     if n < 3:
         raise ParameterError(f"cycle needs n >= 3, got {n}")
     check_q(q)
+    if method == "closed":
+        t = math.log1p(q / 2 + math.sqrt(q * q / 4 + q))
+        return LogValue.from_log(math.log(4.0) + 2 * _log_sinh(n * t / 2))
     if method == "path":
         zn = _z_path_value(n, q)
         zn1 = _z_path_value(n - 1, q)
@@ -154,7 +159,7 @@ def z_cycle(n: int, q: float, method: str = "path") -> LogValue:
         k = np.arange(1, n + 1)
         terms = np.logaddexp(_log_binom(n + k, 2 * k), _log_binom(n + k - 1, 2 * k)) + k * math.log(q)
         return LogValue.from_log(float(logsumexp(terms)))
-    raise ParameterError(f"unknown z_cycle method {method!r}")
+    raise ParameterError(f"unknown z_cycle method {method!r}; known: closed, path, combinatorial")
 
 
 def path_correlation(n: int, x: int, y: int, q: float) -> float:

@@ -44,7 +44,7 @@ from .graphs import (
 )
 from .logvalue import LogValue
 from .spectral import TreePairCorrelation, green_kernel, laplacian_spectrum, roots_marginal
-from .wilson import ROOT, ForestSampler, RootedForest, split_seed
+from .wilson import ROOT, ForestSampler, RootedForest, TreeSampler, forest_sampler, split_seed
 
 __all__ = [
     "SampleStats",
@@ -91,7 +91,7 @@ class SampleStats:
 
 
 def _run_replicas(
-    sampler: ForestSampler,
+    sampler: ForestSampler | TreeSampler,
     replicas: int,
     seed: int,
     hit: Callable[[RootedForest], bool],
@@ -113,7 +113,7 @@ def mc_correlation(
     check_vertices(g.n, (x, y))
     if x == y:
         raise ParameterError("need two distinct vertices")
-    sampler = ForestSampler(g, q)
+    sampler = forest_sampler(g, q)
     hits = _run_replicas(sampler, replicas, seed, lambda f: f.root_of(x) != f.root_of(y))
     return SampleStats.from_counts(hits, replicas, seed)
 
@@ -126,7 +126,7 @@ def mc_event(
     seed: int,
 ) -> SampleStats:
     """Probability of an arbitrary forest event, by sampling."""
-    sampler = ForestSampler(g, q)
+    sampler = forest_sampler(g, q)
     hits = _run_replicas(sampler, replicas, seed, predicate)
     return SampleStats.from_counts(hits, replicas, seed)
 
@@ -169,7 +169,7 @@ def mc_root_count(g: WeightedDigraph, q: float, replicas: int, seed: int) -> Roo
         raise ParameterError("the root-count law is only asserted for undirected graphs")
     if replicas < 1:
         raise ParameterError(f"need at least one replica, got {replicas}")
-    sampler = ForestSampler(g, q)
+    sampler = forest_sampler(g, q)
     counts = np.zeros(g.n + 1, dtype=np.int64)
     for r in range(replicas):
         forest = sampler.sample(Random(split_seed(seed, r)))
@@ -437,7 +437,7 @@ def sweep(
         estimate = stderr = None
         row_seed = split_seed(seed, row_index)
         if replicas > 0:
-            sampler = ForestSampler(g, q)
+            sampler = forest_sampler(g, q)
             successes = _run_replicas(sampler, replicas, row_seed, hit)
             stats = SampleStats.from_counts(successes, replicas, row_seed)
             estimate, stderr = stats.estimate, stats.stderr

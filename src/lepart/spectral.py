@@ -21,7 +21,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NumericError, ParameterError, StructureError, check_q
-from .graphs import WeightedDigraph, check_vertices, is_tree, laplacian, tree_path, undirected_adjacency
+from .graphs import WeightedDigraph, check_vertices, is_tree, laplacian, leaf_first, tree_path
 from .logvalue import LogValue
 
 __all__ = [
@@ -200,19 +200,15 @@ class TreePairCorrelation:
         self.path = path
         self.d = len(path) - 1
         self._n = g.n
-        self._steps = [(b, g.weight(a, b), g.weight(b, a)) for a, b in zip(path, path[1:])]
-        # Breadth-first from the whole path: path vertices are seen from the
-        # start, so no path edge is crossed and every reached vertex hangs off
-        # its parent inside one piece. Reversed, the list runs leaves first.
-        adj, seen, queue = undirected_adjacency(g), set(path), list(path)
-        self._elim: list[tuple[int, int, float, float]] = []
-        for p in queue:  # the queue grows while it is read
-            for v in adj[p]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-                    self._elim.append((v, p, g.weight(v, p), g.weight(p, v)))
-        self._elim.reverse()
+        # Hung from x, every vertex off the path points toward the path, so
+        # the elimination list, leaves first, is the reversed breadth-first
+        # order without the path vertices.
+        order, parent, up, down = leaf_first(g, x)
+        self._steps = list(zip(path[1:], down[path[1:]].tolist(), up[path[1:]].tolist()))
+        off_path = np.ones(g.n, dtype=bool)
+        off_path[path] = False
+        v = order[off_path[order]][::-1]
+        self._elim = list(zip(v.tolist(), parent[v].tolist(), up[v].tolist(), down[v].tolist()))
 
     def at(self, q: float) -> float:
         """Separation probability at killing rate q."""

@@ -15,6 +15,12 @@ once the walk dies or hits the forest, a retrace from its start along
 ``nxt`` follows the last exits, which is the chronological loop erasure. No
 path or position table is kept. :func:`partition_of` labels blocks in O(n)
 by following each vertex's pointers only until a vertex of known root.
+
+On a tree no walk is needed: :class:`TreeSampler` draws the forest exactly,
+top-down from vertex 0, with one uniform per vertex from tables built of the
+leaf-first pivots. :func:`forest_sampler` is the one place that chooses: the
+tree sampler when the graph is a tree, Wilson's :class:`ForestSampler`
+otherwise. An explicit processing order always means Wilson's walks.
 """
 
 from __future__ import annotations
@@ -27,8 +33,10 @@ from itertools import accumulate
 from random import Random
 from typing import Sequence
 
+import numpy as np
+
 from .errors import FormatError, ParameterError, StructureError, check_q
-from .graphs import WeightedDigraph
+from .graphs import WeightedDigraph, is_tree, leaf_first
 
 __all__ = [
     "ROOT",
@@ -37,6 +45,8 @@ __all__ = [
     "partition_of",
     "root_set",
     "ForestSampler",
+    "TreeSampler",
+    "forest_sampler",
     "sample_forest",
     "split_seed",
     "forest_to_json",
@@ -210,11 +220,88 @@ class ForestSampler:
         return self.sample(Random(seed))
 
 
+class TreeSampler:
+    """Exact top-down sampler for one (tree, q) pair: one uniform per vertex.
+
+    On a tree the only cycles a choice of pointers can close are two
+    neighbours pointing at each other, so hung from vertex 0 the measure
+    factors over the vertices. With the leaf-first pivots
+    s_v = q + sum_c t_c, t_c = w(v, c) s_c / (s_c + w(c, v)) over v's
+    children c, a vertex whose parent p does not point at it is "free": it
+    points up with weight w(v, p), is a root with weight q, or points to
+    child c with weight t_c. A vertex that p points at is "blocked" and
+    draws from the same table without the up option, total s_v. Vertices
+    are visited breadth-first, so p has drawn before v.
+
+    Every table entry is q, an edge weight or a t_c, never a difference.
+    The partial sums of the pivot recurrence are the blocked tables'
+    boundaries (the children of one vertex are contiguous in the leaf-first
+    order), and the up option comes last, above s_v, so one draw u picks:
+    a root if u < q, the parent if u >= s_v, else the child whose boundary
+    bisection finds. Since random() * s < s for every s > 0, a blocked
+    vertex never points back, and a zero weight is never picked.
+    """
+
+    def __init__(self, g: WeightedDigraph, q: float):
+        check_q(q)
+        self.graph = g
+        self.q = q
+        order, parent, up, down = leaf_first(g, 0)
+        n = g.n
+        v = order[:0:-1]  # leaves first, without the root
+        s = [q] * n
+        self._child = v.tolist()
+        bound = self._bound = []  # bound[j]: s[parent] once the j-th vertex is eliminated
+        append = bound.append
+        for x, p, w_xp, w_px in zip(self._child, parent[v].tolist(), up[v].tolist(), down[v].tolist()):
+            s_x = s[x]
+            s[p] = s_p = s[p] + w_px * s_x / (s_x + w_xp)
+            append(s_p)
+        # the children of the vertex at breadth-first position i are the
+        # vertices eliminated at steps lo[i]..hi[i] - 1
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        key = -position[parent[v]]  # nondecreasing in the elimination step
+        lo = np.searchsorted(key, -np.arange(n), "left").tolist()
+        hi = np.searchsorted(key, -np.arange(n), "right").tolist()
+        s_top = np.array(s)[order]
+        # the root's up weight is 0, so whichever parent it reads, its free table is the blocked one
+        self._plan = list(
+            zip(order.tolist(), parent[order].clip(0).tolist(), s_top.tolist(), (s_top + up[order]).tolist(), lo, hi)
+        )
+
+    def sample(self, rng: Random) -> RootedForest:
+        random = rng.random
+        q, bound, child = self.q, self._bound, self._child
+        nxt = [ROOT] * len(self._plan)
+        for v, p, s, free, lo, hi in self._plan:
+            u = random() * (s if nxt[p] == v else free)
+            if u < q:
+                continue  # a root
+            if u >= s:
+                nxt[v] = p
+            else:
+                nxt[v] = child[bisect_right(bound, u, lo, hi)]
+        return RootedForest(tuple(nxt))
+
+    def sample_seeded(self, seed: int) -> RootedForest:
+        return self.sample(Random(seed))
+
+
+def forest_sampler(g: WeightedDigraph, q: float) -> ForestSampler | TreeSampler:
+    """The sampler for (g, q): :class:`TreeSampler` on a tree, Wilson's :class:`ForestSampler` otherwise."""
+    return TreeSampler(g, q) if is_tree(g) else ForestSampler(g, q)
+
+
 def sample_forest(
     g: WeightedDigraph, q: float, rng_seed: int, order: Sequence[int] | None = None
 ) -> RootedForest:
-    """Draw one forest with law q^{#roots} * prod(weights) / Z."""
-    return ForestSampler(g, q, order).sample_seeded(rng_seed)
+    """Draw one forest with law q^{#roots} * prod(weights) / Z.
+
+    An explicit processing ``order`` always runs Wilson's walks.
+    """
+    sampler = forest_sampler(g, q) if order is None else ForestSampler(g, q, order)
+    return sampler.sample_seeded(rng_seed)
 
 
 def forest_to_json(forest: RootedForest) -> str:

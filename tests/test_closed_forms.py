@@ -45,9 +45,10 @@ def test_z_path_known_values():
         assert z_path(2, 1.5, method).to_float() == pytest.approx(1.5**2 + 3.0)
         assert z_path(5, 1.0, method).to_float() == pytest.approx(55.0)
         assert z_path(3, 2.0, method).to_float() == pytest.approx(30.0)  # 3q + 4q^2 + q^3
-    for q in (1e-12, 1e-9):  # Z_1 = q and Z_2 = q(q + 2), to full precision at small q
-        assert z_path(1, q).log() == pytest.approx(math.log(q), abs=1e-13)
-        assert z_path(2, q).log() == pytest.approx(math.log(q) + math.log(q + 2), abs=1e-13)
+    for method in METHODS:
+        for q in (1e-12, 1e-9):  # Z_1 = q and Z_2 = q(q + 2), to full precision at small q
+            assert z_path(1, q, method).log() == pytest.approx(math.log(q), abs=1e-13)
+            assert z_path(2, q, method).log() == pytest.approx(math.log(q) + math.log(q + 2), abs=1e-13)
 
 
 def test_z_path_sequence_at_q1():
@@ -101,8 +102,16 @@ def test_z_cycle_known_values():
     assert z_cycle(3, 1.0, "combinatorial").to_float() == pytest.approx(16.0)
     assert z_cycle(4, 1.0, "path").to_float() == pytest.approx(45.0)
     assert z_cycle(4, 1.0, "combinatorial").to_float() == pytest.approx(45.0)
+    assert z_cycle(3, 1.0).to_float() == pytest.approx(16.0)
+    assert z_cycle(4, 1.0).to_float() == pytest.approx(45.0)
+    for n in (3, 10, 60):
+        for q in (1e-12, 1e-9):  # the default closed form against the positive-term sum
+            want = z_cycle(n, q, "combinatorial").log()
+            assert z_cycle(n, q).log() == pytest.approx(want, rel=1e-13)
     with pytest.raises(ParameterError):
         z_cycle(2, 1.0)
+    with pytest.raises(ParameterError):
+        z_cycle(5, 1.0, "newton")
 
 
 def test_z_cycle_large_q_sane():
@@ -118,6 +127,13 @@ def test_z_cycle_vs_determinant(q):
         det = partition_function(make_family(Cycle(n)), q).log()
         for method in ("path", "combinatorial"):
             assert abs(z_cycle(n, q, method).log() - det) <= 1e-9 * max(1.0, abs(det))
+
+
+def test_z_cycle_closed_vs_determinant():
+    for n in (3, 4, 10, 47, 300):
+        for q in (0.5, 2.0):
+            det = partition_function(make_family(Cycle(n)), q).log()
+            assert abs(z_cycle(n, q).log() - det) <= 1e-9 * max(1.0, abs(det))
 
 
 # -- path correlation -----------------------------------------------------------

@@ -94,10 +94,23 @@ def test_invalid_q_and_order():
         ForestSampler(g, 1.0, order=(0, 1))
 
 
+@st.composite
+def asymmetric_trees(draw):
+    """A random tree with independent weights per direction, some edges one-way."""
+    n = draw(st.integers(2, 9))
+    weight = st.floats(0.1, 10.0)
+    edges = []
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        for a, b in draw(st.sampled_from([((u, v), (v, u)), ((u, v),), ((v, u),)])):
+            edges.append((a, b, draw(weight)))
+    return WeightedDigraph(n, edges)
+
+
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from([Path(5), Cycle(4), Star(5, 2.0), Complete(4)]), st.integers(0, 10**6))
+@given(st.sampled_from([Path(5), Cycle(4), Star(5, 2.0), Complete(4)]) | asymmetric_trees(), st.integers(0, 10**6))
 def test_samples_are_valid_forests(fam, seed):
-    g = make_family(fam)
+    g = fam if isinstance(fam, WeightedDigraph) else make_family(fam)
     for q in (0.2, 5.0):
         f = sample_forest(g, q, seed)
         f.validate(g)
