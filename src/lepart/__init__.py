@@ -46,7 +46,6 @@ from .spectral import (
     roots_marginal,
     tree_correlation,
     tree_correlation_adjacent,
-    tree_correlation_profile,
 )
 from .wilson import (
     ROOT,
@@ -58,7 +57,6 @@ from .wilson import (
     forest_sampler,
     forest_to_json,
     partition_of,
-    root_set,
     sample_forest,
     split_seed,
 )

@@ -1,10 +1,15 @@
 """Closed-form partition functions and separation probabilities.
 
-Everything here is exact arithmetic on log-magnitude values, so path graphs
-with millions of vertices and killing rates spanning many decades are fine.
-Conventions: path partition functions use Z_0 = 0 (forced by the three-term
-recurrence Z_n = (q+2) Z_{n-1} - Z_{n-2} with Z_1 = q, Z_2 = q^2 + 2q), and
-path vertices are addressed by their 1-based position in the line.
+Each quantity has one formula, built from sums and products of positive
+terms, so it keeps its relative precision down to the paper's segment scale
+q ~ 1/n^2. Partition functions and rooting measures are positive
+:class:`LogValue` s that are only multiplied, divided and raised to powers,
+so paths with millions of vertices do not overflow. Path and cycle formulas
+are written through t = arccosh(1 + q/2), in which the n-path has
+Z_n = q sinh(n t) / sinh(t) (so Z_0 = 0); path vertices are addressed by
+their 1-based position in the line. ``tests/oracles.py`` keeps independent
+routes to the path and cycle partition functions (binomial sums, the
+Laplacian spectrum, the three-term recurrence) to check these against.
 """
 
 from __future__ import annotations
@@ -16,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import ParameterError, check_q
+from .errors import ParameterError, check_q, check_weight
 from .logvalue import LogValue
 
 __all__ = [
     "z_path",
-    "Z_PATH_METHODS",
     "z_cycle",
     "path_correlation",
     "PathRootMeasures",
@@ -47,11 +51,6 @@ __all__ = [
     "complete_rooting_measure",
 ]
 
-#: Spectral product evaluation is skipped above this size (cost and trig error).
-MAX_SPECTRAL_N = 10_000
-
-Z_PATH_METHODS = ("combinatorial", "spectral", "recurrence", "chebyshev", "closed")
-
 
 def _log_binom(n, k):
     """log C(n, k), elementwise; -inf outside the triangle."""
@@ -64,44 +63,9 @@ def _log_binom(n, k):
 # -- path graphs ------------------------------------------------------------
 
 
-def z_path(n: int, q: float, method: str = "closed") -> LogValue:
-    """Partition function of the n-vertex unit-weight path.
-
-    Methods:
-
-    * ``combinatorial``: sum_k C(n+k-1, 2k-1) q^k via log-gamma terms and
-      log-sum-exp (all terms positive);
-    * ``spectral``: product of (q + 2 - 2 cos(pi j / n)) over the Laplacian
-      spectrum, capped at n <= 10^4;
-    * ``recurrence``: iterate Z_k = (q+2) Z_{k-1} - Z_{k-2} with periodic
-      rescaling, O(n);
-    * ``chebyshev``: q U_{n-1}(q/2 + 1) through the hyperbolic-sine form of
-      the second-kind Chebyshev polynomial;
-    * ``closed``: the explicit surd form
-      q [(A/2)^n - (B/2)^n] / sqrt(q^2 + 4q) with A, B = q + 2 +- sqrt(q^2+4q),
-      evaluated in log space (default; O(1)).
-    """
-    if n < 1:
-        raise ParameterError(f"path needs n >= 1, got {n}")
-    check_q(q)
-    if method == "combinatorial":
-        k = np.arange(1, n + 1)
-        terms = _log_binom(n + k - 1, 2 * k - 1) + k * math.log(q)
-        return LogValue.from_log(float(logsumexp(terms)))
-    if method == "spectral":
-        if n > MAX_SPECTRAL_N:
-            raise ParameterError(f"spectral product only evaluated for n <= {MAX_SPECTRAL_N}")
-        j = np.arange(1, n)
-        return LogValue.from_log(float(math.log(q) + np.log(q + 2 - 2 * np.cos(np.pi * j / n)).sum()))
-    if method == "recurrence":
-        return _z_path_recurrence(n, q)
-    if method == "chebyshev":
-        # U_{n-1}(cosh t) = sinh(n t) / sinh(t) with t = arccosh(1 + q/2)
-        t = math.log1p(q / 2 + math.sqrt(q * q / 4 + q))
-        return LogValue.from_log(math.log(q) + _log_sinh(n * t) - _log_sinh(t))
-    if method == "closed":
-        return _z_path_closed(n, q)
-    raise ParameterError(f"unknown z_path method {method!r}; known: {Z_PATH_METHODS}")
+def _arccosh_1_plus_half(q: float) -> float:
+    """t with cosh t = 1 + q/2, from log1p so that it keeps its digits at small q."""
+    return math.log1p(q / 2 + math.sqrt(q * q / 4 + q))
 
 
 def _log_sinh(t: float) -> float:
@@ -109,7 +73,23 @@ def _log_sinh(t: float) -> float:
     return t + math.log(-math.expm1(-2 * t)) - math.log(2.0)
 
 
-def _z_path_closed(n: int, q: float) -> LogValue:
+def _log_cosh(t: float) -> float:
+    """log(cosh(t)) for t >= 0 without overflow."""
+    return t + math.log1p(math.exp(-2 * t)) - math.log(2.0)
+
+
+def z_path(n: int, q: float, method: str = "closed") -> LogValue:
+    """Partition function of the n-vertex unit-weight path.
+
+    The explicit surd form q [(A/2)^n - (B/2)^n] / sqrt(q^2 + 4q) with
+    A, B = q + 2 +- sqrt(q^2 + 4q), evaluated in log space in O(1).
+    ``method`` accepts only ``"closed"``, for callers that name the form.
+    """
+    if method != "closed":
+        raise ParameterError(f"unknown z_path method {method!r}; the only one is 'closed'")
+    if n < 1:
+        raise ParameterError(f"path needs n >= 1, got {n}")
+    check_q(q)
     disc = math.sqrt(q * q + 4 * q)
     log_half_a = math.log1p((q + disc) / 2)  # log(A) with A = (q + 2 + disc) / 2
     # log((B/A)^n) with B = 1/A; formed from log1p, since log(4) - 2 log(2A) cancels at small q
@@ -118,68 +98,48 @@ def _z_path_closed(n: int, q: float) -> LogValue:
     return LogValue.from_log(math.log(q) + n * log_half_a + correction - 0.5 * math.log(q * q + 4 * q))
 
 
-def _z_path_recurrence(n: int, q: float) -> LogValue:
-    prev, cur = 0.0, q  # Z_0, Z_1
-    shift = 0.0
-    for _ in range(n - 1):
-        prev, cur = cur, (q + 2) * cur - prev
-        if cur > 1e280:
-            prev *= 1e-280
-            cur *= 1e-280
-            shift += 280 * math.log(10.0)
-    return LogValue.from_log(math.log(cur) + shift)
+def _boundary_root(n: int, q: float) -> LogValue:
+    """Z_n - Z_{n-1} (with Z_0 = 0) as the positive q cosh((n - 1/2) t) / cosh(t/2)."""
+    t = _arccosh_1_plus_half(q)
+    return LogValue.from_log(math.log(q) + _log_cosh((n - 0.5) * t) - _log_cosh(t / 2))
 
 
-def _z_path_value(n: int, q: float) -> LogValue:
-    """Z of a path prefix with the Z_0 = 0 convention."""
-    return LogValue.zero() if n == 0 else _z_path_closed(n, q)
-
-
-def z_cycle(n: int, q: float, method: str = "closed") -> LogValue:
+def z_cycle(n: int, q: float) -> LogValue:
     """Partition function of the n-vertex unit-weight cycle.
 
-    ``closed`` (default; O(1)) is 2 cosh(n t) - 2 = 4 sinh^2(n t / 2) with
-    cosh t = 1 + q/2, evaluated as log 4 + 2 log sinh(n t / 2); ``path``
-    assembles it from path partition functions as
-    Z_n + (2/q)(Z_n - Z_{n-1}) - 2, which cancels at small q;
-    ``combinatorial`` sums the positive terms [C(n+k, 2k) + C(n+k-1, 2k)] q^k.
+    2 cosh(n t) - 2 = 4 sinh^2(n t / 2) with cosh t = 1 + q/2, evaluated as
+    log 4 + 2 log sinh(n t / 2) in O(1).
     """
     if n < 3:
         raise ParameterError(f"cycle needs n >= 3, got {n}")
     check_q(q)
-    if method == "closed":
-        t = math.log1p(q / 2 + math.sqrt(q * q / 4 + q))
-        return LogValue.from_log(math.log(4.0) + 2 * _log_sinh(n * t / 2))
-    if method == "path":
-        zn = _z_path_value(n, q)
-        zn1 = _z_path_value(n - 1, q)
-        two_over_q = LogValue.from_float(2.0 / q)
-        return zn + two_over_q * (zn - zn1) - LogValue.from_float(2.0)
-    if method == "combinatorial":
-        k = np.arange(1, n + 1)
-        terms = np.logaddexp(_log_binom(n + k, 2 * k), _log_binom(n + k - 1, 2 * k)) + k * math.log(q)
-        return LogValue.from_log(float(logsumexp(terms)))
-    raise ParameterError(f"unknown z_cycle method {method!r}; known: closed, path, combinatorial")
+    return LogValue.from_log(math.log(4.0) + 2 * _log_sinh(n * _arccosh_1_plus_half(q) / 2))
 
 
 def path_correlation(n: int, x: int, y: int, q: float) -> float:
     """P(positions x and y of the n-path fall in different trees), 1-based.
 
-    Evaluated as 1 - Z_{n-d}/Z_n - d (Z_x - Z_{x-1})(Z_{n-y+1} - Z_{n-y}) / (q Z_n)
-    with d = y - x, each ratio formed in log space before the subtraction,
-    then clamped to [0, 1] (a warning fires if the pre-clamp value strays
-    beyond 1e-8 outside).
+    With d = y - x and m = n - y + 1, the separation probability
+    1 - Z_{n-d}/Z_n - d (Z_x - Z_{x-1})(Z_m - Z_{m-1}) / (q Z_n), written in
+    t, is the sum of 2d positive terms
+
+        tanh(t/2) / (1 - e^{-2nt}) * sum_{k=1..d} [A_k + B_k],
+        A_k = e^{(k-d)t} (1 - e^{-(2(n-d)+k)t}) (1 - e^{-kt}),
+        B_k = e^{(k-d-1)t} (1 - e^{-(2x+k-2)t}) (1 - e^{-(2m+k-2)t}),
+
+    each 1 - e^{-s} taken as -expm1(-s). A small separation keeps its
+    relative precision; a call costs O(d). The result is clamped to [0, 1]
+    (a warning fires if the pre-clamp value strays beyond 1e-8 outside).
     """
     if not 1 <= x < y <= n:
         raise ParameterError(f"need 1 <= x < y <= n, got x={x}, y={y}, n={n}")
     check_q(q)
-    d = y - x
-    zn = _z_path_value(n, q)
-    ratio_bulk = (_z_path_value(n - d, q) / zn).to_float()
-    left = _z_path_value(x, q) - _z_path_value(x - 1, q)
-    right = _z_path_value(n - y + 1, q) - _z_path_value(n - y, q)
-    ratio_root = float(d) * (left * right / zn).to_float() / q
-    u = 1.0 - ratio_bulk - ratio_root
+    d, m = y - x, n - y + 1
+    t = _arccosh_1_plus_half(q)
+    k = np.arange(1, d + 1)
+    a = np.exp((k - d) * t) * -np.expm1(-(2 * (n - d) + k) * t) * -np.expm1(-k * t)
+    b = np.exp((k - d - 1) * t) * -np.expm1(-(2 * x + k - 2) * t) * -np.expm1(-(2 * m + k - 2) * t)
+    u = math.tanh(t / 2) / -math.expm1(-2 * n * t) * float(np.sum(a + b))
     if not -1e-8 <= u <= 1 + 1e-8:
         warnings.warn(
             f"path correlation {u!r} left [0,1] beyond roundoff at n={n}, q={q}",
@@ -201,17 +161,17 @@ class PathRootMeasures:
 
 
 def path_root_measures(n: int, q: float) -> PathRootMeasures:
-    """Boundary rooting measures Z_n - Z_{n-1} and q Z_{n-1}."""
+    """Boundary rooting measures Z_n - Z_{n-1} and q Z_{n-1} (Z_1 when n = 1)."""
     if n < 1:
         raise ParameterError(f"path needs n >= 1, got {n}")
     check_q(q)
-    zn = _z_path_value(n, q)
-    zn1 = _z_path_value(n - 1, q)
+    zn = z_path(n, q)
     return PathRootMeasures(
         n=n,
         q=q,
-        boundary_root=zn - zn1,
-        both_boundaries_root=LogValue.from_float(q) * zn1,
+        boundary_root=_boundary_root(n, q),
+        # with n = 1 both boundaries are the one vertex
+        both_boundaries_root=zn if n == 1 else LogValue.from_float(q) * z_path(n - 1, q),
         z=zn,
     )
 
@@ -225,9 +185,7 @@ def path_interior_root_measure(n: int, d: int, q: float) -> LogValue:
     if not 0 <= d <= n - 1:
         raise ParameterError(f"need 0 <= d <= n-1, got d={d}, n={n}")
     check_q(q)
-    left = path_root_measures(d + 1, q).boundary_root
-    right = path_root_measures(n - d, q).boundary_root
-    return left * right / LogValue.from_float(q)
+    return _boundary_root(d + 1, q) * _boundary_root(n - d, q) / LogValue.from_float(q)
 
 
 # -- simple random walk bands ----------------------------------------------
@@ -344,8 +302,7 @@ def star_quantities(n: int, w: float, q: float) -> StarQuantities:
     """Z = q (q+w)^{n-2} (q+nw) and the two pair separation probabilities."""
     if n < 3:
         raise ParameterError(f"star closed forms need n >= 3, got {n}")
-    if not w > 0:
-        raise ParameterError(f"need w > 0, got {w}")
+    check_weight(w)
     check_q(q)
     z = LogValue.from_float(q) * LogValue.from_float(q + w) ** (n - 2) * LogValue.from_float(q + n * w)
     center_leaf = q * (q + (n - 1) * w) / ((q + w) * (q + n * w))
@@ -398,8 +355,7 @@ def community_star_quantities(n: int, k: int, w: float, q: float) -> CommunitySt
         raise ParameterError(f"community star closed forms need n >= 3, got {n}")
     if not 0 <= k <= n - 1:
         raise ParameterError(f"need 0 <= k <= n-1, got k={k}")
-    if not w > 0:
-        raise ParameterError(f"need w > 0, got {w}")
+    check_weight(w)
     check_q(q)
     quad = q * q + ((n - k) * w + k + 1) * q + n * w
     z = (
@@ -524,8 +480,7 @@ def bottleneck_quantities(n: int, m: int, w: float, q: float) -> BottleneckQuant
     """Z = q [q(q+n)(q+m) + w(q+1)(2q+n+m)] (q+n)^{n-2} (q+m)^{m-2}."""
     if n < 2 or m < 2:
         raise ParameterError(f"bottleneck closed forms need n, m >= 2, got n={n}, m={m}")
-    if not w > 0:
-        raise ParameterError(f"need w > 0, got {w}")
+    check_weight(w)
     check_q(q)
     core = q * (q + n) * (q + m) + w * (q + 1) * (2 * q + n + m)
     z = (

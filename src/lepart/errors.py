@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the shared killing-rate check."""
+"""Exception types shared across the package, and the shared killing-rate and weight checks."""
 
 import math
 
@@ -35,3 +35,9 @@ def check_q(q: float) -> None:
     """Raise ParameterError unless the killing rate q is positive and finite."""
     if not (math.isfinite(q) and q > 0):
         raise ParameterError(f"killing rate must be positive and finite, got q={q}")
+
+
+def check_weight(w: float) -> None:
+    """Raise ParameterError unless the edge weight w is positive and finite."""
+    if not (math.isfinite(w) and w > 0):
+        raise ParameterError(f"edge weight must be positive and finite, got w={w}")

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 
-from .errors import FormatError, ParameterError, StructureError
+from .errors import FormatError, ParameterError, StructureError, check_weight
 
 __all__ = [
     "WeightedDigraph",
@@ -47,7 +47,6 @@ __all__ = [
     "load_edge_list",
     "save_edge_list",
     "delete_edge",
-    "delete_undirected_edge",
     "contract_edge",
     "is_tree",
     "leaf_first",
@@ -182,16 +181,6 @@ class WeightedDigraph:
         # n - 1 pairs form a tree exactly when they connect all n vertices
         return len(breadth_first_order(self._undirected, 0, directed=True, return_predecessors=False)) == n
 
-    def subgraph(self, vertices: Iterable[int]) -> "WeightedDigraph":
-        """Induced subgraph; vertices are relabeled in sorted order."""
-        keep = sorted(set(vertices))
-        check_vertices(self.n, keep)
-        index = np.full(self.n, -1)
-        index[keep] = np.arange(len(keep))
-        src, dst = index[self._rows], index[self.indices]
-        inside = (src >= 0) & (dst >= 0)
-        return WeightedDigraph.from_arrays(len(keep), src[inside], dst[inside], self.weights[inside])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDigraph):
             return NotImplemented
@@ -284,15 +273,13 @@ def make_family(spec: FamilySpec) -> WeightedDigraph:
     if isinstance(spec, Star):
         if spec.n < 1:
             raise ParameterError("star needs n >= 1")
-        if not spec.w > 0:
-            raise ParameterError("star needs w > 0")
+        check_weight(spec.w)
         leaves = np.arange(1, spec.n)
         return _both_ways(spec.n, np.zeros_like(leaves), leaves, np.full(spec.n - 1, float(spec.w)))
     if isinstance(spec, CommunityStar):
         if spec.n < 1 or not 0 <= spec.k <= spec.n - 1:
             raise ParameterError("community star needs n >= 1 and 0 <= k <= n-1")
-        if not spec.w > 0:
-            raise ParameterError("community star needs w > 0")
+        check_weight(spec.w)
         leaves = np.arange(1, spec.n)
         return _both_ways(spec.n, np.zeros_like(leaves), leaves, np.where(leaves <= spec.k, 1.0, float(spec.w)))
     if isinstance(spec, HierarchicalTree):
@@ -300,8 +287,7 @@ def make_family(spec: FamilySpec) -> WeightedDigraph:
     if isinstance(spec, Bottleneck):
         if spec.n < 1 or spec.m < 1:
             raise ParameterError("bottleneck needs n >= 1 and m >= 1")
-        if not spec.w > 0:
-            raise ParameterError("bottleneck needs w > 0")
+        check_weight(spec.w)
         n, m = spec.n, spec.m
         big, small = np.triu_indices(n, 1), np.triu_indices(m, 1)
         a = np.concatenate((big[0], small[0] + n, [0]))
@@ -322,8 +308,8 @@ def _make_hierarchical(spec: HierarchicalTree) -> WeightedDigraph:
         raise ParameterError("hierarchical tree needs d >= 1 and h >= 1")
     if len(spec.weights) != spec.h:
         raise ParameterError(f"need one weight per generation, got {len(spec.weights)} for h={spec.h}")
-    if any(not w > 0 for w in spec.weights):
-        raise ParameterError("hierarchical tree weights must be positive")
+    for w in spec.weights:
+        check_weight(w)
     if any(a > b for a, b in zip(spec.weights, spec.weights[1:])):
         raise ParameterError("hierarchical tree weights must be nondecreasing toward the leaves")
     # Breadth-first labels: generation g occupies ids offset[g]..offset[g+1]-1,
@@ -470,14 +456,6 @@ def delete_edge(g: WeightedDigraph, x: int, y: int) -> WeightedDigraph:
     if g.weight(x, y) == 0.0:
         raise ParameterError(f"no edge ({x},{y}) to delete")
     return WeightedDigraph(g.n, tuple(e for e in g.edges if (e[0], e[1]) != (x, y)))
-
-
-def delete_undirected_edge(g: WeightedDigraph, x: int, y: int) -> WeightedDigraph:
-    """Remove both orientations between x and y (whichever exist)."""
-    edges = tuple(e for e in g.edges if {e[0], e[1]} != {x, y})
-    if len(edges) == len(g.edges):
-        raise ParameterError(f"no edge between {x} and {y} to delete")
-    return WeightedDigraph(g.n, edges)
 
 
 def contract_edge(g: WeightedDigraph, x: int, y: int) -> tuple[WeightedDigraph, list[int]]:

@@ -1,8 +1,11 @@
-"""Signed log-magnitude scalars.
+"""Positive scalars stored as their natural log.
 
 Partition functions of graphs with thousands of vertices overflow doubles,
-so they are carried around as ``sign * exp(logmag)`` and only converted to a
-plain float on demand. All arithmetic stays in log space.
+so they are carried around as ``exp(logmag)`` and only converted to a plain
+float on demand. Every partition function and rooting measure is positive,
+and every closed form is a product, quotient or power of positive factors,
+so the arithmetic is exactly those three operations, each one addition,
+subtraction or multiplication of logs.
 """
 
 from __future__ import annotations
@@ -15,103 +18,38 @@ __all__ = ["LogValue"]
 
 @dataclass(frozen=True)
 class LogValue:
-    """A real number stored as a sign in {-1, 0, +1} and log of its magnitude.
+    """A positive real number stored as the log of its magnitude."""
 
-    ``logmag`` is meaningless (kept at 0.0) when ``sign == 0``.
-    """
-
-    sign: int
     logmag: float
-
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def zero() -> "LogValue":
-        return LogValue(0, 0.0)
-
-    @staticmethod
-    def one() -> "LogValue":
-        return LogValue(1, 0.0)
 
     @staticmethod
     def from_float(x: float) -> "LogValue":
-        if x == 0.0:
-            return LogValue.zero()
-        return LogValue(1 if x > 0 else -1, math.log(abs(x)))
+        if not x > 0:
+            raise ValueError(f"LogValue holds positive numbers only, got {x}")
+        return LogValue(math.log(x))
 
     @staticmethod
-    def from_log(logmag: float, sign: int = 1) -> "LogValue":
-        if sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
-        if sign == 0:
-            return LogValue.zero()
-        return LogValue(sign, logmag)
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
+    def from_log(logmag: float) -> "LogValue":
+        return LogValue(logmag)
 
     def to_float(self) -> float:
-        """Convert to a float; overflows to +-inf, underflows to 0."""
-        if self.sign == 0:
-            return 0.0
+        """Convert to a float; overflows to inf, underflows to 0."""
         try:
-            mag = math.exp(self.logmag)
+            return math.exp(self.logmag)
         except OverflowError:
-            mag = math.inf
-        return self.sign * mag
+            return math.inf
 
     def log(self) -> float:
-        """Natural log; only defined for positive values."""
-        if self.sign <= 0:
-            raise ValueError("log of a non-positive LogValue")
+        """Natural log."""
         return self.logmag
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __neg__(self) -> "LogValue":
-        return LogValue(-self.sign, self.logmag)
-
     def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0 or other.sign == 0:
-            return LogValue.zero()
-        return LogValue(self.sign * other.sign, self.logmag + other.logmag)
+        return LogValue(self.logmag + other.logmag)
 
     def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by zero LogValue")
-        if self.sign == 0:
-            return LogValue.zero()
-        return LogValue(self.sign * other.sign, self.logmag - other.logmag)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        hi, lo = (self, other) if self.logmag >= other.logmag else (other, self)
-        diff = lo.logmag - hi.logmag  # <= 0
-        if hi.sign == lo.sign:
-            return LogValue(hi.sign, hi.logmag + math.log1p(math.exp(diff)))
-        if diff == 0.0:
-            return LogValue.zero()
-        return LogValue(hi.sign, hi.logmag + math.log1p(-math.exp(diff)))
-
-    def __sub__(self, other: "LogValue") -> "LogValue":
-        return self + (-other)
+        return LogValue(self.logmag - other.logmag)
 
     def __pow__(self, k: int) -> "LogValue":
         if not isinstance(k, int):
             raise TypeError("only integer powers are supported")
-        if self.sign == 0:
-            if k <= 0:
-                raise ZeroDivisionError("0 ** nonpositive power")
-            return LogValue.zero()
-        sign = self.sign if k % 2 else 1
-        return LogValue(sign, k * self.logmag)
-
-    def scaled(self, c: float) -> "LogValue":
-        """Multiply by a plain float."""
-        return self * LogValue.from_float(c)
+        return LogValue(k * self.logmag)

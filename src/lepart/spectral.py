@@ -34,7 +34,6 @@ __all__ = [
     "hitting_prob",
     "tree_correlation_adjacent",
     "tree_correlation",
-    "tree_correlation_profile",
     "TreePairCorrelation",
 ]
 
@@ -81,7 +80,7 @@ def partition_function(g: WeightedDigraph, q: float) -> LogValue:
     sign = (-1) ** int(np.count_nonzero(u < 0)) * _parity(lu.perm_r) * _parity(lu.perm_c)
     if sign <= 0:
         raise NumericError(f"partition function came out nonpositive at q={q}")
-    return LogValue.from_log(float(np.sum(np.log(np.abs(u)))), sign)
+    return LogValue.from_log(float(np.sum(np.log(np.abs(u)))))
 
 
 @dataclass(frozen=True)
@@ -238,9 +237,3 @@ class TreePairCorrelation:
 def tree_correlation(g: WeightedDigraph, x: int, y: int, q: float) -> float:
     """P(x and y fall in different trees) for any two vertices of a tree."""
     return TreePairCorrelation(g, x, y).at(q)
-
-
-def tree_correlation_profile(g: WeightedDigraph, x: int, y: int, qs) -> np.ndarray:
-    """Vectorized :func:`tree_correlation` over a grid of killing rates."""
-    pair = TreePairCorrelation(g, x, y)
-    return np.array([pair.at(float(q)) for q in qs])

@@ -43,7 +43,6 @@ __all__ = [
     "RootedForest",
     "Partition",
     "partition_of",
-    "root_set",
     "ForestSampler",
     "TreeSampler",
     "forest_sampler",
@@ -150,10 +149,6 @@ def partition_of(forest: RootedForest) -> Partition:
     return Partition(block_of, tuple(map(tuple, blocks)))
 
 
-def root_set(forest: RootedForest) -> frozenset[int]:
-    return frozenset(forest.roots)
-
-
 def split_seed(master_seed: int, index: int) -> int:
     """Derive an independent 64-bit stream seed for replica ``index``.
 
@@ -215,9 +210,6 @@ class ForestSampler:
                 in_tree[x] = True
                 x = nxt[x]
         return RootedForest(tuple(nxt))
-
-    def sample_seeded(self, seed: int) -> RootedForest:
-        return self.sample(Random(seed))
 
 
 class TreeSampler:
@@ -284,9 +276,6 @@ class TreeSampler:
                 nxt[v] = child[bisect_right(bound, u, lo, hi)]
         return RootedForest(tuple(nxt))
 
-    def sample_seeded(self, seed: int) -> RootedForest:
-        return self.sample(Random(seed))
-
 
 def forest_sampler(g: WeightedDigraph, q: float) -> ForestSampler | TreeSampler:
     """The sampler for (g, q): :class:`TreeSampler` on a tree, Wilson's :class:`ForestSampler` otherwise."""
@@ -301,7 +290,7 @@ def sample_forest(
     An explicit processing ``order`` always runs Wilson's walks.
     """
     sampler = forest_sampler(g, q) if order is None else ForestSampler(g, q, order)
-    return sampler.sample_seeded(rng_seed)
+    return sampler.sample(Random(rng_seed))
 
 
 def forest_to_json(forest: RootedForest) -> str:

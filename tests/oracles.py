@@ -1,0 +1,103 @@
+"""Independent oracles for the path and cycle partition functions.
+
+The library keeps one O(1) closed form each, :func:`lepart.z_path` and
+:func:`lepart.z_cycle`. The other routes to the same numbers live here, so
+the tests can hold the closed forms against them.
+
+Path, ``z_path_oracle(n, q, method)``:
+
+* ``combinatorial``: sum_k C(n+k-1, 2k-1) q^k via log-gamma terms and
+  log-sum-exp (all terms positive);
+* ``spectral``: product of (q + 2 - 2 cos(pi j / n)) over the Laplacian
+  spectrum, capped at n <= 10^4;
+* ``recurrence``: iterate Z_k = (q+2) Z_{k-1} - Z_{k-2} from Z_0 = 0,
+  Z_1 = q with periodic rescaling, O(n);
+* ``chebyshev``: q U_{n-1}(q/2 + 1) through the hyperbolic-sine form of
+  the second-kind Chebyshev polynomial;
+* ``closed``: the library's surd form.
+
+Cycle, ``z_cycle_oracle(n, q, method)``:
+
+* ``path``: Z_n + (2/q)(Z_n - Z_{n-1}) - 2 from path partition functions,
+  with the subtractions done in log space (it cancels at small q);
+* ``combinatorial``: the positive sum [C(n+k, 2k) + C(n+k-1, 2k)] q^k.
+
+Every function returns a :class:`lepart.LogValue`.
+"""
+
+import math
+
+import numpy as np
+from scipy.special import gammaln, logsumexp
+
+from lepart import LogValue, ParameterError, z_path
+
+#: Spectral product evaluation is skipped above this size (cost and trig error).
+MAX_SPECTRAL_N = 10_000
+
+Z_PATH_METHODS = ("combinatorial", "spectral", "recurrence", "chebyshev", "closed")
+
+
+def _log_binom(n, k):
+    """log C(n, k), elementwise; -inf outside the triangle."""
+    n = np.asarray(n, dtype=float)
+    k = np.asarray(k, dtype=float)
+    out = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    return np.where((k < 0) | (k > n), -np.inf, out)
+
+
+def _log_sinh(t):
+    """log(sinh(t)) for t > 0 without overflow, and without cancellation at small t."""
+    return t + math.log(-math.expm1(-2 * t)) - math.log(2.0)
+
+
+def _log_sub(a, b):
+    """log(e^a - e^b) for a > b."""
+    return a + math.log1p(-math.exp(b - a))
+
+
+def z_path_oracle(n, q, method):
+    """Partition function of the n-vertex unit-weight path by ``method``."""
+    if method == "combinatorial":
+        k = np.arange(1, n + 1)
+        terms = _log_binom(n + k - 1, 2 * k - 1) + k * math.log(q)
+        return LogValue.from_log(float(logsumexp(terms)))
+    if method == "spectral":
+        if n > MAX_SPECTRAL_N:
+            raise ParameterError(f"spectral product only evaluated for n <= {MAX_SPECTRAL_N}")
+        j = np.arange(1, n)
+        return LogValue.from_log(float(math.log(q) + np.log(q + 2 - 2 * np.cos(np.pi * j / n)).sum()))
+    if method == "recurrence":
+        return _z_path_recurrence(n, q)
+    if method == "chebyshev":
+        # U_{n-1}(cosh t) = sinh(n t) / sinh(t) with t = arccosh(1 + q/2)
+        t = math.log1p(q / 2 + math.sqrt(q * q / 4 + q))
+        return LogValue.from_log(math.log(q) + _log_sinh(n * t) - _log_sinh(t))
+    if method == "closed":
+        return z_path(n, q)
+    raise ParameterError(f"unknown z_path method {method!r}; known: {Z_PATH_METHODS}")
+
+
+def _z_path_recurrence(n, q):
+    prev, cur = 0.0, q  # Z_0, Z_1
+    shift = 0.0
+    for _ in range(n - 1):
+        prev, cur = cur, (q + 2) * cur - prev
+        if cur > 1e280:
+            prev *= 1e-280
+            cur *= 1e-280
+            shift += 280 * math.log(10.0)
+    return LogValue.from_log(math.log(cur) + shift)
+
+
+def z_cycle_oracle(n, q, method):
+    """Partition function of the n-vertex unit-weight cycle by ``method``."""
+    if method == "path":
+        log_zn, log_zn1 = z_path(n, q).log(), z_path(n - 1, q).log()
+        log_sum = np.logaddexp(log_zn, math.log(2.0 / q) + _log_sub(log_zn, log_zn1))
+        return LogValue.from_log(_log_sub(float(log_sum), math.log(2.0)))
+    if method == "combinatorial":
+        k = np.arange(1, n + 1)
+        terms = np.logaddexp(_log_binom(n + k, 2 * k), _log_binom(n + k - 1, 2 * k)) + k * math.log(q)
+        return LogValue.from_log(float(logsumexp(terms)))
+    raise ParameterError(f"unknown z_cycle method {method!r}; known: path, combinatorial")

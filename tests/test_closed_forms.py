@@ -31,29 +31,29 @@ from lepart import (
     z_path,
 )
 from lepart.closed_forms import path_interior_root_measure, simple_rw_tail_prob
+from lepart.estimators import closed_form_correlation, closed_form_z
 from lepart.wilson import ROOT
-
-METHODS = ("combinatorial", "spectral", "recurrence", "chebyshev", "closed")
+from oracles import Z_PATH_METHODS, z_cycle_oracle, z_path_oracle
 
 
 # -- z_path -------------------------------------------------------------------
 
 
 def test_z_path_known_values():
-    for method in METHODS:
-        assert z_path(1, 2.0, method).to_float() == pytest.approx(2.0)
-        assert z_path(2, 1.5, method).to_float() == pytest.approx(1.5**2 + 3.0)
-        assert z_path(5, 1.0, method).to_float() == pytest.approx(55.0)
-        assert z_path(3, 2.0, method).to_float() == pytest.approx(30.0)  # 3q + 4q^2 + q^3
-    for method in METHODS:
+    for method in Z_PATH_METHODS:
+        assert z_path_oracle(1, 2.0, method).to_float() == pytest.approx(2.0)
+        assert z_path_oracle(2, 1.5, method).to_float() == pytest.approx(1.5**2 + 3.0)
+        assert z_path_oracle(5, 1.0, method).to_float() == pytest.approx(55.0)
+        assert z_path_oracle(3, 2.0, method).to_float() == pytest.approx(30.0)  # 3q + 4q^2 + q^3
+    for method in Z_PATH_METHODS:
         for q in (1e-12, 1e-9):  # Z_1 = q and Z_2 = q(q + 2), to full precision at small q
-            assert z_path(1, q, method).log() == pytest.approx(math.log(q), abs=1e-13)
-            assert z_path(2, q, method).log() == pytest.approx(math.log(q) + math.log(q + 2), abs=1e-13)
+            assert z_path_oracle(1, q, method).log() == pytest.approx(math.log(q), abs=1e-13)
+            assert z_path_oracle(2, q, method).log() == pytest.approx(math.log(q) + math.log(q + 2), abs=1e-13)
 
 
 def test_z_path_sequence_at_q1():
     want = [1, 3, 8, 21, 55, 144]
-    got = [z_path(n, 1.0, "recurrence").to_float() for n in range(1, 7)]
+    got = [z_path_oracle(n, 1.0, "recurrence").to_float() for n in range(1, 7)]
     assert got == pytest.approx(want)
 
 
@@ -64,16 +64,17 @@ def test_z_path_errors():
         z_path(3, -1.0)
     with pytest.raises(ParameterError):
         z_path(3, math.inf)
+    for method in ("newton", *Z_PATH_METHODS[:-1]):  # the library keeps only "closed"
+        with pytest.raises(ParameterError):
+            z_path(3, 1.0, method)
     with pytest.raises(ParameterError):
-        z_path(3, 1.0, "newton")
-    with pytest.raises(ParameterError):
-        z_path(10_001, 1.0, "spectral")
+        z_path_oracle(10_001, 1.0, "spectral")
 
 
 @pytest.mark.parametrize("q", (0.01, 0.1, 1.0, 10.0, 100.0))
 def test_z_path_methods_agree_small(q):
     for n in range(1, 51):
-        logs = [z_path(n, q, m).log() for m in METHODS]
+        logs = [z_path_oracle(n, q, m).log() for m in Z_PATH_METHODS]
         ref = logs[-1]
         for lg in logs:
             assert abs(lg - ref) <= 1e-9 * max(1.0, abs(ref))
@@ -82,8 +83,8 @@ def test_z_path_methods_agree_small(q):
 @pytest.mark.parametrize("q", (0.01, 1.0, 100.0))
 def test_z_path_recurrence_vs_closed_large(q):
     for n in (10**3, 10**4, 10**5):
-        a = z_path(n, q, "recurrence").log()
-        b = z_path(n, q, "closed").log()
+        a = z_path_oracle(n, q, "recurrence").log()
+        b = z_path(n, q).log()
         assert abs(a - b) <= 1e-6 * max(1.0, abs(b))
 
 
@@ -98,25 +99,25 @@ def test_z_path_matches_determinant():
 
 
 def test_z_cycle_known_values():
-    assert z_cycle(3, 1.0, "path").to_float() == pytest.approx(16.0)
-    assert z_cycle(3, 1.0, "combinatorial").to_float() == pytest.approx(16.0)
-    assert z_cycle(4, 1.0, "path").to_float() == pytest.approx(45.0)
-    assert z_cycle(4, 1.0, "combinatorial").to_float() == pytest.approx(45.0)
+    assert z_cycle_oracle(3, 1.0, "path").to_float() == pytest.approx(16.0)
+    assert z_cycle_oracle(3, 1.0, "combinatorial").to_float() == pytest.approx(16.0)
+    assert z_cycle_oracle(4, 1.0, "path").to_float() == pytest.approx(45.0)
+    assert z_cycle_oracle(4, 1.0, "combinatorial").to_float() == pytest.approx(45.0)
     assert z_cycle(3, 1.0).to_float() == pytest.approx(16.0)
     assert z_cycle(4, 1.0).to_float() == pytest.approx(45.0)
     for n in (3, 10, 60):
         for q in (1e-12, 1e-9):  # the default closed form against the positive-term sum
-            want = z_cycle(n, q, "combinatorial").log()
+            want = z_cycle_oracle(n, q, "combinatorial").log()
             assert z_cycle(n, q).log() == pytest.approx(want, rel=1e-13)
     with pytest.raises(ParameterError):
         z_cycle(2, 1.0)
     with pytest.raises(ParameterError):
-        z_cycle(5, 1.0, "newton")
+        z_cycle_oracle(5, 1.0, "newton")
 
 
 def test_z_cycle_large_q_sane():
-    a = z_cycle(3, 1e6, "path").log()
-    b = z_cycle(3, 1e6, "combinatorial").log()
+    a = z_cycle_oracle(3, 1e6, "path").log()
+    b = z_cycle_oracle(3, 1e6, "combinatorial").log()
     assert math.isfinite(a)
     assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
@@ -126,7 +127,7 @@ def test_z_cycle_vs_determinant(q):
     for n in (3, 4, 10, 47, 300):
         det = partition_function(make_family(Cycle(n)), q).log()
         for method in ("path", "combinatorial"):
-            assert abs(z_cycle(n, q, method).log() - det) <= 1e-9 * max(1.0, abs(det))
+            assert abs(z_cycle_oracle(n, q, method).log() - det) <= 1e-9 * max(1.0, abs(det))
 
 
 def test_z_cycle_closed_vs_determinant():
@@ -140,7 +141,7 @@ def test_z_cycle_closed_vs_determinant():
 
 
 def test_path_correlation_examples():
-    for q in (0.3, 1.0, 3.0):
+    for q in (1e-12, 1e-9, 0.3, 1.0, 3.0):
         assert path_correlation(2, 1, 2, q) == pytest.approx(q / (q + 2), rel=1e-12)
     g4 = make_family(Path(4))
     ens = enumerate_forests(g4)
@@ -151,7 +152,7 @@ def test_path_correlation_examples():
         path_correlation(4, 1, 5, 1.0)
 
 
-@pytest.mark.parametrize("q", (0.3, 1.0, 3.0))
+@pytest.mark.parametrize("q", (1e-9, 0.3, 1.0, 3.0))
 def test_path_correlation_vs_tree_exact(q):
     for n in range(2, 13):
         g = make_family(Path(n))
@@ -175,7 +176,7 @@ def test_path_root_measures_closed_forms():
     assert path_interior_root_measure(3, 1, 1.0).to_float() / 8.0 == pytest.approx(0.5, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", (2, 3, 5))
+@pytest.mark.parametrize("n", (1, 2, 3, 5))
 @pytest.mark.parametrize("q", (0.5, 2.0))
 def test_path_root_measures_vs_enumeration(n, q):
     ens = enumerate_forests(make_family(Path(n)))
@@ -268,6 +269,20 @@ def test_star_quantities_values():
     sq4 = star_quantities(4, 1.0, 1.0)
     assert sq4.center_leaf == pytest.approx(0.4)
     assert sq4.z.to_float() == pytest.approx(20.0)
+
+
+@pytest.mark.parametrize("w", (-1.0, 0.0, math.inf, math.nan))
+def test_closed_forms_reject_bad_weights(w):
+    for closed in (
+        lambda: star_quantities(5, w, 1.0),
+        lambda: community_star_quantities(5, 2, w, 1.0),
+        lambda: bottleneck_quantities(3, 3, w, 1.0),
+        lambda: closed_form_correlation(Star(5, w), 0, 1, 1.0),
+        lambda: closed_form_z(Star(5, w), 1.0),
+        lambda: closed_form_z(Bottleneck(3, 3, w), 1.0),
+    ):
+        with pytest.raises(ParameterError):
+            closed()
 
 
 @pytest.mark.parametrize("n,w", [(5, 1.0), (8, 0.3), (12, 4.0)])

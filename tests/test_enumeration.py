@@ -139,7 +139,7 @@ def test_graph_extension_single_vertex(fam, x, q):
     masses = ens.masses(q)
     keep = [v for v in range(g.n) if v != x]
     idx = {v: i for i, v in enumerate(keep)}
-    h = g.subgraph(keep)
+    h = WeightedDigraph(len(keep), [(idx[a], idx[b], w) for a, b, w in g.edges if x not in (a, b)])
     ensh = enumerate_forests(h)
     acc_root: dict[tuple, float] = {}
     acc_noroot: dict[tuple, float] = {}

@@ -28,7 +28,6 @@ from lepart import (
 from lepart.graphs import (
     contract_edge,
     delete_edge,
-    delete_undirected_edge,
     is_tree,
     tree_path,
 )
@@ -133,8 +132,10 @@ def test_hierarchical_tree_structure():
 def test_family_parameter_errors():
     with pytest.raises(ParameterError):
         make_family(Cycle(2))
-    with pytest.raises(ParameterError):
-        make_family(Star(4, -1.0))
+    for w in (-1.0, math.inf, math.nan):
+        for spec in (Star(4, w), CommunityStar(4, 1, w), Bottleneck(2, 2, w), HierarchicalTree(2, 2, (1.0, w))):
+            with pytest.raises(ParameterError):
+                make_family(spec)
     with pytest.raises(ParameterError):
         make_family(CommunityStar(4, 4, 1.0))
 
@@ -181,8 +182,9 @@ def test_delete_and_contract():
     assert len(gd.edges) == len(g.edges) - 1
     with pytest.raises(ParameterError):
         delete_edge(gd, 0, 1)
-    gu = delete_undirected_edge(g, 0, 1)
+    gu = delete_edge(gd, 1, 0)  # both orientations gone
     assert len(gu.edges) == len(g.edges) - 2
+    assert gu.weight(0, 1) == gu.weight(1, 0) == 0.0
     gc, mapping = contract_edge(g, 0, 1)
     # merged vertex keeps id of 1 shifted down; parallel in-edges merge
     assert gc.n == 2

@@ -6,58 +6,33 @@ from hypothesis import strategies as st
 
 from lepart import LogValue
 
-finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).filter(lambda x: abs(x) > 1e-6 or x == 0.0)
+positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 
 
 def close(a, b, tol=1e-12):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def test_zero_and_one():
-    assert LogValue.zero().to_float() == 0.0
-    assert LogValue.one().to_float() == 1.0
-    assert LogValue.zero().is_zero
-
-
 def test_from_float_round_trip():
-    for x in (1.5, -2.25, 1e-300, -1e300, 3.0):
+    for x in (1.5, 2.25, 1e-300, 1e300, 3.0):
         assert close(LogValue.from_float(x).to_float(), x)
 
 
-@given(finite, finite)
-def test_addition_matches_floats(a, b):
-    got = (LogValue.from_float(a) + LogValue.from_float(b)).to_float()
-    assert close(got, a + b, tol=1e-9)
+def test_from_float_rejects_nonpositive():
+    for x in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            LogValue.from_float(x)
 
 
-@given(finite, finite)
+@given(positive, positive)
 def test_multiplication_matches_floats(a, b):
     got = (LogValue.from_float(a) * LogValue.from_float(b)).to_float()
     assert close(got, a * b, tol=1e-9)
 
 
-@given(finite, finite)
-def test_subtraction_matches_floats(a, b):
-    got = (LogValue.from_float(a) - LogValue.from_float(b)).to_float()
-    assert close(got, a - b, tol=1e-9)
-
-
 def test_division():
-    x = LogValue.from_float(-21.0) / LogValue.from_float(3.0)
-    assert close(x.to_float(), -7.0)
-    with pytest.raises(ZeroDivisionError):
-        LogValue.one() / LogValue.zero()
-
-
-def test_ratio_of_equal_signs_is_positive():
-    a = LogValue.from_float(-5.0)
-    b = LogValue.from_float(-0.25)
-    assert (a / b).sign == 1
-
-
-def test_exact_cancellation():
-    a = LogValue.from_float(3.5)
-    assert (a - a).is_zero
+    x = LogValue.from_float(21.0) / LogValue.from_float(3.0)
+    assert close(x.to_float(), 7.0)
 
 
 def test_huge_values_stay_finite_in_log_space():
@@ -70,10 +45,10 @@ def test_huge_values_stay_finite_in_log_space():
 
 
 def test_integer_powers():
-    x = LogValue.from_float(-2.0)
-    assert close((x**3).to_float(), -8.0)
+    x = LogValue.from_float(2.0)
+    assert close((x**3).to_float(), 8.0)
     assert close((x**2).to_float(), 4.0)
-    assert close((x**-1).to_float(), -0.5)
+    assert close((x**-1).to_float(), 0.5)
     with pytest.raises(TypeError):
         x ** 0.5
 

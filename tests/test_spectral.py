@@ -31,7 +31,6 @@ from lepart import (
     roots_marginal,
     tree_correlation,
     tree_correlation_adjacent,
-    tree_correlation_profile,
     undirected,
     z_path,
 )
@@ -415,8 +414,9 @@ def test_tree_correlation_vs_enumeration_random(n, pyrng):
 def test_profile_is_vectorized_and_monotone_smoke():
     g = random_weighted_tree(12, random.Random(5))
     qs = np.logspace(-6, 6, 40)
-    us = tree_correlation_profile(g, 0, 11, qs)
-    assert us.shape == (40,)
+    pair = TreePairCorrelation(g, 0, 11)
+    us = [pair.at(float(q)) for q in qs]
+    assert len(us) == 40
     assert all(b >= a - 1e-12 for a, b in zip(us, us[1:]))
 
 

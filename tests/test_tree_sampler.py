@@ -115,7 +115,7 @@ def test_single_vertex():
     g = WeightedDigraph(1, ())
     sampler = forest_sampler(g, 0.3)
     assert isinstance(sampler, TreeSampler)
-    assert all(sampler.sample_seeded(seed).parent == (ROOT,) for seed in range(5))
+    assert all(sampler.sample(Random(seed)).parent == (ROOT,) for seed in range(5))
 
 
 @pytest.mark.parametrize("g", [make_family(Path(30)), make_family(Star(9, 0.5)), random_tree(9, 12, True)])

@@ -28,7 +28,6 @@ from lepart import (
     laplacian,
     make_family,
     partition_of,
-    root_set,
     sample_forest,
     split_seed,
 )
@@ -51,9 +50,9 @@ def test_partition_of_examples():
 
 
 def test_root_set_examples():
-    assert root_set(RootedForest((ROOT, 0))) == {0}
-    assert root_set(RootedForest((ROOT,) * 4)) == {0, 1, 2, 3}
-    assert root_set(RootedForest((1, ROOT, 1))) == {1}
+    assert set(RootedForest((ROOT, 0)).roots) == {0}
+    assert set(RootedForest((ROOT,) * 4).roots) == {0, 1, 2, 3}
+    assert set(RootedForest((1, ROOT, 1)).roots) == {1}
 
 
 def test_forest_validation():
