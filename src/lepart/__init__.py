@@ -37,7 +37,6 @@ from .graphs import (
 )
 from .logvalue import LogValue
 from .spectral import (
-    GreenKernel,
     expected_root_count,
     green_kernel,
     hitting_prob,
@@ -45,7 +44,6 @@ from .spectral import (
     partition_function,
     roots_marginal,
     tree_correlation,
-    tree_correlation_adjacent,
 )
 from .wilson import (
     ROOT,

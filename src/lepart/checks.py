@@ -31,10 +31,10 @@ from .graphs import (
 from .spectral import (
     expected_root_count,
     green_kernel,
+    hitting_prob,
     partition_function,
     roots_marginal,
     tree_correlation,
-    tree_correlation_adjacent,
 )
 from .wilson import ROOT, ForestSampler, forest_sampler, split_seed
 
@@ -97,10 +97,11 @@ def _check_correlations_vs_enumeration() -> str:
             for x in range(g.n):
                 for y in range(x + 1, g.n):
                     worst = max(worst, abs(brute_correlation(ens, q, x, y) - tree_correlation(g, x, y, q)))
-    # adjacent-pair hitting-time route
+    # adjacent pair from the two hitting probabilities p and r across its edge
     g = make_family(Star(5))
     for q in _QS:
-        worst = max(worst, abs(tree_correlation_adjacent(g, 0, 1, q) - tree_correlation(g, 0, 1, q)))
+        p, r = hitting_prob(g, 0, 1, q), hitting_prob(g, 1, 0, q)
+        worst = max(worst, abs((1 - p - r + p * r) / (1 - p * r) - tree_correlation(g, 0, 1, q)))
     for n in (2, 5):
         gp = make_family(Path(n))
         ens = enumerate_forests(gp)
@@ -119,12 +120,11 @@ def _check_determinantal_roots() -> str:
         g = make_family(fam)
         ens = enumerate_forests(g)
         for q in (0.5, 2.0):
-            kern = green_kernel(g, q)
             for v in range(g.n):
-                exact = roots_marginal(kern, (v,))
+                exact = roots_marginal(g, q, (v,))
                 emp = brute_event(ens, q, lambda f, v=v: f.parent[v] == ROOT)
                 worst = max(worst, abs(exact - emp))
-            worst = max(worst, _rel(float(np.trace(kern.matrix)), expected_root_count(g, q)))
+            worst = max(worst, _rel(float(np.trace(green_kernel(g, q))), expected_root_count(g, q)))
     if worst > 1e-9:
         raise AssertionError(f"worst gap {worst:.3e} > 1e-9")
     return f"worst gap {worst:.2e}"

@@ -6,7 +6,8 @@ function), ``corr`` (pair separation probability), ``sample`` (one forest),
 suite). Every run prints its resolved configuration, seed included, before
 any results. Vertices on the command line use 1-based labels (label i is
 library vertex id i-1). Exit codes: 0 success, 2 usage error, 3 numeric
-failure, 4 verification failure.
+failure (a failed factorization, or an input whose exact value overflows
+double precision), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -132,6 +133,13 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _finite(v: float) -> float:
+    """An exact value about to be printed; nan or inf means double precision ran out."""
+    if not math.isfinite(v):
+        raise NumericError(f"exact value came out {v}: the input is beyond double precision")
+    return v
+
+
 def _cmd_gen(args, out) -> int:
     spec = parse_family(args.family)
     _print_config(args, out)  # '#'-prefixed, so the output stays loadable
@@ -148,6 +156,7 @@ def _cmd_z(args, out) -> int:
         value, resolved = closed, "closed"
     else:
         value, resolved = partition_function(g, args.q), "det"
+    _finite(value.log())
     _print_config(args, out, resolved_method=resolved)
     z = value.to_float()
     if args.format == "json":
@@ -165,7 +174,7 @@ def _cmd_corr(args, out) -> int:
     route = exact_route(g, x, y, spec, args.method)
     rows: list[tuple[str, float, float | None]] = []
     if route is not None:
-        rows.append((route.method, route.at(args.q), None))
+        rows.append((route.method, _finite(route.at(args.q)), None))
     if route is None or args.replicas > 0:
         replicas = args.replicas if args.replicas > 0 else 100_000
         stats = mc_correlation(g, args.q, x, y, replicas, args.seed)
@@ -207,6 +216,9 @@ def _cmd_sweep(args, out) -> int:
     grid = _parse_grid(args.q_grid)
     target = spec if spec is not None else g
     table = sweep(target, grid, [CorrelationQuery("corr", x, y)], args.replicas, args.seed)
+    for row in table.rows:
+        if row.exact is not None:
+            _finite(row.exact)
     _print_config(args, out)
     if args.format == "json":
         payload = [row.__dict__ for row in table.rows]
@@ -247,11 +259,12 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         _check_shared_args(args)
-        return _COMMANDS[args.command](args, sys.stdout)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command](args, sys.stdout)
     except (ParameterError, FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except NumericError as exc:
+    except (NumericError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
     except LepartError as exc:

@@ -245,10 +245,10 @@ def path_rw_bounds(d: int, q: float, m: int) -> PathRwBounds:
     if m < 1:
         raise ParameterError(f"need m >= 1, got {m}")
     check_q(q)
-    survive = (2.0 / (2.0 + q)) ** m
+    log_survive = -m * math.log1p(q / 2.0)
     band = simple_rw_band_prob(m, d / 2.0)
-    lower = (1.0 - survive) ** 2 * (2.0 * band - 1.0) ** 2 if band >= 0.5 else None
-    upper = 1.0 - simple_rw_tail_prob(m, float(d)) * survive
+    lower = (-math.expm1(log_survive)) ** 2 * (2.0 * band - 1.0) ** 2 if band >= 0.5 else None
+    upper = 1.0 - simple_rw_tail_prob(m, float(d)) * math.exp(log_survive)
     return PathRwBounds(lower=lower, upper=upper, band_prob=band)
 
 

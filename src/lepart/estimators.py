@@ -43,7 +43,7 @@ from .graphs import (
     make_family,
 )
 from .logvalue import LogValue
-from .spectral import TreePairCorrelation, green_kernel, laplacian_spectrum, roots_marginal
+from .spectral import TreePairCorrelation, laplacian_spectrum, roots_marginal
 from .wilson import ROOT, ForestSampler, RootedForest, TreeSampler, forest_sampler, split_seed
 
 __all__ = [
@@ -403,7 +403,8 @@ def sweep(
 
     The exact column of a correlation query comes from :func:`exact_route`,
     resolved once per distinct pair before any row is computed (None where no
-    route applies); root queries use the Green kernel. ``replicas == 0``
+    route applies); root queries solve against one sparse factorization of
+    qI - L per row (:func:`roots_marginal`). ``replicas == 0``
     skips sampling and fills only the exact column. Each (q, query) row
     draws its own replica streams, derived from ``seed`` and the row index.
     """
@@ -432,7 +433,7 @@ def sweep(
             exact = None if route is None else route.at(q)
             hit = lambda f, qq=query: f.root_of(qq.x) != f.root_of(qq.y)
         else:
-            exact = roots_marginal(green_kernel(g, q), query.vertices)
+            exact = roots_marginal(g, q, query.vertices)
             hit = lambda f, qq=query: all(f.parent[v] == ROOT for v in qq.vertices)
         estimate = stderr = None
         row_seed = split_seed(seed, row_index)

@@ -2,19 +2,19 @@
 
 The measure on spanning rooted forests of a weighted digraph G with killing
 rate q > 0 puts mass q^{#roots} * prod(edge weights) on each forest; its
-normalizing constant is det(qI - L) with L the graph Laplacian. qI - L is a
-sparse nonsingular M-matrix, so the partition function and the killed-walk
-hitting probabilities come from one sparse LU factorization (SuperLU, via
-``scipy.sparse.linalg.splu``). Roots form a determinantal process with dense
-kernel q(qI - L)^{-1}, and on a tree the probability that two vertices share
-a block is a sum of positive products of subtree determinants, which one
-leaf-to-path elimination evaluates in O(n).
+normalizing constant is det(qI - L) with L the graph Laplacian, and the roots
+form a determinantal process with kernel q(qI - L)^{-1}. qI - L is a sparse
+nonsingular M-matrix, factored in one place (``_factor``: SuperLU without row
+pivoting). The partition function is the product of its pivots; hitting
+probabilities and root marginals are solves against it. The dense kernel
+(:func:`green_kernel`) is only an oracle. On a tree the probability that two
+vertices share a block is a sum of positive products of subtree determinants,
+which one leaf-to-path elimination evaluates in O(n).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -26,94 +26,69 @@ from .logvalue import LogValue
 
 __all__ = [
     "partition_function",
-    "GreenKernel",
     "green_kernel",
     "roots_marginal",
     "laplacian_spectrum",
     "expected_root_count",
     "hitting_prob",
-    "tree_correlation_adjacent",
     "tree_correlation",
     "TreePairCorrelation",
 ]
 
 
-def _shifted(g: WeightedDigraph, q: float) -> sparse.csr_array:
-    """qI - L in CSR form, with every diagonal entry stored."""
-    adjacency = sparse.csr_array((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
-    return sparse.diags_array(q + g.out_weight, format="csr") - adjacency
+def _factor(g: WeightedDigraph, q: float):
+    """SuperLU factors P M P^T = L U of M = qI - L, the one factorization here.
 
-
-def _lu(M: sparse.csr_array):
-    """Sparse LU factors Pr M Pc = L U of M, with L unit lower triangular."""
-    try:
-        return splu(M.tocsc())
-    except RuntimeError as exc:
-        raise NumericError(f"sparse LU of qI - L failed: {exc}") from exc
-
-
-def _parity(perm: np.ndarray) -> int:
-    """Sign of a permutation, (-1)^(n - number of cycles).
-
-    Pointer doubling: after k rounds, low[i] is the least index among the
-    first 2^k images of i, so after ceil(log2 n) rounds it is the least index
-    of i's cycle, and each cycle has exactly one i with low[i] == i.
+    M is a nonsingular M-matrix, so it needs no row pivoting: with the
+    threshold at 0 and a symmetric fill-reducing order, every pivot is the
+    diagonal entry and positive, the row and column permutations coincide,
+    and log det M is the sum of log U_ii. A pivot that is not positive (or a
+    permutation pair that differs) means the factorization broke down.
     """
-    n = len(perm)
-    ids = np.arange(n)
-    low, step = ids, perm
-    for _ in range((n - 1).bit_length()):
-        low = np.minimum(low, low[step])
-        step = step[step]
-    return -1 if (n - np.count_nonzero(low == ids)) % 2 else 1
+    check_q(q)
+    adjacency = sparse.csr_array((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
+    M = (sparse.diags_array(q + g.out_weight, format="csr") - adjacency).tocsc()
+    try:
+        lu = splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise NumericError(f"sparse LU of qI - L failed at q={q}: {exc}") from exc
+    if not (np.all(lu.U.diagonal() > 0) and np.array_equal(lu.perm_r, lu.perm_c)):
+        raise NumericError(f"sparse LU of qI - L lost its positive diagonal pivots at q={q}")
+    return lu
 
 
 def partition_function(g: WeightedDigraph, q: float) -> LogValue:
-    """Normalizing constant det(qI - L) of the forest measure, in log space.
-
-    From the sparse LU factors: log|det| is the sum of log|U_ii|, and the
-    sign is that of U's diagonal times the parities of both permutations.
-    """
-    check_q(q)
-    lu = _lu(_shifted(g, q))
-    u = lu.U.diagonal()
-    sign = (-1) ** int(np.count_nonzero(u < 0)) * _parity(lu.perm_r) * _parity(lu.perm_c)
-    if sign <= 0:
-        raise NumericError(f"partition function came out nonpositive at q={q}")
-    return LogValue.from_log(float(np.sum(np.log(np.abs(u)))))
+    """Normalizing constant det(qI - L) of the forest measure, in log space."""
+    return LogValue.from_log(float(np.sum(np.log(_factor(g, q).U.diagonal()))))
 
 
-@dataclass(frozen=True)
-class GreenKernel:
-    """The matrix q(qI - L)^{-1} at killing rate q.
+def green_kernel(g: WeightedDigraph, q: float) -> np.ndarray:
+    """The dense matrix q(qI - L)^{-1}, by a dense solve.
 
     Row v is the distribution of the killed walk's death position started at
-    v, so rows sum to 1 and entries lie in [0, 1]. Principal minors give the
-    probability that a vertex set is contained in the root set.
+    v, so rows sum to 1 and entries lie in [0, 1]. Only the tests and the
+    cross-checks call it, as an oracle for the sparse routes below.
     """
-
-    matrix: np.ndarray
-    q: float
-
-
-def green_kernel(g: WeightedDigraph, q: float) -> GreenKernel:
     check_q(q)
     M = q * np.eye(g.n) - laplacian(g)
     try:
-        K = np.linalg.solve(M, q * np.eye(g.n))
+        return np.linalg.solve(M, q * np.eye(g.n))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"failed to invert qI - L at q={q}: {exc}") from exc
-    return GreenKernel(K, q)
 
 
-def roots_marginal(kernel: GreenKernel, vertices) -> float:
-    """Probability that every vertex of the set is a root: det of the minor."""
+def roots_marginal(g: WeightedDigraph, q: float, vertices) -> float:
+    """Probability that every vertex of the set A is a root: det of q(qI - L)^{-1}_AA.
+
+    The |A| columns of the kernel come from |A| solves against one factorization.
+    """
     idx = sorted(set(int(v) for v in vertices))
     if not idx:
         raise ParameterError("need a nonempty vertex set")
-    check_vertices(len(kernel.matrix), idx)
-    sub = kernel.matrix[np.ix_(idx, idx)]
-    return float(np.linalg.det(sub))
+    check_vertices(g.n, idx)
+    rhs = np.zeros((g.n, len(idx)))
+    rhs[idx, range(len(idx))] = q
+    return float(np.linalg.det(_factor(g, q).solve(rhs)[idx]))
 
 
 def laplacian_spectrum(g: WeightedDigraph) -> np.ndarray:
@@ -136,41 +111,16 @@ def expected_root_count(g: WeightedDigraph, q: float) -> float:
 def hitting_prob(g: WeightedDigraph, x: int, y: int, q: float) -> float:
     """P_x(walk hits y before an independent exponential killing time of rate q).
 
-    Solves ``(q + W(v)) h(v) = sum_z w(v, z) h(z)`` for v != y with
-    h(y) = 1, W(v) the total out-weight: the system qI - L with row y
-    replaced by the unit row, factored sparse. Returns h(x).
+    With G = (qI - L)^{-1}, the strong Markov property at the hitting time of
+    y gives G_xy = P_x(hit y) G_yy, so one solve against e_y answers it.
     """
-    check_q(q)
     check_vertices(g.n, (x, y))
     if x == y:
         raise ParameterError("need two distinct vertices")
-    M = _shifted(g, q)
-    row = slice(M.indptr[y], M.indptr[y + 1])
-    M.data[row] = M.indices[row] == y
     rhs = np.zeros(g.n)
     rhs[y] = 1.0
-    return float(_lu(M).solve(rhs)[x])
-
-
-def _require_tree(g: WeightedDigraph) -> None:
-    if not is_tree(g):
-        raise StructureError("operation requires a tree (as an undirected graph)")
-
-
-def tree_correlation_adjacent(g: WeightedDigraph, x: int, y: int, q: float) -> float:
-    """P(x and y fall in different trees), for adjacent vertices of a tree.
-
-    Computed from the two killed-walk hitting probabilities p = P_x(hit y
-    first) and r = P_y(hit x first) as (1 - p - r + pr) / (1 - pr).
-    """
-    check_q(q)
-    _require_tree(g)
-    check_vertices(g.n, (x, y))
-    if g.weight(x, y) == 0.0 and g.weight(y, x) == 0.0:
-        raise ParameterError(f"vertices {x} and {y} are not adjacent")
-    p = hitting_prob(g, x, y, q)
-    r = hitting_prob(g, y, x, q)
-    return (1.0 - p - r + p * r) / (1.0 - p * r)
+    column = _factor(g, q).solve(rhs)
+    return float(column[x] / column[y])
 
 
 class TreePairCorrelation:
@@ -194,7 +144,8 @@ class TreePairCorrelation:
     """
 
     def __init__(self, g: WeightedDigraph, x: int, y: int):
-        _require_tree(g)
+        if not is_tree(g):
+            raise StructureError("operation requires a tree (as an undirected graph)")
         path = tree_path(g, x, y)
         self.path = path
         self.d = len(path) - 1
@@ -231,7 +182,7 @@ class TreePairCorrelation:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        return min(1.0, max(0.0, u))
+        return min(max(u, 0.0), 1.0)  # clamped; a nan stays nan
 
 
 def tree_correlation(g: WeightedDigraph, x: int, y: int, q: float) -> float:

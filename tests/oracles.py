@@ -22,7 +22,11 @@ Cycle, ``z_cycle_oracle(n, q, method)``:
   with the subtractions done in log space (it cancels at small q);
 * ``combinatorial``: the positive sum [C(n+k, 2k) + C(n+k-1, 2k)] q^k.
 
-Every function returns a :class:`lepart.LogValue`.
+Each of these returns a :class:`lepart.LogValue`.
+
+Adjacent tree vertices, ``adjacent_separation(g, x, y, q)``: the
+probability that x and y fall in different trees, from the two killed-walk
+hitting probabilities across the edge xy.
 """
 
 import math
@@ -30,7 +34,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from lepart import LogValue, ParameterError, z_path
+from lepart import LogValue, ParameterError, hitting_prob, z_path
 
 #: Spectral product evaluation is skipped above this size (cost and trig error).
 MAX_SPECTRAL_N = 10_000
@@ -101,3 +105,14 @@ def z_cycle_oracle(n, q, method):
         terms = np.logaddexp(_log_binom(n + k, 2 * k), _log_binom(n + k - 1, 2 * k)) + k * math.log(q)
         return LogValue.from_log(float(logsumexp(terms)))
     raise ParameterError(f"unknown z_cycle method {method!r}; known: path, combinatorial")
+
+
+def adjacent_separation(g, x, y, q):
+    """P(x and y in different trees) for adjacent vertices x, y of a tree.
+
+    x and y share a tree exactly when one walk reaches the other across the
+    edge before dying, so with p = P_x(hit y) and r = P_y(hit x) the answer
+    is (1 - p - r + pr) / (1 - pr). It cancels when p and r are near 1.
+    """
+    p, r = hitting_prob(g, x, y, q), hitting_prob(g, y, x, q)
+    return (1.0 - p - r + p * r) / (1.0 - p * r)

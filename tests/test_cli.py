@@ -170,6 +170,24 @@ def test_non_finite_q_exits_2(capsys):
     assert run(capsys, "sweep", "--family", "path:n=40", "--q-grid", "log:1:inf:3", "--pair", "1,2")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "z --family path:n=5 --q 1e308",
+        "corr --family star:n=5,w=1e308 --pair 1,2 --q 1",
+        "sweep --family path:n=5 --pair 1,3 --q-grid log:1:1e308:3",
+        "z --family star:n=5,w=1e308 --q 1",
+        "corr --family commstar:n=5,k=2,w=1e-320 --pair 1,4 --q 1e-320 --method closed",
+    ],
+)
+def test_overflowing_exact_values_exit_3(capsys, argv):
+    # finite, positive inputs whose exact values leave double precision
+    code, out, err = run(capsys, *argv.split())
+    assert code == 3
+    assert "nan" not in out
+    assert err.startswith("numeric error:")
+
+
 def test_negative_replicas_exit_2(capsys):
     assert run(capsys, "corr", "--family", "path:n=5", "--pair", "1,5", "--q", "1", "--method", "mc", "--replicas", "-5")[0] == 2
     assert run(capsys, "sweep", "--family", "path:n=5", "--q-grid", "log:0.1:1:3", "--pair", "1,5", "--replicas", "-3")[0] == 2

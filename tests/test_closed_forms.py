@@ -33,7 +33,7 @@ from lepart import (
 from lepart.closed_forms import path_interior_root_measure, simple_rw_tail_prob
 from lepart.estimators import closed_form_correlation, closed_form_z
 from lepart.wilson import ROOT
-from oracles import Z_PATH_METHODS, z_cycle_oracle, z_path_oracle
+from oracles import Z_PATH_METHODS, adjacent_separation, z_cycle_oracle, z_path_oracle
 
 
 # -- z_path -------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_z_cycle_closed_vs_determinant():
 
 def test_path_correlation_examples():
     for q in (1e-12, 1e-9, 0.3, 1.0, 3.0):
-        assert path_correlation(2, 1, 2, q) == pytest.approx(q / (q + 2), rel=1e-12)
+        assert path_correlation(2, 1, 2, q) == pytest.approx(q / (q + 2), rel=1e-12, abs=0)
     g4 = make_family(Path(4))
     ens = enumerate_forests(g4)
     assert path_correlation(4, 1, 3, 1.0) == pytest.approx(brute_correlation(ens, 1.0, 0, 2), abs=1e-10)
@@ -210,10 +210,10 @@ def test_band_prob_examples():
 
 def test_rw_bounds_m1():
     # S_1 = +-1, so d >= 3 has full band mass and the lower bound is (q/(2+q))^2
-    for q in (0.3, 1.0, 3.0):
+    for q in (1e-12, 1e-9, 0.3, 1.0, 3.0):
         b = path_rw_bounds(3, q, 1)
         assert b.band_prob == 1.0
-        assert b.lower == pytest.approx((q / (2 + q)) ** 2, rel=1e-12)
+        assert b.lower == pytest.approx((q / (2 + q)) ** 2, rel=1e-12, abs=0)
 
 
 def test_rw_bounds_large_q_limits():
@@ -330,11 +330,11 @@ def test_community_star_vs_tree_exact(n, k, w, q):
 
 
 def test_community_star_adjacent_cross_oracle():
-    from lepart import tree_correlation_adjacent
-
     g = make_family(CommunityStar(5, 2, 0.5))
     cs = community_star_quantities(5, 2, 0.5, 1.0)
-    assert cs.center_v1 == pytest.approx(tree_correlation_adjacent(g, 0, 1, 1.0), abs=1e-10)
+    want = adjacent_separation(g, 0, 1, 1.0)
+    assert cs.center_v1 == pytest.approx(want, abs=1e-10)
+    assert tree_correlation(g, 0, 1, 1.0) == pytest.approx(want, abs=1e-10)
 
 
 def test_community_star_degenerations():

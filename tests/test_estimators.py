@@ -14,7 +14,6 @@ from lepart import (
     WeightedDigraph,
     bottleneck_quantities,
     expected_root_count,
-    green_kernel,
     make_family,
     mc_correlation,
     mc_event,
@@ -73,9 +72,8 @@ def test_mc_correlation_star_leaves():
 
 def test_mc_event_root_and_edge_probabilities():
     g = make_family(Path(5))
-    K = green_kernel(g, 1.0)
     stats = mc_event(g, 1.0, lambda f: f.parent[2] == ROOT, 40_000, 3)
-    want = roots_marginal(K, (2,))
+    want = roots_marginal(g, 1.0, (2,))
     assert abs(stats.estimate - want) < 4 * max(stats.stderr, 1e-4)
     # P(specific directed edge) via contraction ratio
     from lepart import brute_event, enumerate_forests

@@ -30,13 +30,13 @@ from lepart import (
     path_correlation,
     roots_marginal,
     tree_correlation,
-    tree_correlation_adjacent,
     undirected,
     z_path,
 )
 from lepart.graphs import contract_edge, delete_edge
-from lepart.spectral import TreePairCorrelation, _parity
+from lepart.spectral import TreePairCorrelation
 from lepart.wilson import ROOT
+from oracles import adjacent_separation
 
 TINY = [Path(2), Path(4), Cycle(3), Star(4), Complete(4)]
 QS = (0.1, 1.0, 10.0)
@@ -83,7 +83,7 @@ def random_digraph(rng: random.Random) -> WeightedDigraph:
 
 
 def test_sparse_routes_match_dense_linear_algebra():
-    """Sparse LU log-det and hitting probabilities against dense LU.
+    """Sparse LU log-det, hitting probabilities and root marginals against dense LU.
 
     At q = 1e-9 both routes lose digits to cancellation in the last pivots,
     so the bound adds eps * c(M), with c(M) = n + 2 tr(M^{-1} N) the
@@ -108,20 +108,10 @@ def test_sparse_routes_match_dense_linear_algebra():
                 others = [v for v in range(g.n) if v != y]
                 h = np.linalg.solve(M[np.ix_(others, others)], -M[others, y])
                 assert hitting_prob(g, x, y, q) == pytest.approx(h[others.index(x)], abs=1e-9)
-
-
-def test_permutation_parity_matches_cycle_count():
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 3, 10, 257):
-        for _ in range(20):
-            perm = rng.permutation(n)
-            seen, cycles = set(), 0
-            for i in range(n):
-                cycles += i not in seen
-                while i not in seen:
-                    seen.add(i)
-                    i = perm[i]
-            assert _parity(perm) == (-1) ** (n - cycles)
+                K = green_kernel(g, q)
+                for A in ([x], sorted([x, y])):
+                    want = np.linalg.det(K[np.ix_(A, A)])
+                    assert roots_marginal(g, q, A) == pytest.approx(want, abs=1e-9)
 
 
 def test_partition_function_path_beyond_dense_reach():
@@ -137,11 +127,11 @@ def test_partition_function_path_beyond_dense_reach():
 def test_green_kernel_single_vertex():
     g = WeightedDigraph(1, ())
     for q in QS:
-        assert green_kernel(g, q).matrix == pytest.approx(np.ones((1, 1)))
+        assert green_kernel(g, q) == pytest.approx(np.ones((1, 1)))
 
 
 def test_green_kernel_path2():
-    K = green_kernel(make_family(Path(2)), 2.0).matrix
+    K = green_kernel(make_family(Path(2)), 2.0)
     assert K == pytest.approx(np.array([[0.75, 0.25], [0.25, 0.75]]))
 
 
@@ -151,19 +141,19 @@ def test_green_kernel_invariants(fam, q):
     g = make_family(fam)
     K = green_kernel(g, q)
     M = q * np.eye(g.n) - laplacian(g)
-    assert np.abs(M @ K.matrix / q - np.eye(g.n)).max() < 1e-9
-    assert np.abs(K.matrix.sum(axis=1) - 1.0).max() < 1e-9
-    assert K.matrix.min() >= -1e-12 and K.matrix.max() <= 1 + 1e-12
+    assert np.abs(M @ K / q - np.eye(g.n)).max() < 1e-9
+    assert np.abs(K.sum(axis=1) - 1.0).max() < 1e-9
+    assert K.min() >= -1e-12 and K.max() <= 1 + 1e-12
 
 
 def test_roots_marginal_examples():
-    assert roots_marginal(green_kernel(WeightedDigraph(1, ()), 3.0), (0,)) == pytest.approx(1.0)
-    K = green_kernel(make_family(Path(2)), 2.0)
-    assert roots_marginal(K, (0,)) == pytest.approx(0.75)
-    assert roots_marginal(K, (0, 1)) == pytest.approx(0.5)
+    assert roots_marginal(WeightedDigraph(1, ()), 3.0, (0,)) == pytest.approx(1.0)
+    g = make_family(Path(2))
+    assert roots_marginal(g, 2.0, (0,)) == pytest.approx(0.75)
+    assert roots_marginal(g, 2.0, (0, 1)) == pytest.approx(0.5)
     for vertices in ((), (-1,), (7,), (0, 2)):
         with pytest.raises(ParameterError):
-            roots_marginal(K, vertices)
+            roots_marginal(g, 2.0, vertices)
 
 
 @pytest.mark.parametrize("fam", TINY, ids=str)
@@ -171,10 +161,9 @@ def test_roots_marginal_examples():
 def test_roots_marginal_matches_enumeration(fam, q):
     g = make_family(fam)
     ens = enumerate_forests(g)
-    K = green_kernel(g, q)
     for v in range(g.n):
         want = brute_event(ens, q, lambda f, v=v: f.parent[v] == ROOT)
-        assert roots_marginal(K, (v,)) == pytest.approx(want, abs=1e-10)
+        assert roots_marginal(g, q, (v,)) == pytest.approx(want, abs=1e-10)
 
 
 # -- spectrum ------------------------------------------------------------------
@@ -199,7 +188,7 @@ def test_expected_root_count():
     assert expected_root_count(WeightedDigraph(1, ()), 0.5) == pytest.approx(1.0)
     g = make_family(Path(2))
     assert expected_root_count(g, 2.0) == pytest.approx(1.5)
-    assert expected_root_count(g, 2.0) == pytest.approx(np.trace(green_kernel(g, 2.0).matrix))
+    assert expected_root_count(g, 2.0) == pytest.approx(np.trace(green_kernel(g, 2.0)))
     for fam in TINY:
         gg = make_family(fam)
         assert expected_root_count(gg, 1e6) == pytest.approx(gg.n, abs=1e-3)
@@ -212,7 +201,7 @@ def test_expected_root_count():
 @pytest.mark.parametrize("q", QS)
 def test_trace_identity(fam, q):
     g = make_family(fam)
-    tr = float(np.trace(green_kernel(g, q).matrix))
+    tr = float(np.trace(green_kernel(g, q)))
     assert tr == pytest.approx(expected_root_count(g, q), rel=1e-9)
 
 
@@ -248,19 +237,19 @@ def test_hitting_prob_small_killing():
 def test_adjacent_examples():
     g = make_family(Path(2))
     for q in QS:
-        assert tree_correlation_adjacent(g, 0, 1, q) == pytest.approx(q / (q + 2))
-    assert tree_correlation_adjacent(g, 0, 1, 1e9) == pytest.approx(1.0, abs=1e-6)
+        assert tree_correlation(g, 0, 1, q) == pytest.approx(q / (q + 2))
+    for q in (1e-12, 1e-9):  # full relative precision where the probability is tiny
+        assert tree_correlation(g, 0, 1, q) == pytest.approx(q / (q + 2), rel=1e-12, abs=0)
+    assert tree_correlation(g, 0, 1, 1e9) == pytest.approx(1.0, abs=1e-6)
     # star center-leaf: q(q+(n-1)w)/((q+w)(q+nw)) at n=4, w=1, q=1
-    assert tree_correlation_adjacent(make_family(Star(4)), 0, 1, 1.0) == pytest.approx(0.4)
+    assert tree_correlation(make_family(Star(4)), 0, 1, 1.0) == pytest.approx(0.4)
 
 
 def test_adjacent_errors():
     with pytest.raises(StructureError):
-        tree_correlation_adjacent(make_family(Cycle(3)), 0, 1, 1.0)
+        tree_correlation(make_family(Cycle(3)), 0, 1, 1.0)
     with pytest.raises(ParameterError):
-        tree_correlation_adjacent(make_family(Path(3)), 0, 2, 1.0)
-    with pytest.raises(ParameterError):
-        tree_correlation_adjacent(make_family(Path(5)), 0, 9, 1.0)
+        tree_correlation(make_family(Path(5)), 0, 9, 1.0)
 
 
 # -- exact tree correlation ---------------------------------------------------
@@ -269,7 +258,7 @@ def test_adjacent_errors():
 def test_tree_correlation_examples():
     g2 = make_family(Path(2))
     for q in QS + (1e-12,):  # full relative precision where the probability is tiny
-        assert tree_correlation(g2, 0, 1, q) == pytest.approx(q / (q + 2), rel=1e-12)
+        assert tree_correlation(g2, 0, 1, q) == pytest.approx(q / (q + 2), rel=1e-12, abs=0)
     # star leaves: q(q^2+(n+2)wq+2(n-1)w^2)/((q+w)^2(q+nw))
     n, w, q = 5, 0.7, 1.3
     want = q * (q * q + (n + 2) * w * q + 2 * (n - 1) * w * w) / ((q + w) ** 2 * (q + n * w))
@@ -291,6 +280,13 @@ def test_tree_correlation_errors():
         tree_correlation(make_family(Path(3)), 0, 3, 1.0)  # vertex out of range
     with pytest.raises(ParameterError):
         TreePairCorrelation(make_family(Path(3)), 0, 2).at(math.inf)
+
+
+def test_tree_correlation_overflow_is_nan_not_zero():
+    # pivots overflow to inf; the [0, 1] clamp must not turn the nan into 0
+    g = make_family(Star(40, 1e300))
+    with pytest.warns(RuntimeWarning):
+        assert math.isnan(tree_correlation(g, 1, 2, 1e300))
 
 
 def test_tree_correlation_long_path_exact():
@@ -395,7 +391,7 @@ def test_adjacent_agreement_on_random_trees(n, pyrng):
     nbrs = sorted(g.out[x])
     y = rng.choice(nbrs)
     for q in (0.3, 3.0):
-        a = tree_correlation_adjacent(g, x, y, q)
+        a = adjacent_separation(g, x, y, q)
         b = tree_correlation(g, x, y, q)
         assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
