@@ -8,11 +8,16 @@ any results. Vertices on the command line use 1-based labels (label i is
 library vertex id i-1). Exit codes: 0 success, 2 usage error, 3 numeric
 failure (a failed factorization, or an input whose exact value overflows
 double precision), 4 verification failure.
+
+``main(argv)`` may be called repeatedly in one process: the argument parser
+is built once, on the first call, and reused. Importing the CLI does not load
+``scipy.stats``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -43,7 +48,9 @@ def _add_common(p: argparse.ArgumentParser, replicas_default: int = 0) -> None:
     p.add_argument("--replicas", type=int, default=replicas_default)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lepart`` parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(prog="lepart", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -83,8 +90,14 @@ def _load_graph(args) -> tuple[WeightedDigraph, object | None]:
     if getattr(args, "family", None):
         spec = parse_family(args.family)
         return make_family(spec), spec
-    with open(args.graph, encoding="utf-8") as fh:
-        return load_edge_list(fh.read()), None
+    try:
+        with open(args.graph, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise FormatError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{args.graph} is not UTF-8 text: {exc}") from exc
+    return load_edge_list(text), None
 
 
 def _parse_pair(text: str, n: int) -> tuple[int, int]:
@@ -252,16 +265,15 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         _check_shared_args(args)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _COMMANDS[args.command](args, sys.stdout)
-    except (ParameterError, FormatError, FileNotFoundError) as exc:
+    except (ParameterError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (NumericError, ArithmeticError) as exc:

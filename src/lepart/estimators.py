@@ -15,7 +15,7 @@ from random import Random
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .closed_forms import (
     bottleneck_quantities,
@@ -177,7 +177,7 @@ def mc_root_count(g: WeightedDigraph, q: float, replicas: int, seed: int) -> Roo
     lam = laplacian_spectrum(g)
     expected = poisson_binomial_pmf(q / (q + lam))
     chi_sq, dof = _chi_square_merged(counts, expected * replicas)
-    p_value = float(chi2.sf(chi_sq, dof)) if dof > 0 else 1.0
+    p_value = float(chdtrc(dof, chi_sq)) if dof > 0 else 1.0
     return RootCountFit(
         counts=counts,
         expected=expected,

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from lepart import load_edge_list, make_family, parse_family, path_correlation
+import lepart
+from lepart import cli, load_edge_list, make_family, parse_family, path_correlation
 from lepart.cli import main
 from lepart.wilson import RootedForest
 from oracles import z_path_oracle
@@ -237,3 +242,55 @@ def test_verify_passes(capsys):
     assert lines[0].startswith("# lepart verify")
     assert all(ln.startswith("PASS") for ln in lines[1:-1])
     assert lines[-1].endswith("checks passed")
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe\x00"], ids=["directory", "not-utf8"])
+def test_unreadable_graph_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "g.tsv"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = run(capsys, "z", "--graph", str(path), "--q", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter on this checkout's sources, with an 80-column help width."""
+    src = str(Path(lepart.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, check=False)
+
+
+@pytest.mark.parametrize("module", ["lepart", "lepart.cli"])
+def test_import_does_not_load_scipy_stats(module):
+    proc = _fresh_python("-c", f"import sys, {module}; sys.exit('scipy.stats' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+#: (argv, in-process calls, exit code); the first is a usage error.
+_REUSE_ARGVS = [
+    (["z", "--q", "1"], 1, 2),
+    (["--help"], 1, 0),
+    (["gen", "--family", "bottleneck:n=3,m=2,w=0.5"], 2, 0),
+    (["z", "--family", "cycle:n=6", "--q", "0.7", "--method", "det", "--format", "json"], 2, 0),
+    (["corr", "--family", "path:n=12", "--pair", "2,9", "--q", "0.5", "--replicas", "300", "--seed", "5"], 2, 0),
+    (["sample", "--family", "star:n=6,w=2", "--q", "1", "--seed", "7"], 2, 0),
+    (["sweep", "--family", "path:n=6", "--pair", "1,6", "--q-grid", "log:0.1:10:3", "--replicas", "50"], 2, 0),
+    (["verify", "--seed", "3"], 2, 0),
+]
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli.build_parser.cache_clear()
+    capsys.readouterr()
+    for argv, calls, want_code in _REUSE_ARGVS:
+        fresh = _fresh_python("-m", "lepart.cli", *argv)
+        assert fresh.returncode == want_code, fresh.stderr.decode()
+        for _ in range(calls):
+            code, out, _ = run(capsys, *argv)
+            assert (code, out.encode()) == (want_code, fresh.stdout), argv
+    assert cli.build_parser.cache_info().misses == 1

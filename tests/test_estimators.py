@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
+from scipy.stats import chi2, chisquare
 
 from lepart import (
     Bottleneck,
@@ -23,6 +25,7 @@ from lepart import (
     sweep,
     tree_correlation,
 )
+from lepart.checks import _chi_square_p
 from lepart.estimators import (
     CorrelationQuery,
     RootQuery,
@@ -304,3 +307,29 @@ def test_exact_route_order_and_forced_methods():
         exact_route(gb, 1, 11, b, "closed")  # off the bridge
     with pytest.raises(ParameterError):
         exact_route(g, 0, 7, star40, "det")
+
+
+def test_chdtrc_equals_chi2_sf():
+    for dof in (1, 2, 3, 7, 40, 500):
+        for stat in (0.0, 1e-12, 0.3, 1.0, 3.84, 12.5, 80.0, 1e3):
+            assert chdtrc(dof, stat) == chi2.sf(stat, dof), (dof, stat)
+
+
+def test_mc_root_count_p_value_is_chi2_sf():
+    fit = mc_root_count(make_family(Path(5)), 1.0, 30_000, 17)
+    assert fit.p_value == float(chi2.sf(fit.chi_square, fit.dof))
+
+
+def test_pearson_p_value_equals_chisquare():
+    rng = np.random.default_rng(5)
+    for k in (2, 3, 9, 40):
+        probs = rng.dirichlet(np.ones(k))
+        counts = rng.multinomial(2000, probs).astype(float)
+        assert _chi_square_p(counts, probs * 2000) == float(chisquare(counts, probs * 2000)[1])
+    exact = np.array([3.0, 5.0, 2.0])  # statistic 0
+    assert _chi_square_p(exact, exact) == float(chisquare(exact, exact)[1]) == 1.0
+    counts, expected = np.array([10.0, 10.0]), np.array([10.0, 11.0])
+    with pytest.raises(ValueError):
+        chisquare(counts, expected)
+    with pytest.raises(ValueError):
+        _chi_square_p(counts, expected)
