@@ -37,7 +37,7 @@ from .spectral import (
     roots_marginal,
     tree_correlation,
 )
-from .wilson import ROOT, ForestSampler, forest_sampler, split_seed
+from .wilson import ROOT, ForestSampler, TreeSampler, forest_sampler, split_seed
 
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
 
@@ -229,7 +229,9 @@ def _check_sampler_law(seed: int = 42, replicas: int = 20_000) -> str:
     """Chi-square of sampled forests against the enumerated law.
 
     Wilson's walks on Path(3) at two q, and the route that serves trees,
-    :func:`forest_sampler`, on an asymmetric tree at one q.
+    :func:`forest_sampler`, on an asymmetric tree at one q. Wilson's replica
+    r reads ``Random(split_seed(seed, r))``; the tree sampler's reads its
+    counter-based uniforms.
     """
     path3 = make_family(Path(3))
     cases = [(path3, ForestSampler(path3, q)) for q in (0.5, 2.0)]
@@ -240,9 +242,13 @@ def _check_sampler_law(seed: int = 42, replicas: int = 20_000) -> str:
         masses = ens.masses(sampler.q)
         probs = masses / masses.sum()
         index = {f.parent: i for i, f in enumerate(ens.forests)}
+        if isinstance(sampler, TreeSampler):
+            forests = map(tuple, sampler.draw(seed, 0, replicas).tolist())
+        else:
+            forests = (sampler.sample(Random(split_seed(seed, r))).parent for r in range(replicas))
         counts = np.zeros(len(ens))
-        for r in range(replicas):
-            counts[index[sampler.sample(Random(split_seed(seed, r))).parent]] += 1
+        for forest in forests:
+            counts[index[forest]] += 1
         worst_p = min(worst_p, _chi_square_p(counts, probs * replicas))
     if worst_p <= 0.001:
         raise AssertionError(f"chi-square p-value {worst_p:.5f} <= 0.001")

@@ -1,10 +1,16 @@
 """Monte Carlo estimation, q-sweeps, and layer-detection experiments.
 
 Every estimator is a deterministic function of (graph, q, replicas, seed):
-replica r consumes its own stream seeded by ``split_seed(master_seed, r)``,
-so runs are reproducible, parallelizable, and replica counts can be extended
-without reusing indices. Uncertainty is reported as the exact Bernoulli
-standard error sqrt(p(1-p)/R).
+replica r's forest depends only on (seed, r), so runs are reproducible,
+parallelizable, and replica counts can be extended without reusing indices.
+On a tree, replica r reads the counter-based uniforms U[r, i] of
+:func:`~lepart.wilson.tree_uniforms`; elsewhere, Wilson's walks read a
+``random.Random`` seeded by ``split_seed(seed, r)``. Each estimator reduces
+blocks of next-pointer rows, one array per block of replicas
+(:func:`_run_replicas`): separation compares roots found by pointer
+jumping, root events and root counts read the ROOT entries, and
+:func:`mc_event` applies its per-forest predicate to each row. Uncertainty
+is reported as the exact Bernoulli standard error sqrt(p(1-p)/R).
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 from scipy.special import chdtrc
@@ -90,20 +96,65 @@ class SampleStats:
         )
 
 
+#: Most next-pointer entries (replicas x vertices) drawn and reduced at once,
+#: so a request's arrays stay a few MB whatever its replica count.
+BLOCK_ENTRIES = 1 << 16
+
+T = TypeVar("T")
+
+
 def _run_replicas(
-    sampler: ForestSampler | TreeSampler,
-    replicas: int,
-    seed: int,
-    hit: Callable[[RootedForest], bool],
-) -> int:
+    sampler: ForestSampler | TreeSampler, replicas: int, seed: int, reduce: Callable[[np.ndarray], T]
+) -> T:
+    """The sum of ``reduce`` over blocks of the next-pointer rows of replicas 0..R-1.
+
+    Each block is an (B, n) array whose row k is the forest of one replica,
+    :data:`ROOT` marking a root. A tree sampler draws a block by whichever
+    route it predicts cheaper; Wilson's sampler fills it row by row, replica
+    r reading ``Random(split_seed(seed, r))``.
+    """
     if replicas < 1:
         raise ParameterError(f"need at least one replica, got {replicas}")
-    successes = 0
-    for r in range(replicas):
-        forest = sampler.sample(Random(split_seed(seed, r)))
-        if hit(forest):
-            successes += 1
-    return successes
+    step = max(1, BLOCK_ENTRIES // sampler.graph.n)
+    total = 0
+    for start in range(0, replicas, step):
+        stop = min(start + step, replicas)
+        if isinstance(sampler, TreeSampler):
+            nxt = sampler.draw(seed, start, stop)
+        else:
+            forests = [sampler.sample(Random(split_seed(seed, r))).parent for r in range(start, stop)]
+            nxt = np.array(forests, dtype=np.int64)
+        total = total + reduce(nxt)
+    return total
+
+
+def _roots(nxt: np.ndarray) -> np.ndarray:
+    """Each vertex's root in each row of a next-pointer array, by pointer jumping.
+
+    Entries are flat indices into ``nxt``: row * n + root. Compare them
+    within a row only.
+    """
+    rows, n = nxt.shape
+    flat = (np.where(nxt == ROOT, np.arange(n), nxt) + np.arange(0, rows * n, n)[:, None]).ravel()
+    while True:
+        jumped = flat.take(flat)
+        if np.array_equal(jumped, flat):
+            return flat.reshape(rows, n)
+        flat = jumped
+
+
+def _separated(x: int, y: int) -> Callable[[np.ndarray], int]:
+    """Counts the rows in which x and y have different roots."""
+    def count(nxt: np.ndarray) -> int:
+        root = _roots(nxt)
+        return int(np.count_nonzero(root[:, x] != root[:, y]))
+    return count
+
+
+def _all_roots(vertices: Sequence[int]) -> Callable[[np.ndarray], int]:
+    """Counts the rows in which every listed vertex is a root."""
+    columns = list(vertices)
+    return lambda nxt: int(np.count_nonzero((nxt[:, columns] == ROOT).all(1)))
 
 
 def mc_correlation(
@@ -113,8 +164,7 @@ def mc_correlation(
     check_vertices(g.n, (x, y))
     if x == y:
         raise ParameterError("need two distinct vertices")
-    sampler = forest_sampler(g, q)
-    hits = _run_replicas(sampler, replicas, seed, lambda f: f.root_of(x) != f.root_of(y))
+    hits = _run_replicas(forest_sampler(g, q), replicas, seed, _separated(x, y))
     return SampleStats.from_counts(hits, replicas, seed)
 
 
@@ -126,8 +176,10 @@ def mc_event(
     seed: int,
 ) -> SampleStats:
     """Probability of an arbitrary forest event, by sampling."""
-    sampler = forest_sampler(g, q)
-    hits = _run_replicas(sampler, replicas, seed, predicate)
+    def count(nxt: np.ndarray) -> int:
+        return sum(bool(predicate(RootedForest(tuple(row)))) for row in nxt.tolist())
+
+    hits = _run_replicas(forest_sampler(g, q), replicas, seed, count)
     return SampleStats.from_counts(hits, replicas, seed)
 
 
@@ -167,13 +219,9 @@ def mc_root_count(g: WeightedDigraph, q: float, replicas: int, seed: int) -> Roo
     """Sample root counts and chi-square them against q/(q + lambda_i) Bernoullis."""
     if not g.is_symmetric:
         raise ParameterError("the root-count law is only asserted for undirected graphs")
-    if replicas < 1:
-        raise ParameterError(f"need at least one replica, got {replicas}")
-    sampler = forest_sampler(g, q)
-    counts = np.zeros(g.n + 1, dtype=np.int64)
-    for r in range(replicas):
-        forest = sampler.sample(Random(split_seed(seed, r)))
-        counts[forest.root_count] += 1
+    counts = _run_replicas(
+        forest_sampler(g, q), replicas, seed, lambda nxt: np.bincount((nxt == ROOT).sum(1), minlength=g.n + 1)
+    )
     lam = laplacian_spectrum(g)
     expected = poisson_binomial_pmf(q / (q + lam))
     chi_sq, dof = _chi_square_merged(counts, expected * replicas)
@@ -431,15 +479,15 @@ def sweep(
         if isinstance(query, CorrelationQuery):
             route = routes[query.x, query.y]
             exact = None if route is None else route.at(q)
-            hit = lambda f, qq=query: f.root_of(qq.x) != f.root_of(qq.y)
+            count = _separated(query.x, query.y)
         else:
             exact = roots_marginal(g, q, query.vertices)
-            hit = lambda f, qq=query: all(f.parent[v] == ROOT for v in qq.vertices)
+            count = _all_roots(query.vertices)
         estimate = stderr = None
         row_seed = split_seed(seed, row_index)
         if replicas > 0:
             sampler = forest_sampler(g, q)
-            successes = _run_replicas(sampler, replicas, row_seed, hit)
+            successes = _run_replicas(sampler, replicas, row_seed, count)
             stats = SampleStats.from_counts(successes, replicas, row_seed)
             estimate, stderr = stats.estimate, stats.stderr
         rows.append(

@@ -518,8 +518,10 @@ def leaf_first(g: WeightedDigraph, root: int) -> tuple[np.ndarray, np.ndarray, n
 
 
 def check_vertices(n: int, vertices: Iterable[int]) -> None:
-    """Raise ParameterError unless every vertex id lies in 0..n-1."""
+    """Raise ParameterError unless every vertex id is an integer in 0..n-1."""
     for v in vertices:
+        if not isinstance(v, (int, np.integer)):
+            raise ParameterError(f"vertex {v!r} is not an integer id")
         if not 0 <= v < n:
             raise ParameterError(f"vertex {v} out of range for n={n}")
 

@@ -82,10 +82,11 @@ def roots_marginal(g: WeightedDigraph, q: float, vertices) -> float:
 
     The |A| columns of the kernel come from |A| solves against one factorization.
     """
+    vertices = tuple(vertices)
+    check_vertices(g.n, vertices)
     idx = sorted(set(int(v) for v in vertices))
     if not idx:
         raise ParameterError("need a nonempty vertex set")
-    check_vertices(g.n, idx)
     rhs = np.zeros((g.n, len(idx)))
     rhs[idx, range(len(idx))] = q
     return float(np.linalg.det(_factor(g, q).solve(rhs)[idx]))

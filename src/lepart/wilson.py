@@ -18,9 +18,15 @@ by following each vertex's pointers only until a vertex of known root.
 
 On a tree no walk is needed: :class:`TreeSampler` draws the forest exactly,
 top-down from vertex 0, with one uniform per vertex from tables built of the
-leaf-first pivots. :func:`forest_sampler` is the one place that chooses: the
-tree sampler when the graph is a tree, Wilson's :class:`ForestSampler`
-otherwise. An explicit processing order always means Wilson's walks.
+leaf-first pivots. Its uniforms are counter-based (:func:`tree_uniforms`):
+the one that replica r reads at breadth-first position i is a SplitMix64
+hash of (seed, r, i), so :meth:`TreeSampler.draw` fills the next-pointer
+rows of many replicas at once, in numpy, and a forest does not depend on
+how the replicas are split into batches. Wilson's sampler reads a
+``random.Random`` stream instead. :func:`forest_sampler` is the one place
+that chooses: the tree sampler when the graph is a tree, Wilson's
+:class:`ForestSampler` otherwise. An explicit processing order always means
+Wilson's walks.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ __all__ = [
     "forest_sampler",
     "sample_forest",
     "split_seed",
+    "tree_uniforms",
     "forest_to_json",
     "forest_from_json",
 ]
@@ -149,6 +156,11 @@ def partition_of(forest: RootedForest) -> Partition:
     return Partition(block_of, tuple(map(tuple, blocks)))
 
 
+#: SplitMix64 (Steele, Lea & Flood 2014): the Weyl increment and the finalizer's multipliers.
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MASK = 0xFFFFFFFFFFFFFFFF
+
+
 def split_seed(master_seed: int, index: int) -> int:
     """Derive an independent 64-bit stream seed for replica ``index``.
 
@@ -156,10 +168,40 @@ def split_seed(master_seed: int, index: int) -> int:
     index, so replica streams depend only on (master_seed, index) and can be
     generated in parallel without coordination.
     """
-    z = (master_seed + (index + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    z = (master_seed + (index + 1) * _GAMMA) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """:func:`split_seed`'s finalizer on a uint64 array, in place (numpy wraps mod 2^64)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def tree_uniforms(seed: int, start: int, stop: int, n: int) -> np.ndarray:
+    """Counter-based uniforms U[r, i] for replicas start <= r < stop and positions i < n.
+
+    U[r, i] is the top 53 bits of ``split_seed(split_seed(seed, r), i)``
+    over 2^53: a pure function of (seed, r, i), in [0, 1), as in Salmon et
+    al., "Parallel random numbers: as easy as 1, 2, 3" (SC 2011). Row k of
+    the result is replica start + k.
+    """
+    gamma = np.uint64(_GAMMA)
+    streams = _mix(np.arange(start + 1, stop + 1, dtype=np.uint64) * gamma + np.uint64(seed & _MASK))
+    z = _mix(streams[:, None] + np.arange(1, n + 1, dtype=np.uint64) * gamma)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+#: Predicted costs, in ns, of settling which tree vertices are blocked: per
+#: breadth-first level, per pointer-doubling round, and per entry (replica x
+#: vertex) of a doubling round (numpy on one core of a 2.1 GHz Xeon).
+LEVEL_NS, ROUND_NS, ENTRY_NS = 6_000, 8_000, 5
 
 
 class ForestSampler:
@@ -222,16 +264,27 @@ class TreeSampler:
     children c, a vertex whose parent p does not point at it is "free": it
     points up with weight w(v, p), is a root with weight q, or points to
     child c with weight t_c. A vertex that p points at is "blocked" and
-    draws from the same table without the up option, total s_v. Vertices
-    are visited breadth-first, so p has drawn before v.
+    draws from the same table without the up option, total s_v.
 
     Every table entry is q, an edge weight or a t_c, never a difference.
     The partial sums of the pivot recurrence are the blocked tables'
     boundaries (the children of one vertex are contiguous in the leaf-first
-    order), and the up option comes last, above s_v, so one draw u picks:
-    a root if u < q, the parent if u >= s_v, else the child whose boundary
-    bisection finds. Since random() * s < s for every s > 0, a blocked
-    vertex never points back, and a zero weight is never picked.
+    order), and the up option comes last, above s_v, so one draw
+    x = U * total picks: a root if x < q, the parent if x >= s_v, else the
+    child whose boundary ``bisect_right`` finds. Since U * s < s for every
+    U < 1 and s > 0, a blocked vertex never points back, and a zero weight
+    is never picked.
+
+    Replica r of a seed reads U[r, i] (:func:`tree_uniforms`) at the vertex
+    of breadth-first position i, so a forest depends only on (seed, r).
+    :meth:`draw` works out, for all replicas at once, what each vertex
+    picks if free and if blocked. Only which of the two applies is
+    sequential: v is blocked when its parent's pick is v. Two routes settle
+    it in numpy, with bit-identical rows, and :meth:`draw` takes the one
+    predicted to be cheaper: breadth-first level by level, parents before
+    children, or by pointer doubling, which composes each vertex's map
+    "parent blocked -> v blocked" with its ancestors' in log2(depth) rounds
+    and so also serves deep trees.
     """
 
     def __init__(self, g: WeightedDigraph, q: float):
@@ -239,42 +292,101 @@ class TreeSampler:
         self.graph = g
         self.q = q
         order, parent, up, down = leaf_first(g, 0)
-        n = g.n
+        order, n = order.astype(np.int64), g.n
         v = order[:0:-1]  # leaves first, without the root
         s = [q] * n
-        self._child = v.tolist()
-        bound = self._bound = []  # bound[j]: s[parent] once the j-th vertex is eliminated
+        bound = []  # bound[j]: s[parent] once the j-th vertex is eliminated
         append = bound.append
-        for x, p, w_xp, w_px in zip(self._child, parent[v].tolist(), up[v].tolist(), down[v].tolist()):
+        for x, p, w_xp, w_px in zip(v.tolist(), parent[v].tolist(), up[v].tolist(), down[v].tolist()):
             s_x = s[x]
             s[p] = s_p = s[p] + w_px * s_x / (s_x + w_xp)
             append(s_p)
-        # the children of the vertex at breadth-first position i are the
-        # vertices eliminated at steps lo[i]..hi[i] - 1
+        self._bound, self._child = np.array(bound), v
+        # from here on, vertices are indexed by breadth-first position
         position = np.empty(n, dtype=np.int64)
         position[order] = np.arange(n)
-        key = -position[parent[v]]  # nondecreasing in the elimination step
-        lo = np.searchsorted(key, -np.arange(n), "left").tolist()
-        hi = np.searchsorted(key, -np.arange(n), "right").tolist()
-        s_top = np.array(s)[order]
-        # the root's up weight is 0, so whichever parent it reads, its free table is the blocked one
-        self._plan = list(
-            zip(order.tolist(), parent[order].clip(0).tolist(), s_top.tolist(), (s_top + up[order]).tolist(), lo, hi)
-        )
+        above = position[parent[order].clip(0)]
+        # the children of position i are the vertices eliminated at steps lo[i]..last[i]
+        key = -above[:0:-1]  # nondecreasing in the elimination step
+        self._lo = np.searchsorted(key, -np.arange(n), "left")
+        self._last = np.searchsorted(key, -np.arange(n), "right") - 1
+        self._steps = int(max((self._last - self._lo).max(), 0)).bit_length()
+        self._order, self._position, self._above = order, position, above
+        # the root's up weight is 0, so its free table is its blocked one and it never points up
+        self._parent = order[above]
+        self._s = np.array(s)[order]
+        self._free = self._s + up[order]
+        # depth by pointer doubling, counting the rounds; breadth-first order lists it nondecreasing
+        depth, anc, self._rounds = np.minimum(np.arange(n), 1), above, 0
+        while anc.any():
+            depth += depth[anc]
+            anc = anc[anc]
+            self._rounds += 1
+        self._cuts = np.searchsorted(depth, np.arange(depth[-1] + 2)).tolist()
 
-    def sample(self, rng: Random) -> RootedForest:
-        random = rng.random
-        q, bound, child = self.q, self._bound, self._child
-        nxt = [ROOT] * len(self._plan)
-        for v, p, s, free, lo, hi in self._plan:
-            u = random() * (s if nxt[p] == v else free)
-            if u < q:
-                continue  # a root
-            if u >= s:
-                nxt[v] = p
-            else:
-                nxt[v] = child[bisect_right(bound, u, lo, hi)]
-        return RootedForest(tuple(nxt))
+    def draw(self, seed: int, start: int, stop: int) -> np.ndarray:
+        """Next-pointer rows, shape (stop - start, n), of replicas start..stop-1 of ``seed``.
+
+        Row k is the forest of replica start + k, :data:`ROOT` marking a
+        root; it does not depend on the range it is drawn in.
+        """
+        u = tree_uniforms(seed, start, stop, self.graph.n)
+        free, blocked = self._picks(u * self._free), self._picks(u * self._s)
+        settle = self._by_levels if self._levels_are_cheaper(stop - start) else self._by_doubling
+        return settle(free, blocked).take(self._position, 1)
+
+    def sample(self, seed: int) -> RootedForest:
+        """Replica 0 of ``seed``."""
+        return RootedForest(tuple(self.draw(seed, 0, 1)[0].tolist()))
+
+    def _levels_are_cheaper(self, replicas: int) -> bool:
+        """Predicted costs: one per level below the root's, against one per doubling round (and its set-up)."""
+        steps, rounds = len(self._cuts) - 2, self._rounds  # the root's level needs no step
+        return steps * LEVEL_NS < (rounds + 1) * ROUND_NS + rounds * replicas * self.graph.n * ENTRY_NS
+
+    def _picks(self, x: np.ndarray) -> np.ndarray:
+        """What each draw x (columns by position) picks: ROOT, the parent, or a child."""
+        s = self._s
+        picks = np.where(x >= s, self._parent, ROOT)
+        down = np.flatnonzero((x >= self.q) & (x < s))
+        if down.size:  # bisect_right(bound, x, lo, last + 1), vectorized; bound[last] = s > x
+            cols = down % len(s)
+            x, lo, hi = x.take(down), self._lo.take(cols), self._last.take(cols)
+            for _ in range(self._steps):
+                mid = (lo + hi) >> 1
+                right = self._bound.take(mid) <= x
+                lo = np.where(right, mid + 1, lo)
+                hi = np.where(right, hi, mid)
+            picks.put(down, self._child.take(lo))
+        return picks
+
+    def _by_levels(self, free: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+        """Rows by position, one breadth-first level at a time below the root's."""
+        nxt = free  # a level's entries are final once it is done
+        for a, b, above, vs in self._levels:
+            np.copyto(nxt[:, a:b], blocked[:, a:b], where=nxt.take(above, 1) == vs)
+        return nxt
+
+    @cached_property
+    def _levels(self) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Each level's positions a..b below the root's, their parents' positions and their vertices."""
+        cuts = self._cuts
+        return [(a, b, self._above[a:b], self._order[a:b]) for a, b in zip(cuts[1:], cuts[2:])]
+
+    def _by_doubling(self, free: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+        """Rows by position, by pointer doubling over the ancestors.
+
+        (m0, m1)[i] says whether i is blocked when ``anc[i]`` is free or
+        blocked; each round composes it with the map of ``anc[i]`` and
+        doubles the jump. The root is free.
+        """
+        vs, anc = self._order, self._above
+        m0, m1 = free.take(anc, 1) == vs, blocked.take(anc, 1) == vs
+        for _ in range(self._rounds):
+            a0, a1 = m0.take(anc, 1), m1.take(anc, 1)
+            m0, m1 = (a0 & m1) | (~a0 & m0), (a1 & m1) | (~a1 & m0)
+            anc = anc[anc]
+        return np.where(m0, blocked, free)
 
 
 def forest_sampler(g: WeightedDigraph, q: float) -> ForestSampler | TreeSampler:
@@ -287,10 +399,12 @@ def sample_forest(
 ) -> RootedForest:
     """Draw one forest with law q^{#roots} * prod(weights) / Z.
 
-    An explicit processing ``order`` always runs Wilson's walks.
+    On a tree this is replica 0 of ``rng_seed`` (:meth:`TreeSampler.sample`);
+    otherwise Wilson's walks read ``Random(rng_seed)``. An explicit
+    processing ``order`` always runs Wilson's walks.
     """
     sampler = forest_sampler(g, q) if order is None else ForestSampler(g, q, order)
-    return sampler.sample(Random(rng_seed))
+    return sampler.sample(rng_seed) if isinstance(sampler, TreeSampler) else sampler.sample(Random(rng_seed))
 
 
 def forest_to_json(forest: RootedForest) -> str:

@@ -16,6 +16,7 @@ from lepart import (
     WeightedDigraph,
     bottleneck_quantities,
     expected_root_count,
+    hitting_prob,
     make_family,
     mc_correlation,
     mc_event,
@@ -130,6 +131,29 @@ def test_mc_root_count_path5():
 def test_mc_root_count_needs_a_replica():
     with pytest.raises(ParameterError):
         mc_root_count(make_family(Path(3)), 1.0, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: roots_marginal(g, 0.5, [2.5]),
+        lambda g: tree_correlation(g, 0.5, 3, 0.7),
+        lambda g: hitting_prob(g, 0.5, 3, 0.7),
+        lambda g: mc_correlation(g, 0.7, 0.5, 3, 10, 1),
+        lambda g: exact_correlation(g, 1, "3", 0.7),
+        lambda g: sweep(g, [0.7], [RootQuery("r", (np.float64(2.0),))], 10, 1),
+    ],
+    ids=["roots_marginal", "tree_correlation", "hitting_prob", "mc_correlation", "exact_correlation", "sweep"],
+)
+def test_non_integer_vertex_ids_raise_parameter_error(call):
+    with pytest.raises(ParameterError, match="not an integer"):
+        call(make_family(Path(5)))
+
+
+def test_numpy_integer_vertex_ids_are_accepted():
+    g = make_family(Path(5))
+    assert mc_correlation(g, 0.7, np.int64(1), np.int32(3), 50, 1) == mc_correlation(g, 0.7, 1, 3, 50, 1)
+    assert roots_marginal(g, 0.5, np.array([2])) == roots_marginal(g, 0.5, [2])
 
 
 def test_out_of_range_vertices():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from bisect import bisect_right
 from random import Random
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.stats import chisquare
 
 from lepart import (
     Bottleneck,
+    CommunityStar,
     Cycle,
     HierarchicalTree,
     Path,
@@ -19,14 +21,16 @@ from lepart import (
     enumerate_forests,
     make_family,
     mc_correlation,
+    mc_root_count,
     roots_marginal,
     sample_forest,
     split_seed,
     undirected,
 )
+from lepart import estimators, wilson
 from lepart.graphs import is_tree, leaf_first
 from lepart.spectral import TreePairCorrelation
-from lepart.wilson import ForestSampler, TreeSampler, forest_sampler
+from lepart.wilson import ForestSampler, RootedForest, TreeSampler, forest_sampler, tree_uniforms
 
 
 def random_tree(seed: int, n: int, one_way: bool) -> WeightedDigraph:
@@ -55,8 +59,8 @@ def chi_square_p(g: WeightedDigraph, q: float, replicas: int, seed: int) -> floa
     counts = np.zeros(len(ens))
     sampler = forest_sampler(g, q)
     assert isinstance(sampler, TreeSampler)
-    for r in range(replicas):
-        counts[index[sampler.sample(Random(split_seed(seed, r))).parent]] += 1
+    for row in sampler.draw(seed, 0, replicas).tolist():
+        counts[index[tuple(row)]] += 1
     small = expected < 5
     obs, exp = counts[~small], expected[~small]
     if small.any():
@@ -64,25 +68,32 @@ def chi_square_p(g: WeightedDigraph, q: float, replicas: int, seed: int) -> floa
     return float(chisquare(obs, exp)[1])
 
 
+LAW_CASES = [
+    (make_family(Path(4)), 0.7),
+    (make_family(Star(5, 2.0)), 0.3),
+    (make_family(HierarchicalTree(2, 2, (1.0, 3.0))), 1.1),
+] + [(random_tree(seed, n, one_way), q) for seed, n, one_way, q in (
+    (1, 5, False, 0.4),
+    (2, 6, False, 1.5),
+    (3, 7, False, 0.2),
+    (4, 5, True, 0.8),
+    (5, 6, True, 0.3),
+    (6, 7, True, 2.0),
+)]
+
+
 @pytest.mark.parametrize(
-    "g, q",
-    [
-        (make_family(Path(4)), 0.7),
-        (make_family(Star(5, 2.0)), 0.3),
-        (make_family(HierarchicalTree(2, 2, (1.0, 3.0))), 1.1),
-    ]
-    + [(random_tree(seed, n, one_way), q) for seed, n, one_way, q in (
-        (1, 5, False, 0.4),
-        (2, 6, False, 1.5),
-        (3, 7, False, 0.2),
-        (4, 5, True, 0.8),
-        (5, 6, True, 0.3),
-        (6, 7, True, 2.0),
-    )],
-    ids=["path4", "star5", "hier22", "sym5", "sym6", "sym7", "oneway5", "oneway6", "oneway7"],
+    "g, q", LAW_CASES, ids=["path4", "star5", "hier22", "sym5", "sym6", "sym7", "oneway5", "oneway6", "oneway7"]
 )
-def test_tree_sampler_law_against_enumeration(g, q):
+def test_tree_sampler_law_against_enumeration(g, q, monkeypatch):
     assert is_tree(g)
+    monkeypatch.setattr(TreeSampler, "_levels_are_cheaper", lambda self, replicas: True)
+    assert chi_square_p(g, q, 20_000, 23) > 0.001
+
+
+@pytest.mark.parametrize("g, q", [LAW_CASES[0], LAW_CASES[-1]], ids=["path4", "oneway7"])
+def test_doubling_route_law_against_enumeration(g, q, monkeypatch):
+    monkeypatch.setattr(TreeSampler, "_levels_are_cheaper", lambda self, replicas: False)
     assert chi_square_p(g, q, 20_000, 23) > 0.001
 
 
@@ -91,9 +102,7 @@ def test_root_marginals_match_green_kernel_minors():
     q, R = 0.5, 20_000
     sampler = forest_sampler(g, q)
     assert isinstance(sampler, TreeSampler)
-    roots = np.zeros((R, g.n), dtype=bool)
-    for r in range(R):
-        roots[r] = np.array(sampler.sample(Random(split_seed(8, r))).parent) == ROOT
+    roots = sampler.draw(8, 0, R) == ROOT
     sets = [(v,) for v in range(g.n)] + [(0, 1), (1, 3), (3, 4), (7, 14), (0, 7, 14)]
     for vertices in sets:
         p = roots_marginal(g, q, vertices)
@@ -113,19 +122,102 @@ def test_single_vertex():
     g = WeightedDigraph(1, ())
     sampler = forest_sampler(g, 0.3)
     assert isinstance(sampler, TreeSampler)
-    assert all(sampler.sample(Random(seed)).parent == (ROOT,) for seed in range(5))
+    assert all(sampler.sample(seed).parent == (ROOT,) for seed in range(5))
+    assert sampler.draw(3, 0, 4).tolist() == [[ROOT]] * 4
+
+
+def python_uniform(seed: int, r: int, i: int) -> float:
+    """U[r, i] by the definition, in Python integers: SplitMix64 of SplitMix64, top 53 bits."""
+    return (split_seed(split_seed(seed, r), i) >> 11) / 2**53
+
+
+@pytest.mark.parametrize("seed", [0, 42, -7, 2**64 - 1, 2**70 + 5])
+def test_uniforms_match_a_python_splitmix64(seed):
+    u = tree_uniforms(seed, 5, 12, 9)
+    assert u.shape == (7, 9) and u.dtype == np.float64
+    assert u.tolist() == [[python_uniform(seed, r, i) for i in range(9)] for r in range(5, 12)]
+    assert ((0 <= u) & (u < 1)).all()
 
 
 @pytest.mark.parametrize("g", [make_family(Path(30)), make_family(Star(9, 0.5)), random_tree(9, 12, True)])
-def test_one_uniform_per_vertex_and_valid_forests(g):
+def test_one_uniform_per_vertex_and_valid_forests(g, monkeypatch):
+    """A forest reads exactly U[r, 0..n-1]: the Python definition of those n uniforms gives the same rows."""
     sampler = TreeSampler(g, 0.2)
-    for seed in range(200):
-        rng, ref = Random(seed), Random(seed)
-        forest = sampler.sample(rng)
-        for _ in range(g.n):
-            ref.random()
-        assert rng.getstate() == ref.getstate()
-        forest.validate(g)
+    drawn = sampler.draw(7, 0, 200)
+    asked = []
+
+    def reference(seed, start, stop, n):
+        asked.append((seed, start, stop, n))
+        return np.array([[python_uniform(seed, r, i) for i in range(n)] for r in range(start, stop)])
+
+    monkeypatch.setattr(wilson, "tree_uniforms", reference)
+    assert np.array_equal(sampler.draw(7, 0, 200), drawn)
+    assert asked == [(7, 0, 200, g.n)]
+    for row in drawn.tolist():
+        RootedForest(tuple(row)).validate(g)
+    assert sampler.sample(7) == RootedForest(tuple(drawn[0].tolist()))
+
+
+def per_vertex_rows(sampler: TreeSampler, u: np.ndarray) -> list[list[int]]:
+    """The reference: each replica vertex by vertex in breadth-first order, in Python floats."""
+    q, bound, child = sampler.q, sampler._bound.tolist(), sampler._child.tolist()
+    columns = (sampler._order, sampler._parent, sampler._s, sampler._free, sampler._lo, sampler._last)
+    plan = list(zip(*(c.tolist() for c in columns)))
+    rows = []
+    for row in u.tolist():
+        nxt = [ROOT] * len(row)
+        for (v, p, s, free, lo, last), x in zip(plan, row):
+            x *= s if nxt[p] == v else free
+            if x >= s:
+                nxt[v] = p
+            elif x >= q:
+                nxt[v] = child[bisect_right(bound, x, lo, last + 1)]
+        rows.append(nxt)
+    return rows
+
+
+#: The nine trees of the law test, the tree families of the mc_small benchmark workload, and a deep path.
+ROUTE_CASES = LAW_CASES + [
+    (make_family(spec), q)
+    for spec in (Path(8), Path(40), Star(24, 0.5), CommunityStar(40, 10, 2.0), HierarchicalTree(3, 3, (1.0, 2.0, 4.0)))
+    for q in (0.05, 1.0, 20.0)
+] + [(make_family(Path(200)), 0.01)]
+
+
+@pytest.mark.parametrize("g, q", ROUTE_CASES)
+def test_both_routes_match_the_per_vertex_loop(g, q, monkeypatch):
+    sampler = TreeSampler(g, q)
+    expected = per_vertex_rows(sampler, tree_uniforms(5, 0, 300, g.n))
+    for levels in (True, False):
+        monkeypatch.setattr(TreeSampler, "_levels_are_cheaper", lambda self, replicas, b=levels: b)
+        rows = sampler.draw(5, 0, 300)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == expected
+
+
+def test_rows_do_not_depend_on_the_split(monkeypatch):
+    g = make_family(HierarchicalTree(3, 3, (1.0, 2.0, 4.0)))
+    sampler = TreeSampler(g, 0.6)
+    whole = sampler.draw(9, 0, 300)
+    for cut in (1, 150, 299):
+        assert np.array_equal(np.vstack([sampler.draw(9, 0, cut), sampler.draw(9, cut, 300)]), whole)
+    # blocks of 7 replicas, so _run_replicas crosses 42 block boundaries
+    monkeypatch.setattr(estimators, "BLOCK_ENTRIES", 7 * g.n)
+    blocks = []
+    assert estimators._run_replicas(sampler, 300, 9, lambda nxt: blocks.append(nxt) or len(nxt)) == 300
+    assert [len(b) for b in blocks] == [7] * 42 + [6]
+    assert np.array_equal(np.vstack(blocks), whole)
+
+
+@pytest.mark.parametrize("spec", [Path(40), Star(40, 2.0), HierarchicalTree(2, 4, (1.0, 2.0, 4.0, 8.0))])
+def test_run_replicas_count_does_not_depend_on_the_route(spec, monkeypatch):
+    g = make_family(spec)
+    counts = set()
+    for levels in (True, False):
+        monkeypatch.setattr(TreeSampler, "_levels_are_cheaper", lambda self, replicas, b=levels: b)
+        separated = mc_correlation(g, 0.4, 1, g.n - 1, 300, 12).successes
+        counts.add((separated, mc_root_count(g, 0.4, 300, 12).counts.tobytes()))
+    assert len(counts) == 1
 
 
 def test_leaf_first_lists_children_contiguously():
