@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from random import Random
+from random import Random  # noqa: F401  (perfbench/tracing.py wraps each layer's Random)
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -108,23 +108,15 @@ def _run_replicas(
 ) -> T:
     """The sum of ``reduce`` over blocks of the next-pointer rows of replicas 0..R-1.
 
-    Each block is an (B, n) array whose row k is the forest of one replica,
-    :data:`ROOT` marking a root. A tree sampler draws a block by whichever
-    route it predicts cheaper; Wilson's sampler fills it row by row, replica
-    r reading ``Random(split_seed(seed, r))``.
+    Each block is a (B, n) array from ``sampler.draw`` whose row k is the
+    forest of one replica, :data:`ROOT` marking a root.
     """
     if replicas < 1:
         raise ParameterError(f"need at least one replica, got {replicas}")
     step = max(1, BLOCK_ENTRIES // sampler.graph.n)
     total = 0
     for start in range(0, replicas, step):
-        stop = min(start + step, replicas)
-        if isinstance(sampler, TreeSampler):
-            nxt = sampler.draw(seed, start, stop)
-        else:
-            forests = [sampler.sample(Random(split_seed(seed, r))).parent for r in range(start, stop)]
-            nxt = np.array(forests, dtype=np.int64)
-        total = total + reduce(nxt)
+        total = total + reduce(sampler.draw(seed, start, min(start + step, replicas)))
     return total
 
 

@@ -23,8 +23,10 @@ the one that replica r reads at breadth-first position i is a SplitMix64
 hash of (seed, r, i), so :meth:`TreeSampler.draw` fills the next-pointer
 rows of many replicas at once, in numpy, and a forest does not depend on
 how the replicas are split into batches. Wilson's sampler reads a
-``random.Random`` stream instead. :func:`forest_sampler` is the one place
-that chooses: the tree sampler when the graph is a tree, Wilson's
+``random.Random`` stream instead, replica r seeded by ``split_seed(seed,
+r)``; its :meth:`ForestSampler.draw` fills rows of the same shape, so both
+samplers hand estimators the same array. :func:`forest_sampler` is the one
+place that chooses: the tree sampler when the graph is a tree, Wilson's
 :class:`ForestSampler` otherwise. An explicit processing order always means
 Wilson's walks.
 """
@@ -35,7 +37,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from random import Random
 from typing import Sequence
 
@@ -198,12 +200,6 @@ def tree_uniforms(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-#: Predicted costs, in ns, of settling which tree vertices are blocked: per
-#: breadth-first level, per pointer-doubling round, and per entry (replica x
-#: vertex) of a doubling round (numpy on one core of a 2.1 GHz Xeon).
-LEVEL_NS, ROUND_NS, ENTRY_NS = 6_000, 8_000, 5
-
-
 class ForestSampler:
     """Reusable sampler for one (graph, q) pair.
 
@@ -253,6 +249,15 @@ class ForestSampler:
                 x = nxt[x]
         return RootedForest(tuple(nxt))
 
+    def draw(self, seed: int, start: int, stop: int) -> np.ndarray:
+        """Next-pointer rows, shape (stop - start, n), of replicas start..stop-1 of ``seed``.
+
+        Replica r is :meth:`sample` on ``Random(split_seed(seed, r))``.
+        """
+        forests = (self.sample(Random(split_seed(seed, r))).parent for r in range(start, stop))
+        n = self.graph.n
+        return np.fromiter(chain.from_iterable(forests), np.int64, (stop - start) * n).reshape(-1, n)
+
 
 class TreeSampler:
     """Exact top-down sampler for one (tree, q) pair: one uniform per vertex.
@@ -279,12 +284,9 @@ class TreeSampler:
     of breadth-first position i, so a forest depends only on (seed, r).
     :meth:`draw` works out, for all replicas at once, what each vertex
     picks if free and if blocked. Only which of the two applies is
-    sequential: v is blocked when its parent's pick is v. Two routes settle
-    it in numpy, with bit-identical rows, and :meth:`draw` takes the one
-    predicted to be cheaper: breadth-first level by level, parents before
-    children, or by pointer doubling, which composes each vertex's map
-    "parent blocked -> v blocked" with its ancestors' in log2(depth) rounds
-    and so also serves deep trees.
+    sequential: v is blocked when its parent's pick is v. Pointer doubling
+    settles it in numpy, composing each vertex's map "parent blocked -> v
+    blocked" with its ancestors' in log2(depth) rounds.
     """
 
     def __init__(self, g: WeightedDigraph, q: float):
@@ -316,13 +318,11 @@ class TreeSampler:
         self._parent = order[above]
         self._s = np.array(s)[order]
         self._free = self._s + up[order]
-        # depth by pointer doubling, counting the rounds; breadth-first order lists it nondecreasing
-        depth, anc, self._rounds = np.minimum(np.arange(n), 1), above, 0
+        # doubling rounds until every jump reaches the root
+        anc, self._rounds = above, 0
         while anc.any():
-            depth += depth[anc]
             anc = anc[anc]
             self._rounds += 1
-        self._cuts = np.searchsorted(depth, np.arange(depth[-1] + 2)).tolist()
 
     def draw(self, seed: int, start: int, stop: int) -> np.ndarray:
         """Next-pointer rows, shape (stop - start, n), of replicas start..stop-1 of ``seed``.
@@ -330,19 +330,23 @@ class TreeSampler:
         Row k is the forest of replica start + k, :data:`ROOT` marking a
         root; it does not depend on the range it is drawn in.
         """
-        u = tree_uniforms(seed, start, stop, self.graph.n)
+        if not isinstance(seed, (int, np.integer)):
+            raise ParameterError(f"the tree sampler takes an integer seed, not {type(seed).__name__}")
+        u = tree_uniforms(int(seed), start, stop, self.graph.n)
         free, blocked = self._picks(u * self._free), self._picks(u * self._s)
-        settle = self._by_levels if self._levels_are_cheaper(stop - start) else self._by_doubling
-        return settle(free, blocked).take(self._position, 1)
+        # (m0, m1)[i] says whether i is blocked when anc[i] is free or blocked;
+        # each round composes it with anc[i]'s map and doubles the jump. The root is free.
+        vs, anc = self._order, self._above
+        m0, m1 = free.take(anc, 1) == vs, blocked.take(anc, 1) == vs
+        for _ in range(self._rounds):
+            a0, a1 = m0.take(anc, 1), m1.take(anc, 1)
+            m0, m1 = (a0 & m1) | (~a0 & m0), (a1 & m1) | (~a1 & m0)
+            anc = anc[anc]
+        return np.where(m0, blocked, free).take(self._position, 1)
 
     def sample(self, seed: int) -> RootedForest:
         """Replica 0 of ``seed``."""
         return RootedForest(tuple(self.draw(seed, 0, 1)[0].tolist()))
-
-    def _levels_are_cheaper(self, replicas: int) -> bool:
-        """Predicted costs: one per level below the root's, against one per doubling round (and its set-up)."""
-        steps, rounds = len(self._cuts) - 2, self._rounds  # the root's level needs no step
-        return steps * LEVEL_NS < (rounds + 1) * ROUND_NS + rounds * replicas * self.graph.n * ENTRY_NS
 
     def _picks(self, x: np.ndarray) -> np.ndarray:
         """What each draw x (columns by position) picks: ROOT, the parent, or a child."""
@@ -359,34 +363,6 @@ class TreeSampler:
                 hi = np.where(right, hi, mid)
             picks.put(down, self._child.take(lo))
         return picks
-
-    def _by_levels(self, free: np.ndarray, blocked: np.ndarray) -> np.ndarray:
-        """Rows by position, one breadth-first level at a time below the root's."""
-        nxt = free  # a level's entries are final once it is done
-        for a, b, above, vs in self._levels:
-            np.copyto(nxt[:, a:b], blocked[:, a:b], where=nxt.take(above, 1) == vs)
-        return nxt
-
-    @cached_property
-    def _levels(self) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-        """Each level's positions a..b below the root's, their parents' positions and their vertices."""
-        cuts = self._cuts
-        return [(a, b, self._above[a:b], self._order[a:b]) for a, b in zip(cuts[1:], cuts[2:])]
-
-    def _by_doubling(self, free: np.ndarray, blocked: np.ndarray) -> np.ndarray:
-        """Rows by position, by pointer doubling over the ancestors.
-
-        (m0, m1)[i] says whether i is blocked when ``anc[i]`` is free or
-        blocked; each round composes it with the map of ``anc[i]`` and
-        doubles the jump. The root is free.
-        """
-        vs, anc = self._order, self._above
-        m0, m1 = free.take(anc, 1) == vs, blocked.take(anc, 1) == vs
-        for _ in range(self._rounds):
-            a0, a1 = m0.take(anc, 1), m1.take(anc, 1)
-            m0, m1 = (a0 & m1) | (~a0 & m0), (a1 & m1) | (~a1 & m0)
-            anc = anc[anc]
-        return np.where(m0, blocked, free)
 
 
 def forest_sampler(g: WeightedDigraph, q: float) -> ForestSampler | TreeSampler:

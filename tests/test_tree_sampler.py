@@ -14,6 +14,7 @@ from lepart import (
     CommunityStar,
     Cycle,
     HierarchicalTree,
+    ParameterError,
     Path,
     ROOT,
     Star,
@@ -21,7 +22,6 @@ from lepart import (
     enumerate_forests,
     make_family,
     mc_correlation,
-    mc_root_count,
     roots_marginal,
     sample_forest,
     split_seed,
@@ -85,15 +85,8 @@ LAW_CASES = [
 @pytest.mark.parametrize(
     "g, q", LAW_CASES, ids=["path4", "star5", "hier22", "sym5", "sym6", "sym7", "oneway5", "oneway6", "oneway7"]
 )
-def test_tree_sampler_law_against_enumeration(g, q, monkeypatch):
+def test_tree_sampler_law_against_enumeration(g, q):
     assert is_tree(g)
-    monkeypatch.setattr(TreeSampler, "_levels_are_cheaper", lambda self, replicas: True)
-    assert chi_square_p(g, q, 20_000, 23) > 0.001
-
-
-@pytest.mark.parametrize("g, q", [LAW_CASES[0], LAW_CASES[-1]], ids=["path4", "oneway7"])
-def test_doubling_route_law_against_enumeration(g, q, monkeypatch):
-    monkeypatch.setattr(TreeSampler, "_levels_are_cheaper", lambda self, replicas: False)
     assert chi_square_p(g, q, 20_000, 23) > 0.001
 
 
@@ -158,6 +151,22 @@ def test_one_uniform_per_vertex_and_valid_forests(g, monkeypatch):
     assert sampler.sample(7) == RootedForest(tuple(drawn[0].tolist()))
 
 
+def test_tree_sampler_takes_an_integer_seed():
+    sampler = TreeSampler(make_family(Path(5)), 0.5)
+    assert sampler.sample(np.int64(3)) == sampler.sample(3)
+    with pytest.raises(ParameterError, match="integer seed"):
+        sampler.sample(Random(3))
+
+
+def test_wilson_rows_are_its_replica_streams():
+    g = make_family(Bottleneck(5, 3, 0.5))
+    sampler = ForestSampler(g, 0.4)
+    rows = sampler.draw(11, 3, 40)
+    assert rows.dtype == np.int64 and rows.shape == (37, g.n)
+    assert rows.tolist() == [list(sampler.sample(Random(split_seed(11, r))).parent) for r in range(3, 40)]
+    assert sampler.draw(11, 5, 5).shape == (0, g.n)
+
+
 def per_vertex_rows(sampler: TreeSampler, u: np.ndarray) -> list[list[int]]:
     """The reference: each replica vertex by vertex in breadth-first order, in Python floats."""
     q, bound, child = sampler.q, sampler._bound.tolist(), sampler._child.tolist()
@@ -185,14 +194,11 @@ ROUTE_CASES = LAW_CASES + [
 
 
 @pytest.mark.parametrize("g, q", ROUTE_CASES)
-def test_both_routes_match_the_per_vertex_loop(g, q, monkeypatch):
+def test_draw_matches_the_per_vertex_loop(g, q):
     sampler = TreeSampler(g, q)
-    expected = per_vertex_rows(sampler, tree_uniforms(5, 0, 300, g.n))
-    for levels in (True, False):
-        monkeypatch.setattr(TreeSampler, "_levels_are_cheaper", lambda self, replicas, b=levels: b)
-        rows = sampler.draw(5, 0, 300)
-        assert rows.dtype == np.int64
-        assert rows.tolist() == expected
+    rows = sampler.draw(5, 0, 300)
+    assert rows.dtype == np.int64
+    assert rows.tolist() == per_vertex_rows(sampler, tree_uniforms(5, 0, 300, g.n))
 
 
 def test_rows_do_not_depend_on_the_split(monkeypatch):
@@ -207,17 +213,6 @@ def test_rows_do_not_depend_on_the_split(monkeypatch):
     assert estimators._run_replicas(sampler, 300, 9, lambda nxt: blocks.append(nxt) or len(nxt)) == 300
     assert [len(b) for b in blocks] == [7] * 42 + [6]
     assert np.array_equal(np.vstack(blocks), whole)
-
-
-@pytest.mark.parametrize("spec", [Path(40), Star(40, 2.0), HierarchicalTree(2, 4, (1.0, 2.0, 4.0, 8.0))])
-def test_run_replicas_count_does_not_depend_on_the_route(spec, monkeypatch):
-    g = make_family(spec)
-    counts = set()
-    for levels in (True, False):
-        monkeypatch.setattr(TreeSampler, "_levels_are_cheaper", lambda self, replicas, b=levels: b)
-        separated = mc_correlation(g, 0.4, 1, g.n - 1, 300, 12).successes
-        counts.add((separated, mc_root_count(g, 0.4, 300, 12).counts.tobytes()))
-    assert len(counts) == 1
 
 
 def test_leaf_first_lists_children_contiguously():
