@@ -14,7 +14,6 @@ from random import Random  # noqa: F401  (perfbench/tracing.py wraps each layer'
 from typing import Callable
 
 import numpy as np
-from scipy.special import chdtrc
 
 from . import graphs as g_
 from .closed_forms import path_correlation, path_interior_root_measure, path_root_measures
@@ -218,6 +217,7 @@ def _chi_square_p(observed: np.ndarray, expected: np.ndarray) -> float:
     if abs(total_o - total_e) / min(total_o, total_e) > math.sqrt(np.finfo(float).eps):
         raise ValueError(f"observed total {total_o} and expected total {total_e} differ")
     stat = ((observed - expected) ** 2 / expected).sum()
+    from scipy.special import chdtrc
     return float(chdtrc(len(observed) - 1, stat))
 
 

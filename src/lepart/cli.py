@@ -10,8 +10,10 @@ failure (a failed factorization, or an input whose exact value overflows
 double precision), 4 verification failure.
 
 ``main(argv)`` may be called repeatedly in one process: the argument parser
-is built once, on the first call, and reused. Importing the CLI does not load
-``scipy.stats``.
+is built once, on the first call, and reused. Importing the CLI loads no
+SciPy; a route loads the part it needs on first use: tree routes load
+``scipy.sparse.csgraph``, ``z --method det`` loads ``scipy.sparse.linalg``,
+and ``verify`` loads ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -161,13 +163,15 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_z(args, out) -> int:
-    g, spec = _load_graph(args)
+    # A closed form needs only the family spec; the graph is built for det alone.
+    spec = parse_family(args.family) if args.family else None
     closed = None if args.method == "det" else closed_form_z(spec, args.q)
-    if args.method == "closed" and closed is None:
-        raise ParameterError("--method closed needs a family with a closed form")
     if closed is not None:
         value, resolved = closed, "closed"
     else:
+        g = make_family(spec) if spec is not None else _load_graph(args)[0]
+        if args.method == "closed":
+            raise ParameterError("--method closed needs a family with a closed form")
         value, resolved = partition_function(g, args.q), "det"
     _finite(value.log())
     _print_config(args, out, resolved_method=resolved)

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import ParameterError, check_q, check_weight
 from .logvalue import LogValue
@@ -54,6 +53,7 @@ __all__ = [
 
 def _log_binom(n, k):
     """log C(n, k), elementwise; -inf outside the triangle."""
+    from scipy.special import gammaln
     n = np.asarray(n, dtype=float)
     k = np.asarray(k, dtype=float)
     out = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
@@ -209,6 +209,7 @@ def simple_rw_band_prob(m: int, a: float) -> float:
     inside = np.abs(support) < a
     if not inside.any():
         return 0.0
+    from scipy.special import logsumexp
     return float(math.exp(logsumexp(logp[inside])))
 
 
@@ -222,6 +223,7 @@ def simple_rw_tail_prob(m: int, a: float) -> float:
     outside = np.abs(support) > a
     if not outside.any():
         return 0.0
+    from scipy.special import logsumexp
     return float(math.exp(logsumexp(logp[outside])))
 
 

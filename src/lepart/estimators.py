@@ -21,7 +21,6 @@ from random import Random  # noqa: F401  (perfbench/tracing.py wraps each layer'
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .closed_forms import (
     bottleneck_quantities,
@@ -217,6 +216,7 @@ def mc_root_count(g: WeightedDigraph, q: float, replicas: int, seed: int) -> Roo
     lam = laplacian_spectrum(g)
     expected = poisson_binomial_pmf(q / (q + lam))
     chi_sq, dof = _chi_square_merged(counts, expected * replicas)
+    from scipy.special import chdtrc
     p_value = float(chdtrc(dof, chi_sq)) if dof > 0 else 1.0
     return RootCountFit(
         counts=counts,

@@ -17,8 +17,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .errors import NumericError, ParameterError, StructureError, check_q
 from .graphs import WeightedDigraph, check_vertices, is_tree, laplacian, leaf_first, tree_path
@@ -45,6 +43,8 @@ def _factor(g: WeightedDigraph, q: float):
     and log det M is the sum of log U_ii. A pivot that is not positive (or a
     permutation pair that differs) means the factorization broke down.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
     check_q(q)
     adjacency = sparse.csr_array((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
     M = (sparse.diags_array(q + g.out_weight, format="csr") - adjacency).tocsc()

@@ -167,6 +167,30 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "z", "--q", "1")[0] == 2  # neither --family nor --graph
 
 
+@pytest.mark.parametrize("method", ["closed", "auto"])
+@pytest.mark.parametrize(
+    "family", ["path:n=0", "complete:n=0", "cycle:n=2", "star:n=0", "star:n=5,w=-1", "commstar:n=5,k=7", "bottleneck:n=3,m=2,w=0"]
+)
+def test_invalid_family_z_exits_2(capsys, family, method):
+    code, out, err = run(capsys, "z", "--family", family, "--q", "1", "--method", method)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_closed_z_builds_no_graph(capsys, monkeypatch):
+    import lepart.graphs as graphs
+
+    def refuse(spec):
+        raise AssertionError(f"make_family({spec}) called")
+
+    monkeypatch.setattr(graphs, "make_family", refuse)
+    monkeypatch.setattr(cli, "make_family", refuse)
+    for method in ("closed", "auto"):
+        code, out, _ = run(capsys, "z", "--family", "path:n=100000", "--q", "0.5", "--method", method)
+        assert code == 0
+        assert out.splitlines()[0].endswith("resolved-method=closed")
+
+
 def test_non_finite_q_exits_2(capsys):
     for q in ("inf", "nan"):
         assert run(capsys, "z", "--family", "path:n=5", "--q", q)[0] == 2
@@ -264,9 +288,30 @@ def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, env=env, check=False)
 
 
+#: Exits nonzero, listing them, if any SciPy module is loaded; run after the code under test.
+_NO_SCIPY = "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); sys.exit(f'loaded {scipy}' if scipy else 0)"
+
+
 @pytest.mark.parametrize("module", ["lepart", "lepart.cli"])
-def test_import_does_not_load_scipy_stats(module):
-    proc = _fresh_python("-c", f"import sys, {module}; sys.exit('scipy.stats' in sys.modules)")
+def test_import_loads_no_scipy(module):
+    proc = _fresh_python("-c", f"import sys, {module}; {_NO_SCIPY}")
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "bottleneck:n=3,m=2,w=0.5"],
+        ["z", "--family", "path:n=100000", "--q", "0.5", "--method", "closed"],
+        ["corr", "--family", "path:n=12", "--pair", "2,9", "--q", "0.5", "--method", "closed"],
+        ["sample", "--family", "cycle:n=7", "--q", "1", "--seed", "7"],
+        ["corr", "--family", "bottleneck:n=6,m=3,w=0.5", "--pair", "1,8", "--q", "1", "--method", "mc", "--replicas", "300"],
+    ],
+    ids=["gen", "z-closed", "corr-closed-path", "sample-cycle", "corr-mc-bottleneck"],
+)
+def test_commands_that_need_no_scipy_load_none(argv):
+    script = f"import sys\nfrom lepart.cli import main\nif main(sys.argv[1:]): sys.exit('failed')\n{_NO_SCIPY}"
+    proc = _fresh_python("-c", script, *argv)
     assert proc.returncode == 0, proc.stderr.decode()
 
 

@@ -224,6 +224,22 @@ def test_random_tree_paths_are_paths(n, data):
     assert len(set(p)) == len(p)
 
 
+@settings(max_examples=100)
+@given(st.integers(1, 12), st.data())
+def test_pairs_equal_np_unique(n, data):
+    """``_pairs`` dedups sorted keys by hand; it must equal np.unique of them."""
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(["one", "both"]))
+    edges = []
+    for u, v, kind in data.draw(st.lists(cells, max_size=3 * n, unique_by=lambda c: (min(c[0], c[1]), max(c[0], c[1])))):
+        if u != v:
+            edges += [(u, v, 1.0)] + ([(v, u, 2.0)] if kind == "both" else [])
+    g = WeightedDigraph(n, edges)
+    rows, cols = g._rows, g.indices
+    want = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    assert g._pairs.dtype == want.dtype
+    assert np.array_equal(g._pairs, want)
+
+
 # -- CSR core against the per-edge tuple builder it replaced ---------------------
 
 
