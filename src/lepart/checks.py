@@ -221,6 +221,12 @@ def _chi_square_p(observed: np.ndarray, expected: np.ndarray) -> float:
     return float(chdtrc(len(observed) - 1, stat))
 
 
+def _row_codes(nxt: np.ndarray) -> np.ndarray:
+    """One integer per next-pointer row: the row's entries + 1 as base-(n+1) digits."""
+    n = nxt.shape[1]
+    return (nxt.astype(np.int64) + 1) @ (n + 1) ** np.arange(n, dtype=np.int64)
+
+
 #: A 4-vertex tree with unequal weights both ways and one one-way edge (3 -> 1).
 _ASYMMETRIC_TREE = g_.WeightedDigraph(4, [(0, 1, 1.0), (1, 0, 2.5), (1, 2, 0.4), (2, 1, 1.5), (3, 1, 0.8)])
 
@@ -230,7 +236,8 @@ def _check_sampler_law(seed: int = 42, replicas: int = 20_000) -> str:
 
     Wilson's walks on Path(3) at two q, and the route that serves trees,
     :func:`forest_sampler`, on an asymmetric tree at one q. Each case counts
-    the rows of ``sampler.draw(seed, 0, replicas)``.
+    the rows of ``sampler.draw(seed, 0, replicas)`` against ``ens.parents``
+    by integer row codes.
     """
     path3 = make_family(Path(3))
     cases = [(path3, ForestSampler(path3, q)) for q in (0.5, 2.0)]
@@ -240,10 +247,14 @@ def _check_sampler_law(seed: int = 42, replicas: int = 20_000) -> str:
         ens = enumerate_forests(g)
         masses = ens.masses(sampler.q)
         probs = masses / masses.sum()
-        index = {f.parent: i for i, f in enumerate(ens.forests)}
+        codes = _row_codes(ens.parents)
+        order = np.argsort(codes)
+        drawn, freq = np.unique(_row_codes(sampler.draw(seed, 0, replicas)), return_counts=True)
+        at = order[np.searchsorted(codes, drawn, sorter=order).clip(max=len(ens) - 1)]
+        if not np.array_equal(codes[at], drawn):
+            raise AssertionError("sampled a forest that is not in the enumerated ensemble")
         counts = np.zeros(len(ens))
-        for forest in sampler.draw(seed, 0, replicas).tolist():
-            counts[index[tuple(forest)]] += 1
+        counts[at] = freq
         worst_p = min(worst_p, _chi_square_p(counts, probs * replicas))
     if worst_p <= 0.001:
         raise AssertionError(f"chi-square p-value {worst_p:.5f} <= 0.001")

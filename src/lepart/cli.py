@@ -192,11 +192,13 @@ def _cmd_corr(args, out) -> int:
     rows: list[tuple[str, float, float | None]] = []
     if route is not None:
         rows.append((route.method, _finite(route.at(args.q)), None))
-    if route is None or args.replicas > 0:
-        replicas = args.replicas if args.replicas > 0 else 100_000
+    replicas = args.replicas
+    if route is None or replicas > 0:
+        replicas = replicas or 100_000  # no exact route and no --replicas
         stats = mc_correlation(g, args.q, x, y, replicas, args.seed)
         rows.append(("mc", stats.estimate, stats.stderr))
-    _print_config(args, out, resolved_method="mc" if route is None else route.method)
+    # the config line reports the replicas actually drawn
+    _print_config(args, out, replicas=replicas, resolved_method="mc" if route is None else route.method)
     if args.format == "json":
         payload = [
             {"method": m, "value": v, "stderr": s} for m, v, s in rows

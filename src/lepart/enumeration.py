@@ -1,27 +1,38 @@
 """Exhaustive enumeration of spanning rooted forests of tiny graphs.
 
-The ensemble carries every forest together with its weight and root count,
-so arbitrary event probabilities under the q-tilted measure, conditional
+The ensemble holds every forest as one row of a next-pointer array
+(``parents``, :data:`~lepart.wilson.ROOT` marking a root), the same form
+the samplers hand to estimators, together with its weight and root count.
+So arbitrary event probabilities under the q-tilted measure, conditional
 root-count expectations, and the derivative identity relating them can all
-be evaluated exactly. Counts grow super-exponentially, hence the hard cap on
-the vertex count.
+be evaluated exactly, and separation is read off the rows by the same
+pointer jumping that reduces sampled rows. Counts grow super-exponentially,
+hence the hard cap on the vertex count.
+
+:func:`enumerate_forests` fills the array one vertex at a time, in numpy:
+each partial row is repeated once per choice of the next vertex that closes
+no cycle, in the order ROOT, then its out-neighbours in increasing order.
+That is the order of a depth-first search over the same choices, which
+``tests/oracles.py`` keeps as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import SizeError, UndefinedConditionalError, check_q
 from .graphs import WeightedDigraph
-from .wilson import ROOT, RootedForest
+from .wilson import BLOCK_ENTRIES, ROOT, RootedForest, _roots
 
 __all__ = [
     "MAX_ENUM_VERTICES",
     "ForestEnsemble",
     "enumerate_forests",
+    "separation_mask",
     "brute_z",
     "brute_event",
     "brute_correlation",
@@ -35,57 +46,91 @@ ForestPredicate = Callable[[RootedForest], bool]
 
 @dataclass(frozen=True)
 class ForestEnsemble:
-    """All spanning rooted forests of a graph, with weights and root counts."""
+    """All spanning rooted forests of a graph, with weights and root counts.
+
+    Row k of ``parents`` (int8, shape (F, n)) is forest k; ``weights[k]`` is
+    the product of its edge weights and ``root_counts[k]`` its root count.
+    The arrays are read-only.
+    """
 
     graph: WeightedDigraph
-    forests: tuple[RootedForest, ...]
+    parents: np.ndarray
     weights: np.ndarray
     root_counts: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.forests)
+        return len(self.weights)
+
+    @cached_property
+    def forests(self) -> tuple[RootedForest, ...]:
+        """The rows as :class:`RootedForest` objects, built on first use (for predicates)."""
+        return tuple(RootedForest(tuple(row)) for row in self.parents.tolist())
 
     def masses(self, q: float) -> np.ndarray:
         """Unnormalized masses q^{#roots} * weight, one per forest."""
         check_q(q)
         return self.weights * q ** self.root_counts.astype(float)
 
+    def probability(self, q: float, hit: np.ndarray) -> float:
+        """Probability of the forests selected by the boolean mask ``hit``."""
+        masses = self.masses(q)
+        return float(masses[hit].sum() / masses.sum())
+
 
 def enumerate_forests(g: WeightedDigraph) -> ForestEnsemble:
-    """Depth-first assignment of parent pointers with incremental cycle checks."""
+    """Every spanning rooted forest of g, filled into a next-pointer array one vertex at a time.
+
+    ``ends[k, u]`` is where the pointers already assigned in row k lead
+    from u: ROOT, or the first vertex not yet assigned. Pointing v at p
+    closes a cycle exactly when ``ends[k, p] == v``; once v is assigned,
+    every chain that ended at v ends where v's new pointer leads. Weights
+    are multiplied in vertex order, as the depth-first search does, so each
+    row's weight is the same float.
+    """
     if g.n > MAX_ENUM_VERTICES:
         raise SizeError(f"enumeration capped at n={MAX_ENUM_VERTICES}, got n={g.n}")
     n = g.n
-    choices = [[(ROOT, 1.0)] + sorted(g.out[v].items()) for v in range(n)]
-    parent = [ROOT] * n
-    forests: list[RootedForest] = []
-    weights: list[float] = []
-    roots: list[int] = []
+    parents = np.full((1, n), ROOT, dtype=np.int8)
+    # column ROOT is the sentinel slot n, so ends[:, ROOT] reads ROOT
+    ends = np.append(np.arange(n), ROOT).astype(np.int8)[None, :]
+    weights = np.ones(1)
+    root_counts = np.zeros(1, dtype=np.int64)
+    for v in range(n):
+        lo, hi = g.indptr[v], g.indptr[v + 1]
+        # choice 0 is ROOT, choice c >= 1 points v at its c-th out-neighbour
+        ptr = np.append(ROOT, g.indices[lo:hi]).astype(np.int8)
+        factor = np.append(1.0, g.weights[lo:hi])
+        end = ends[:, ptr]
+        keep = np.flatnonzero(end != v)  # row-major: each row's choices stay together, in order
+        rows, choice = np.divmod(keep, len(ptr))
+        parents = parents[rows]
+        parents[:, v] = ptr[choice]
+        ends = ends[rows]
+        np.copyto(ends, end.ravel()[keep][:, None], where=ends == v)
+        weights = weights[rows] * factor[choice]
+        root_counts = root_counts[rows] + (choice == 0)
+    for a in (parents, weights, root_counts):
+        a.flags.writeable = False
+    return ForestEnsemble(g, parents, weights, root_counts)
 
-    def creates_cycle(v: int, p: int, depth: int) -> bool:
-        # follow already-assigned pointers from p; vertices >= depth are unset
-        u = p
-        while u != ROOT and u < depth:
-            u = parent[u]
-        return u == v
 
-    def assign(v: int, weight: float, nroots: int) -> None:
-        if v == n:
-            forests.append(RootedForest(tuple(parent)))
-            weights.append(weight)
-            roots.append(nroots)
-            return
-        for p, w in choices[v]:
-            if p == ROOT:
-                parent[v] = ROOT
-                assign(v + 1, weight, nroots + 1)
-            elif not creates_cycle(v, p, v):
-                parent[v] = p
-                assign(v + 1, weight * w, nroots)
-        parent[v] = ROOT
+def separation_mask(ensemble: ForestEnsemble, x: int, y: int) -> np.ndarray:
+    """Boolean mask of the forests in which x and y have different roots.
 
-    assign(0, 1.0, 0)
-    return ForestEnsemble(g, tuple(forests), np.array(weights), np.array(roots))
+    Roots come from :func:`lepart.wilson._roots`, over blocks of at most
+    ``BLOCK_ENTRIES`` entries, as for sampled rows.
+    """
+    parents = ensemble.parents
+    step = max(1, BLOCK_ENTRIES // parents.shape[1])
+    hit = np.empty(len(parents), dtype=bool)
+    for start in range(0, len(parents), step):
+        root = _roots(parents[start : start + step])
+        hit[start : start + step] = root[:, x] != root[:, y]
+    return hit
+
+
+def _predicate_mask(ensemble: ForestEnsemble, predicate: ForestPredicate) -> np.ndarray:
+    return np.fromiter((predicate(f) for f in ensemble.forests), dtype=bool, count=len(ensemble))
 
 
 def brute_z(ensemble: ForestEnsemble, q: float) -> float:
@@ -95,14 +140,12 @@ def brute_z(ensemble: ForestEnsemble, q: float) -> float:
 
 def brute_event(ensemble: ForestEnsemble, q: float, predicate: ForestPredicate) -> float:
     """Probability of {predicate holds} under the q-tilted forest measure."""
-    masses = ensemble.masses(q)
-    hit = np.fromiter((predicate(f) for f in ensemble.forests), dtype=bool, count=len(ensemble))
-    return float(masses[hit].sum() / masses.sum())
+    return ensemble.probability(q, _predicate_mask(ensemble, predicate))
 
 
 def brute_correlation(ensemble: ForestEnsemble, q: float, x: int, y: int) -> float:
     """Probability that x and y land in different trees."""
-    return brute_event(ensemble, q, lambda f: f.root_of(x) != f.root_of(y))
+    return ensemble.probability(q, separation_mask(ensemble, x, y))
 
 
 def russo_check(
@@ -114,10 +157,11 @@ def russo_check(
     q -> P(H) at step q*1e-6 (the probability is a rational function of q,
     so truncation error is negligible) and rhs the exact
     (1/q) P(H) (E[#roots | H] - E[#roots]) from the ensemble. This is a
-    verification device, not a numerical-differentiation feature.
+    verification device, not a numerical-differentiation feature. The
+    predicate is evaluated once per forest.
     """
     masses = ensemble.masses(q)
-    hit = np.fromiter((predicate(f) for f in ensemble.forests), dtype=bool, count=len(ensemble))
+    hit = _predicate_mask(ensemble, predicate)
     mass_hit = masses[hit].sum()
     if mass_hit == 0.0:
         raise UndefinedConditionalError("conditional root count undefined: P(event) = 0")
@@ -128,7 +172,5 @@ def russo_check(
     rhs = prob * (mean_roots_hit - mean_roots) / q
 
     h = q * 1e-6
-    lhs = (
-        brute_event(ensemble, q + h, predicate) - brute_event(ensemble, q - h, predicate)
-    ) / (2 * h)
+    lhs = (ensemble.probability(q + h, hit) - ensemble.probability(q - h, hit)) / (2 * h)
     return lhs, rhs

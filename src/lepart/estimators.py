@@ -31,7 +31,7 @@ from .closed_forms import (
     z_cycle,
     z_path,
 )
-from .enumeration import MAX_ENUM_VERTICES, enumerate_forests
+from .enumeration import MAX_ENUM_VERTICES, enumerate_forests, separation_mask
 from .errors import ParameterError, check_q
 from .graphs import (
     Bottleneck,
@@ -49,7 +49,7 @@ from .graphs import (
 )
 from .logvalue import LogValue
 from .spectral import TreePairCorrelation, laplacian_spectrum, roots_marginal
-from .wilson import ROOT, ForestSampler, RootedForest, TreeSampler, forest_sampler, split_seed
+from .wilson import BLOCK_ENTRIES, ROOT, ForestSampler, RootedForest, TreeSampler, _roots, forest_sampler, split_seed
 
 __all__ = [
     "SampleStats",
@@ -95,10 +95,6 @@ class SampleStats:
         )
 
 
-#: Most next-pointer entries (replicas x vertices) drawn and reduced at once,
-#: so a request's arrays stay a few MB whatever its replica count.
-BLOCK_ENTRIES = 1 << 16
-
 T = TypeVar("T")
 
 
@@ -117,21 +113,6 @@ def _run_replicas(
     for start in range(0, replicas, step):
         total = total + reduce(sampler.draw(seed, start, min(start + step, replicas)))
     return total
-
-
-def _roots(nxt: np.ndarray) -> np.ndarray:
-    """Each vertex's root in each row of a next-pointer array, by pointer jumping.
-
-    Entries are flat indices into ``nxt``: row * n + root. Compare them
-    within a row only.
-    """
-    rows, n = nxt.shape
-    flat = (np.where(nxt == ROOT, np.arange(n), nxt) + np.arange(0, rows * n, n)[:, None]).ravel()
-    while True:
-        jumped = flat.take(flat)
-        if np.array_equal(jumped, flat):
-            return flat.reshape(rows, n)
-        flat = jumped
 
 
 def _separated(x: int, y: int) -> Callable[[np.ndarray], int]:
@@ -297,15 +278,8 @@ def exact_route(
     if method == "enum" or (method == "auto" and g.n <= MAX_ENUM_VERTICES):
         ensemble = enumerate_forests(g)
         # the separation mask does not depend on q: classify each forest once
-        hit = np.fromiter(
-            (f.root_of(x) != f.root_of(y) for f in ensemble.forests), dtype=bool, count=len(ensemble)
-        )
-
-        def separated(q: float) -> float:
-            masses = ensemble.masses(q)
-            return float(masses[hit].sum() / masses.sum())
-
-        return ExactRoute("enum", separated)
+        hit = separation_mask(ensemble, x, y)
+        return ExactRoute("enum", lambda q: ensemble.probability(q, hit))
     if method == "tree" or (method == "auto" and is_tree(g)):
         return ExactRoute("tree", TreePairCorrelation(g, x, y).at)
     closed = _closed_form_pair(family, x, y)

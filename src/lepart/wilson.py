@@ -25,7 +25,9 @@ rows of many replicas at once, in numpy, and a forest does not depend on
 how the replicas are split into batches. Wilson's sampler reads a
 ``random.Random`` stream instead, replica r seeded by ``split_seed(seed,
 r)``; its :meth:`ForestSampler.draw` fills rows of the same shape, so both
-samplers hand estimators the same array. :func:`forest_sampler` is the one
+samplers hand estimators the same array. :func:`_roots` finds every
+vertex's root in such an array by pointer jumping, for sampled rows and for
+the enumerated ensemble alike. :func:`forest_sampler` is the one
 place that chooses: the tree sampler when the graph is a tree, Wilson's
 :class:`ForestSampler` otherwise. An explicit processing order always means
 Wilson's walks.
@@ -63,6 +65,26 @@ __all__ = [
 
 #: Parent-pointer value marking a root.
 ROOT = -1
+
+#: Most next-pointer entries (rows x vertices) drawn or reduced at once,
+#: so a request's arrays stay a few MB whatever its replica count.
+BLOCK_ENTRIES = 1 << 16
+
+
+def _roots(nxt: np.ndarray) -> np.ndarray:
+    """Each vertex's root in each row of a next-pointer array, by pointer jumping.
+
+    Entries are flat indices into ``nxt``: row * n + root. Compare them
+    within a row only. Rows may come from a sampler's :meth:`draw` or from
+    an enumerated ensemble.
+    """
+    rows, n = nxt.shape
+    flat = (np.where(nxt == ROOT, np.arange(n), nxt) + np.arange(0, rows * n, n)[:, None]).ravel()
+    while True:
+        jumped = flat.take(flat)
+        if np.array_equal(jumped, flat):
+            return flat.reshape(rows, n)
+        flat = jumped
 
 
 @dataclass(frozen=True)

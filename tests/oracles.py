@@ -27,6 +27,11 @@ Each of these returns a :class:`lepart.LogValue`.
 Adjacent tree vertices, ``adjacent_separation(g, x, y, q)``: the
 probability that x and y fall in different trees, from the two killed-walk
 hitting probabilities across the edge xy.
+
+Forest enumeration, ``enumerate_forests_dfs(g)``: the recursive
+depth-first search that :func:`lepart.enumerate_forests` replaced, one
+parent tuple per forest; the array enumeration must reproduce its rows,
+weights and root counts exactly.
 """
 
 import math
@@ -34,7 +39,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from lepart import LogValue, ParameterError, hitting_prob, z_path
+from lepart import ROOT, ForestEnsemble, LogValue, ParameterError, hitting_prob, z_path
 
 #: Spectral product evaluation is skipped above this size (cost and trig error).
 MAX_SPECTRAL_N = 10_000
@@ -116,3 +121,37 @@ def adjacent_separation(g, x, y, q):
     """
     p, r = hitting_prob(g, x, y, q), hitting_prob(g, y, x, q)
     return (1.0 - p - r + p * r) / (1.0 - p * r)
+
+
+def enumerate_forests_dfs(g):
+    """Depth-first assignment of parent pointers with incremental cycle checks."""
+    n = g.n
+    choices = [[(ROOT, 1.0)] + sorted(g.out[v].items()) for v in range(n)]
+    parent = [ROOT] * n
+    forests, weights, roots = [], [], []
+
+    def creates_cycle(v, p, depth):
+        # follow already-assigned pointers from p; vertices >= depth are unset
+        u = p
+        while u != ROOT and u < depth:
+            u = parent[u]
+        return u == v
+
+    def assign(v, weight, nroots):
+        if v == n:
+            forests.append(tuple(parent))
+            weights.append(weight)
+            roots.append(nroots)
+            return
+        for p, w in choices[v]:
+            if p == ROOT:
+                parent[v] = ROOT
+                assign(v + 1, weight, nroots + 1)
+            elif not creates_cycle(v, p, v):
+                parent[v] = p
+                assign(v + 1, weight * w, nroots)
+        parent[v] = ROOT
+
+    assign(0, 1.0, 0)
+    parents = np.array(forests, dtype=np.int8).reshape(len(forests), n)
+    return ForestEnsemble(g, parents, np.array(weights), np.array(roots))

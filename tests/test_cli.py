@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lepart
@@ -122,6 +123,33 @@ def test_corr_mc_with_replicas(capsys):
     exact = float(rows["enum"][1])
     est, err = float(rows["mc"][1]), float(rows["mc"][2])
     assert abs(est - exact) < 4 * max(err, 1e-3)
+
+
+@pytest.mark.parametrize("replicas, drawn", [(None, 100_000), ("0", 100_000), ("7", 7)])
+def test_corr_config_reports_replicas_drawn(capsys, monkeypatch, replicas, drawn):
+    """With no exact route and no --replicas, corr draws 100 000 replicas and says so."""
+    calls = []
+
+    def fake_mc(g, q, x, y, replicas, seed):
+        calls.append(replicas)
+        return lepart.SampleStats.from_counts(1, replicas, seed)
+
+    monkeypatch.setattr(cli, "mc_correlation", fake_mc)
+    argv = ["corr", "--family", "cycle:n=30", "--pair", "1,5", "--q", "0.01"]
+    code, out, _ = run(capsys, *argv, *(["--replicas", replicas] if replicas else []))
+    assert code == 0 and calls == [drawn]
+    assert out.splitlines()[0] == (
+        "# lepart corr family=cycle:n=30 format=csv method=auto pair=1,5 q=0.01 "
+        f"replicas={drawn} seed=42 resolved-method=mc"
+    )
+
+
+def test_corr_config_replicas_without_sampling(capsys):
+    """An exact route with --replicas 0 draws nothing and prints replicas=0."""
+    code, out, _ = run(capsys, "corr", "--family", "path:n=4", "--pair", "1,4", "--q", "1")
+    assert code == 0
+    assert out.splitlines()[0].endswith("replicas=0 seed=42 resolved-method=enum")
+    assert [ln.split(",")[0] for ln in out.splitlines()[2:]] == ["enum"]
 
 
 def test_corr_reproducible(capsys):
@@ -266,6 +294,30 @@ def test_verify_passes(capsys):
     assert lines[0].startswith("# lepart verify")
     assert all(ln.startswith("PASS") for ln in lines[1:-1])
     assert lines[-1].endswith("checks passed")
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+def test_sampler_law_check_counts_rows_as_a_tuple_dict_does(monkeypatch, seed):
+    """verify's sampler-law check hands the chi-square the counts a dict of row tuples gives."""
+    from lepart import checks, enumerate_forests, forest_sampler
+    from lepart.wilson import ForestSampler
+
+    replicas = 3000
+    path3 = make_family(parse_family("path:n=3"))
+    want = []
+    for sampler in [ForestSampler(path3, q) for q in (0.5, 2.0)] + [forest_sampler(checks._ASYMMETRIC_TREE, 0.7)]:
+        ens = enumerate_forests(sampler.graph)
+        index = {f.parent: i for i, f in enumerate(ens.forests)}
+        counts = np.zeros(len(ens))
+        for row in sampler.draw(seed, 0, replicas).tolist():
+            counts[index[tuple(row)]] += 1
+        want.append(counts)
+    got = []
+    chi_square_p = checks._chi_square_p
+    monkeypatch.setattr(checks, "_chi_square_p", lambda obs, exp: got.append(obs) or chi_square_p(obs, exp))
+    checks._check_sampler_law(seed, replicas)
+    assert len(got) == len(want)
+    assert all(a.dtype == b.dtype and (a == b).all() for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00"], ids=["directory", "not-utf8"])

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lepart import (
     Bottleneck,
+    CommunityStar,
     Complete,
     Cycle,
+    HierarchicalTree,
     Path,
     ROOT,
     SizeError,
@@ -24,8 +28,10 @@ from lepart import (
     tree_correlation,
     z_complete,
 )
+from lepart.estimators import exact_route
 from lepart.graphs import contract_edge
 from lepart.wilson import RootedForest
+from oracles import enumerate_forests_dfs
 
 
 def test_forest_counts():
@@ -204,3 +210,86 @@ def test_russo_predicate_library():
             for name, pred in predicates:
                 lhs, rhs = russo_check(ens, q, pred)
                 assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs)), (fam, q, name)
+
+
+# -- the array enumeration against the depth-first search it replaced ------------
+
+#: Every family, at sizes up to 8 vertices (Complete(8) is checked on its own below).
+SMALL_FAMILIES = [
+    *(Path(n) for n in (1, 2, 5, 8)),
+    *(Cycle(n) for n in (3, 5, 8)),
+    Star(2), Star(6, 0.3), Star(8, 2.5),
+    *(Complete(n) for n in (2, 4, 6, 7)),
+    CommunityStar(5, 2, 0.5), CommunityStar(8, 3, 2.0),
+    HierarchicalTree(2, 2, (1.0, 4.0)), HierarchicalTree(3, 1, (0.7,)),
+    Bottleneck(2, 2, 1.0), Bottleneck(4, 3, 0.5), Bottleneck(5, 3, 1.0), Bottleneck(4, 4, 3.0),
+]
+
+
+def assert_same_as_dfs(g: WeightedDigraph, pairs, qs) -> None:
+    """Rows, weights, root counts and exact separation probabilities equal the DFS's."""
+    ens, ref = enumerate_forests(g), enumerate_forests_dfs(g)
+    assert ens.parents.dtype == np.int8 and ens.parents.shape == (len(ref), g.n)
+    assert (ens.parents == ref.parents).all()
+    assert (ens.weights == ref.weights).all()
+    assert (ens.root_counts == ref.root_counts).all()
+    for x, y in pairs:
+        hit = np.array([f.root_of(x) != f.root_of(y) for f in ref.forests], dtype=bool)
+        route = exact_route(g, x, y, method="enum")
+        for q in qs:
+            want = ref.probability(q, hit)
+            assert route.at(q) == want
+            assert brute_correlation(ens, q, x, y) == want
+
+
+@pytest.mark.parametrize("fam", SMALL_FAMILIES, ids=str)
+def test_array_enumeration_matches_dfs(fam):
+    g = make_family(fam)
+    n = g.n
+    pairs = sorted({(0, n - 1), (0, 1), (n // 2, n - 1)} & {(x, y) for x in range(n) for y in range(x + 1, n)})
+    assert_same_as_dfs(g, pairs, (0.05, 1.0, 7.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_array_enumeration_matches_dfs_on_random_digraphs(n, data):
+    """Digraphs with one-way edges and unequal weights in the two directions."""
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(["one", "both"]))
+    weights = st.floats(0.05, 20.0)
+    edges = []
+    for u, v, kind in data.draw(st.lists(cells, max_size=3 * n, unique_by=lambda c: (min(c[0], c[1]), max(c[0], c[1])))):
+        if u != v:
+            edges.append((u, v, data.draw(weights)))
+            if kind == "both":
+                edges.append((v, u, data.draw(weights)))
+    g = WeightedDigraph(n, edges)
+    pairs = [(0, n - 1)] if n > 1 else []
+    assert_same_as_dfs(g, pairs, (data.draw(st.floats(1e-3, 1e3)),))
+
+
+def test_complete_8():
+    ens = enumerate_forests(make_family(Complete(8)))
+    assert len(ens) == 9**7
+    assert brute_z(ens, 0.5) == pytest.approx(z_complete(8, 0.5).to_float(), rel=1e-12)
+
+
+def test_ensemble_arrays_are_read_only():
+    ens = enumerate_forests(make_family(Path(3)))
+    for a in (ens.parents, ens.weights, ens.root_counts):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_russo_check_evaluates_the_predicate_once_per_forest():
+    ens = enumerate_forests(make_family(Cycle(4)))
+    calls = []
+
+    def pred(f):
+        calls.append(f)
+        return f.root_of(0) == f.root_of(2)
+
+    q = 0.8
+    lhs, rhs = russo_check(ens, q, pred)
+    assert len(calls) == len(ens)
+    h = q * 1e-6
+    assert lhs == (brute_event(ens, q + h, pred) - brute_event(ens, q - h, pred)) / (2 * h)
