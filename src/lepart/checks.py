@@ -234,14 +234,16 @@ _ASYMMETRIC_TREE = g_.WeightedDigraph(4, [(0, 1, 1.0), (1, 0, 2.5), (1, 2, 0.4),
 def _check_sampler_law(seed: int = 42, replicas: int = 20_000) -> str:
     """Chi-square of sampled forests against the enumerated law.
 
-    Wilson's walks on Path(3) at two q, and the route that serves trees,
-    :func:`forest_sampler`, on an asymmetric tree at one q. Each case counts
-    the rows of ``sampler.draw(seed, 0, replicas)`` against ``ens.parents``
-    by integer row codes.
+    Wilson's walks on Path(3) at two q, and :func:`forest_sampler` on an
+    asymmetric tree at one q (the tree sampler) and on Complete(4) at
+    q = 0.1 (walks rooted at a vertex). Each case counts the rows of
+    ``sampler.draw(seed, 0, replicas)`` against ``ens.parents`` by integer
+    row codes.
     """
-    path3 = make_family(Path(3))
+    path3, complete4 = make_family(Path(3)), make_family(Complete(4))
     cases = [(path3, ForestSampler(path3, q)) for q in (0.5, 2.0)]
     cases.append((_ASYMMETRIC_TREE, forest_sampler(_ASYMMETRIC_TREE, 0.7)))
+    cases.append((complete4, forest_sampler(complete4, 0.1)))
     worst_p = 1.0
     for g, sampler in cases:
         ens = enumerate_forests(g)

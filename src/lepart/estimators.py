@@ -31,7 +31,7 @@ from .closed_forms import (
     z_cycle,
     z_path,
 )
-from .enumeration import MAX_ENUM_VERTICES, enumerate_forests, separation_mask
+from .enumeration import MAX_ENUM_VERTICES, ForestEnsemble, enumerate_forests, separation_mask
 from .errors import ParameterError, check_q
 from .graphs import (
     Bottleneck,
@@ -257,7 +257,12 @@ CORRELATION_METHODS = ("enum", "tree", "closed", "mc", "auto")
 
 
 def exact_route(
-    g: WeightedDigraph, x: int, y: int, family: FamilySpec | None = None, method: str = "auto"
+    g: WeightedDigraph,
+    x: int,
+    y: int,
+    family: FamilySpec | None = None,
+    method: str = "auto",
+    ensemble: ForestEnsemble | None = None,
 ) -> ExactRoute | None:
     """The one exact-method dispatch for P(x and y in different blocks).
 
@@ -265,8 +270,8 @@ def exact_route(
     tree-exact (g is a tree), then the family closed form; it returns None
     when none does. ``enum``, ``tree`` and ``closed`` force that route and
     raise when it does not apply. ``mc`` asks for no exact route (None). The
-    enumeration ensemble or the tree elimination is built here once, so
-    ``at`` costs one evaluation per q.
+    enumeration ensemble (unless g's is passed in as ``ensemble``) or the
+    tree elimination is built here once, so ``at`` costs one evaluation per q.
     """
     if method not in CORRELATION_METHODS:
         raise ParameterError(f"unknown method {method!r}; known: {CORRELATION_METHODS}")
@@ -276,7 +281,7 @@ def exact_route(
     if method == "mc":
         return None
     if method == "enum" or (method == "auto" and g.n <= MAX_ENUM_VERTICES):
-        ensemble = enumerate_forests(g)
+        ensemble = enumerate_forests(g) if ensemble is None else ensemble
         # the separation mask does not depend on q: classify each forest once
         hit = separation_mask(ensemble, x, y)
         return ExactRoute("enum", lambda q: ensemble.probability(q, hit))
@@ -417,10 +422,11 @@ def sweep(
 
     The exact column of a correlation query comes from :func:`exact_route`,
     resolved once per distinct pair before any row is computed (None where no
-    route applies); root queries solve against one sparse factorization of
-    qI - L per row (:func:`roots_marginal`). ``replicas == 0``
-    skips sampling and fills only the exact column. Each (q, query) row
-    draws its own replica streams, derived from ``seed`` and the row index.
+    route applies), all pairs sharing one enumerated ensemble when n <= 8;
+    root queries solve against one sparse factorization of qI - L per row
+    (:func:`roots_marginal`). ``replicas == 0`` skips sampling and fills
+    only the exact column. Each (q, query) row draws its own replica
+    streams, derived from ``seed`` and the row index, from one sampler per q.
     """
     family: FamilySpec | None
     if isinstance(target, WeightedDigraph):
@@ -435,38 +441,43 @@ def sweep(
     if replicas < 0:
         raise ParameterError(f"replica count must be nonnegative, got {replicas}")
     routes: dict[tuple[int, int], ExactRoute | None] = {}
+    ensemble = None
     for query in queries:
         if isinstance(query, RootQuery):
             check_vertices(g.n, query.vertices)
         elif (query.x, query.y) not in routes:
-            routes[query.x, query.y] = exact_route(g, query.x, query.y, family)
+            check_vertices(g.n, (query.x, query.y))
+            if ensemble is None and g.n <= MAX_ENUM_VERTICES:
+                ensemble = enumerate_forests(g)
+            routes[query.x, query.y] = exact_route(g, query.x, query.y, family, ensemble=ensemble)
     rows: list[SweepRow] = []
-    for row_index, (q, query) in enumerate((q, query) for q in qs for query in queries):
-        if isinstance(query, CorrelationQuery):
-            route = routes[query.x, query.y]
-            exact = None if route is None else route.at(q)
-            count = _separated(query.x, query.y)
-        else:
-            exact = roots_marginal(g, q, query.vertices)
-            count = _all_roots(query.vertices)
-        estimate = stderr = None
-        row_seed = split_seed(seed, row_index)
-        if replicas > 0:
-            sampler = forest_sampler(g, q)
-            successes = _run_replicas(sampler, replicas, row_seed, count)
-            stats = SampleStats.from_counts(successes, replicas, row_seed)
-            estimate, stderr = stats.estimate, stats.stderr
-        rows.append(
-            SweepRow(
-                q=q,
-                tag=query.tag,
-                exact=exact,
-                estimate=estimate,
-                stderr=stderr,
-                replicas=replicas,
-                seed=row_seed,
+    for q in qs:
+        sampler = forest_sampler(g, q) if replicas > 0 else None
+        for query in queries:
+            if isinstance(query, CorrelationQuery):
+                route = routes[query.x, query.y]
+                exact = None if route is None else route.at(q)
+                count = _separated(query.x, query.y)
+            else:
+                exact = roots_marginal(g, q, query.vertices)
+                count = _all_roots(query.vertices)
+            estimate = stderr = None
+            row_seed = split_seed(seed, len(rows))
+            if sampler is not None:
+                successes = _run_replicas(sampler, replicas, row_seed, count)
+                stats = SampleStats.from_counts(successes, replicas, row_seed)
+                estimate, stderr = stats.estimate, stats.stderr
+            rows.append(
+                SweepRow(
+                    q=q,
+                    tag=query.tag,
+                    exact=exact,
+                    estimate=estimate,
+                    stderr=stderr,
+                    replicas=replicas,
+                    seed=row_seed,
+                )
             )
-        )
     return SweepTable(tuple(rows))
 
 

@@ -31,6 +31,16 @@ the enumerated ensemble alike. :func:`forest_sampler` is the one
 place that chooses: the tree sampler when the graph is a tree, Wilson's
 :class:`ForestSampler` otherwise. An explicit processing order always means
 Wilson's walks.
+
+The forest is a weighted spanning tree of the graph plus the cemetery,
+joined to every vertex by weight q, and on an undirected graph Wilson's
+walks may be rooted at any state of it. Rooted at the cemetery, every
+forest waits for walks to be killed, about (q + W)/q steps each on a dense
+graph at small q; rooted at a vertex of large weight W, the walks mostly
+stop on reaching it. :func:`forest_sampler` roots them at the vertex of
+largest W when one dense solve says that takes fewer expected steps
+(:func:`_walk_root`); :func:`sample_forest` and directed graphs keep the
+cemetery.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FormatError, ParameterError, StructureError, check_q
-from .graphs import WeightedDigraph, is_tree, leaf_first
+from .graphs import WeightedDigraph, check_vertices, is_tree, laplacian, leaf_first
 
 __all__ = [
     "ROOT",
@@ -228,40 +238,69 @@ class ForestSampler:
     Precomputes per-vertex jump tables; :meth:`sample` is then a pure
     function of the supplied random stream, so replicas with disjoint seeds
     run independently.
+
+    The walks run on the graph plus the cemetery, a state joined to every
+    vertex by weight q, whose tables sit in slot n, the one index
+    :data:`ROOT` addresses in a list of n + 1. From the cemetery the walk
+    jumps to a uniform vertex: its ``u < q`` branch goes to vertex 0 through
+    the ``death`` list, which is ROOT for real vertices, and its other
+    branch bisects [q, 2q, ...]. The walks are rooted at ``root``: the
+    cemetery (the default), or, on an undirected graph, a vertex. Wilson's
+    algorithm draws the same weighted spanning tree of the graph plus the
+    cemetery from any root, and the forest is that tree with every pointer
+    leading to the cemetery: a vertex root's walk from the cemetery runs
+    first, and the pointer path it leaves is reversed at the end.
     """
 
-    def __init__(self, g: WeightedDigraph, q: float, order: Sequence[int] | None = None):
+    def __init__(
+        self, g: WeightedDigraph, q: float, order: Sequence[int] | None = None, root: int = ROOT
+    ):
         check_q(q)
         self.graph = g
         self.q = q
+        n = g.n
         if order is None:
-            order = range(g.n)
+            order = range(n)
         self.order = tuple(order)
-        if sorted(self.order) != list(range(g.n)):
+        if sorted(self.order) != list(range(n)):
             raise ParameterError("processing order must be a permutation of the vertices")
+        if root != ROOT:
+            check_vertices(n, (root,))
+            if not g.is_symmetric:
+                raise ParameterError("a vertex root needs an undirected graph")
+        self.root = root
+        self._starts = self.order if root == ROOT else (ROOT, *self.order)
         self._total = (q + g.out_weight).tolist()
         ptr, dst, w = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
         rows = list(zip(ptr, ptr[1:]))
         self._nbrs = [dst[a:b] for a, b in rows]
         self._cum = [list(accumulate(w[a:b])) for a, b in rows]
+        # the vertices' tables and the cemetery's, in slot n
+        self._tables = (
+            self._total + [n * q],
+            self._nbrs + [list(range(1, n))],
+            self._cum + [[k * q for k in range(1, n)]],
+            [ROOT] * n + [0],
+        )
 
     def sample(self, rng: Random) -> RootedForest:
         random = rng.random
-        q, total, nbrs, cum = self.q, self._total, self._nbrs, self._cum
-        n = len(total)
-        nxt = [ROOT] * n
-        # in_tree[ROOT] is the sentinel slot n, so a retrace stops at a root
-        in_tree = [False] * n + [True]
-        for start in self.order:
+        q = self.q
+        total, nbrs, cum, death = self._tables
+        nxt = [ROOT] * len(total)
+        # the cemetery is slot n, in_tree[ROOT]; a retrace stops at the root
+        in_tree = [False] * len(total)
+        in_tree[self.root] = True
+        for start in self._starts:
             if in_tree[start]:
                 continue
             x = start
             while True:
                 u = random() * total[x]
                 if u < q:
-                    nxt[x] = ROOT  # walk killed: endpoint becomes a root
-                    break
-                y = nxt[x] = nbrs[x][bisect_right(cum[x], u - q)]
+                    y = nxt[x] = death[x]  # killed, or out of the cemetery to vertex 0
+                else:
+                    y = nxt[x] = nbrs[x][bisect_right(cum[x], u - q)]
                 if in_tree[y]:
                     break  # hit the existing forest
                 x = y
@@ -269,6 +308,12 @@ class ForestSampler:
             while not in_tree[x]:  # retrace the last exits: the loop erasure
                 in_tree[x] = True
                 x = nxt[x]
+        if self.root != ROOT:
+            # reverse the path cemetery -> ... -> root; its first vertex becomes a root
+            prev, x = ROOT, nxt[ROOT]
+            while x != ROOT:
+                nxt[x], prev, x = prev, x, nxt[x]
+        nxt.pop()
         return RootedForest(tuple(nxt))
 
     def draw(self, seed: int, start: int, stop: int) -> np.ndarray:
@@ -387,9 +432,47 @@ class TreeSampler:
         return picks
 
 
+#: Largest graph on which :func:`forest_sampler` weighs a vertex root (one dense solve).
+MAX_HUB_VERTICES = 256
+
+
 def forest_sampler(g: WeightedDigraph, q: float) -> ForestSampler | TreeSampler:
-    """The sampler for (g, q): :class:`TreeSampler` on a tree, Wilson's :class:`ForestSampler` otherwise."""
-    return TreeSampler(g, q) if is_tree(g) else ForestSampler(g, q)
+    """The sampler for (g, q): :class:`TreeSampler` on a tree, Wilson's :class:`ForestSampler` otherwise.
+
+    Wilson's walks are rooted where they take fewer expected steps
+    (:func:`_walk_root`).
+    """
+    check_q(q)
+    return TreeSampler(g, q) if is_tree(g) else ForestSampler(g, q, root=_walk_root(g, q))
+
+
+def _walk_root(g: WeightedDigraph, q: float) -> int:
+    """ROOT, or the vertex h of largest weight W when Wilson's walks rooted there take fewer steps.
+
+    Rooted at r, the walks take sum_v c(v) R_eff(v, r) steps on average,
+    over the vertices, with c(v) = q + W(v), and the cemetery, with weight
+    nq. With G = (qI - L)^-1, R_eff(v, cemetery) = G_vv and R_eff(v, h) =
+    G_vv + G_hh - 2 G_vh, so E(h) - E(cemetery) = C G_hh - 2 (Gc)_h, where C
+    = sum_v c(v) + nq. One dense solve gives the column G e_h. Since G_hh >=
+    1/c_h and (Gc)_h <= c_h / q, the hub cannot win when q C >= 2 c_h^2, and
+    no solve is made. Directed graphs, and graphs of more than
+    :data:`MAX_HUB_VERTICES` vertices, keep the cemetery.
+    """
+    n = g.n
+    if not g.is_symmetric or n > MAX_HUB_VERTICES:
+        return ROOT
+    c = q + g.out_weight
+    h = int(np.argmax(c))
+    total = float(c.sum()) + n * q
+    if q * total >= 2.0 * c[h] ** 2:
+        return ROOT
+    e_h = np.zeros(n)
+    e_h[h] = 1.0
+    try:
+        column = np.linalg.solve(q * np.eye(n) - laplacian(g), e_h)
+    except np.linalg.LinAlgError:  # q below the rounding of the weights: keep the cemetery
+        return ROOT
+    return h if total * column[h] < 2.0 * float(column @ c) else ROOT
 
 
 def sample_forest(
@@ -398,11 +481,13 @@ def sample_forest(
     """Draw one forest with law q^{#roots} * prod(weights) / Z.
 
     On a tree this is replica 0 of ``rng_seed`` (:meth:`TreeSampler.sample`);
-    otherwise Wilson's walks read ``Random(rng_seed)``. An explicit
-    processing ``order`` always runs Wilson's walks.
+    otherwise Wilson's walks, rooted at the cemetery, read
+    ``Random(rng_seed)``. An explicit processing ``order`` always runs
+    Wilson's walks.
     """
-    sampler = forest_sampler(g, q) if order is None else ForestSampler(g, q, order)
-    return sampler.sample(rng_seed) if isinstance(sampler, TreeSampler) else sampler.sample(Random(rng_seed))
+    if order is None and is_tree(g):
+        return TreeSampler(g, q).sample(rng_seed)
+    return ForestSampler(g, q, order).sample(Random(rng_seed))
 
 
 def forest_to_json(forest: RootedForest) -> str:

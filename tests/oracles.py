@@ -28,6 +28,10 @@ Adjacent tree vertices, ``adjacent_separation(g, x, y, q)``: the
 probability that x and y fall in different trees, from the two killed-walk
 hitting probabilities across the edge xy.
 
+Wilson's walk cost, ``wilson_steps(g, q, root)``: the expected number of
+walk steps per forest when the walks are rooted at ``root`` (the cemetery,
+``ROOT``, or a vertex of an undirected graph), from one dense inverse.
+
 Forest enumeration, ``enumerate_forests_dfs(g)``: the recursive
 depth-first search that :func:`lepart.enumerate_forests` replaced, one
 parent tuple per forest; the array enumeration must reproduce its rows,
@@ -39,7 +43,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from lepart import ROOT, ForestEnsemble, LogValue, ParameterError, hitting_prob, z_path
+from lepart import ROOT, ForestEnsemble, LogValue, ParameterError, hitting_prob, laplacian, z_path
 
 #: Spectral product evaluation is skipped above this size (cost and trig error).
 MAX_SPECTRAL_N = 10_000
@@ -155,3 +159,17 @@ def enumerate_forests_dfs(g):
     assign(0, 1.0, 0)
     parents = np.array(forests, dtype=np.int8).reshape(len(forests), n)
     return ForestEnsemble(g, parents, np.array(weights), np.array(roots))
+
+
+def wilson_steps(g, q, root):
+    """Expected walk steps per forest, sum_v c(v) R_eff(v, root) over the vertices and the cemetery.
+
+    c(v) = q + W(v) and the cemetery's c is nq. With G = (qI - L)^-1,
+    R_eff(v, cemetery) = G_vv and R_eff(v, h) = G_vv + G_hh - 2 G_vh.
+    """
+    G = np.linalg.inv(q * np.eye(g.n) - laplacian(g))
+    c = q + g.out_weight
+    if root == ROOT:
+        return float(c @ np.diag(G))
+    h = root
+    return float(c @ (np.diag(G) + G[h, h] - 2 * G[:, h]) + g.n * q * G[h, h])

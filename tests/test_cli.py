@@ -303,9 +303,10 @@ def test_sampler_law_check_counts_rows_as_a_tuple_dict_does(monkeypatch, seed):
     from lepart.wilson import ForestSampler
 
     replicas = 3000
-    path3 = make_family(parse_family("path:n=3"))
+    path3, complete4 = make_family(parse_family("path:n=3")), make_family(parse_family("complete:n=4"))
     want = []
-    for sampler in [ForestSampler(path3, q) for q in (0.5, 2.0)] + [forest_sampler(checks._ASYMMETRIC_TREE, 0.7)]:
+    cases = [ForestSampler(path3, q) for q in (0.5, 2.0)] + [forest_sampler(checks._ASYMMETRIC_TREE, 0.7)]
+    for sampler in cases + [forest_sampler(complete4, 0.1)]:
         ens = enumerate_forests(sampler.graph)
         index = {f.parent: i for i, f in enumerate(ens.forests)}
         counts = np.zeros(len(ens))

@@ -223,6 +223,29 @@ def test_sweep_exact_dispatch():
     assert t4.rows[0].exact is None
 
 
+def test_sweep_enumerates_once_and_builds_one_sampler_per_q(monkeypatch):
+    from lepart import estimators
+
+    g = make_family(Bottleneck(5, 3, 1.0))
+    qs, pairs = [0.5, 1.0, 2.0], [(0, y) for y in range(1, 8)]
+    queries = [CorrelationQuery(f"0-{y}", x, y) for x, y in pairs]
+    want = [(q, exact_route(g, x, y).at(q)) for q in qs for x, y in pairs]
+    calls = {"enumerate_forests": 0, "forest_sampler": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(estimators, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(estimators, name, counted)
+    table = sweep(g, qs, queries, 0, 3)
+    assert [(row.q, row.exact) for row in table.rows] == want
+    assert calls == {"enumerate_forests": 1, "forest_sampler": 0}
+    table = sweep(g, qs, queries, 20, 3)
+    assert [(row.q, row.exact) for row in table.rows] == want
+    assert calls == {"enumerate_forests": 2, "forest_sampler": len(qs)}
+    for row, (x, y) in zip(table.rows, pairs * len(qs)):
+        assert row.estimate == mc_correlation(g, row.q, x, y, 20, row.seed).estimate
+
+
 def test_sweep_mc_columns_and_csv():
     table = sweep(make_family(Path(5)), [0.5, 1.0], [CorrelationQuery("ends", 0, 4), RootQuery("mid", (2,))], 5000, 9)
     lines = table.to_csv().strip().splitlines()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare
+from scipy.stats import chi2, chisquare
 
 from lepart import (
     Bottleneck,
@@ -30,8 +30,12 @@ from lepart import (
     partition_of,
     sample_forest,
     split_seed,
+    undirected,
 )
-from lepart.wilson import ForestSampler
+from lepart import wilson
+from lepart.estimators import _chi_square_merged
+from lepart.wilson import ForestSampler, forest_sampler
+from oracles import wilson_steps
 
 
 def test_single_vertex_always_root():
@@ -276,6 +280,99 @@ def test_walk_steps_match_green_kernel(family, q, formula):
     expected = float(np.sum((q + g.out_weight) * np.diag(np.linalg.inv(q * np.eye(g.n) - laplacian(g)))))
     assert expected == pytest.approx(formula, abs=0.005)
     sampler = ForestSampler(g, q)
+    steps = []
+    for r in range(4000):
+        rng = CountingRandom(split_seed(11, r))
+        sampler.sample(rng)
+        steps.append(rng.calls)
+    mean = float(np.mean(steps))
+    stderr = float(np.std(steps, ddof=1)) / math.sqrt(len(steps))
+    assert abs(mean - expected) < 5 * stderr
+
+
+# -- walks rooted at the hub vertex -------------------------------------------
+
+TWO_TRIANGLES = undirected(6, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5), (3, 4, 3.0), (4, 5, 0.7), (3, 5, 1.5)])
+WEIGHTED_5 = undirected(5, [(0, 1, 2.0), (1, 2, 0.5), (2, 3, 1.5), (3, 0, 1.0), (0, 2, 3.0), (3, 4, 0.8), (1, 4, 0.3)])
+
+
+def hub(g: WeightedDigraph) -> int:
+    return int(np.argmax(g.out_weight))
+
+
+@pytest.mark.parametrize(
+    "g, q",
+    [(make_family(Complete(4)), 0.1), (make_family(Complete(5)), 0.02), (TWO_TRIANGLES, 0.05), (WEIGHTED_5, 0.04)],
+    ids=["complete4", "complete5", "two-triangles", "weighted5"],
+)
+def test_hub_rooted_law_matches_enumeration(g, q):
+    # cells sorted by expected count, the sparse tail merged (as mc_root_count does)
+    ens = enumerate_forests(g)
+    masses = ens.masses(q)
+    probs = masses / masses.sum()
+    index = {f.parent: i for i, f in enumerate(ens.forests)}
+    R = 20_000
+    counts = np.zeros(len(ens))
+    for row in ForestSampler(g, q, root=hub(g)).draw(42, 0, R).tolist():
+        counts[index[tuple(row)]] += 1
+    order = np.argsort(-probs, kind="stable")
+    stat, dof = _chi_square_merged(counts[order], probs[order] * R)
+    assert chi2.sf(stat, dof) > 0.001
+
+
+def test_hub_rooted_rows_do_not_depend_on_the_split():
+    g = make_family(Bottleneck(6, 4, 0.5))
+    sampler = ForestSampler(g, 0.05, root=hub(g))
+    whole = sampler.draw(9, 0, 300)
+    for cut in (1, 150, 299):
+        assert np.array_equal(np.vstack([sampler.draw(9, 0, cut), sampler.draw(9, cut, 300)]), whole)
+    for row in whole.tolist():
+        RootedForest(tuple(row)).validate(g)
+
+
+def _random_graph(rng: np.random.Generator) -> WeightedDigraph:
+    n = int(rng.integers(3, 13))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5] or [(0, 1)]
+    return undirected(n, [(a, b, float(rng.lognormal(0.0, 1.0))) for a, b in pairs])
+
+
+def test_walk_root_is_the_cheaper_of_cemetery_and_hub():
+    rng = np.random.default_rng(2024)
+    cases = [(make_family(fam), q) for fam in (Bottleneck(10, 4, 0.3), Complete(6), Cycle(12), Bottleneck(200, 20, 1.0)) for q in (0.01, 0.1, 1.0, 10.0)]
+    cases += [(g, q) for g in (TWO_TRIANGLES, WEIGHTED_5) for q in (0.01, 0.05, 0.5, 5.0)]
+    cases += [(_random_graph(rng), float(10.0 ** rng.uniform(-3, 1))) for _ in range(300)]
+    chosen = []
+    for g, q in cases:
+        cemetery, rooted = wilson_steps(g, q, ROOT), wilson_steps(g, q, hub(g))
+        if abs(rooted - cemetery) < 1e-9 * cemetery:
+            continue  # a tie: either root is right
+        want = hub(g) if rooted < cemetery else ROOT
+        assert wilson._walk_root(g, q) == want
+        chosen.append(want == ROOT)
+    assert 0 < sum(chosen) < len(chosen)  # both roots are chosen somewhere
+    g = make_family(Bottleneck(200, 20, 1.0))
+    assert forest_sampler(g, 10 / 220).root == 0  # the bridge vertex
+
+
+def test_directed_and_large_graphs_keep_the_cemetery():
+    assert forest_sampler(ONE_WAY, 0.01).root == ROOT
+    with pytest.raises(ParameterError):
+        ForestSampler(ONE_WAY, 0.01, root=0)
+    with pytest.raises(ParameterError):
+        ForestSampler(make_family(Cycle(4)), 0.01, root=4)
+    big = make_family(Bottleneck(250, 10, 1.0))
+    assert wilson_steps(big, 0.01, hub(big)) < wilson_steps(big, 0.01, ROOT)
+    assert forest_sampler(big, 0.01).root == ROOT  # more than MAX_HUB_VERTICES
+
+
+@pytest.mark.parametrize(
+    "g, q", [(make_family(Bottleneck(10, 4, 0.3)), 0.05), (make_family(Complete(6)), 0.1), (TWO_TRIANGLES, 0.05)],
+    ids=["bottleneck", "complete6", "two-triangles"],
+)
+def test_hub_rooted_walk_steps_match_effective_resistances(g, q):
+    # Mean random() calls per forest is sum_v c(v) R_eff(v, h) + nq G_hh.
+    expected = wilson_steps(g, q, hub(g))
+    sampler = ForestSampler(g, q, root=hub(g))
     steps = []
     for r in range(4000):
         rng = CountingRandom(split_seed(11, r))
