@@ -338,7 +338,8 @@ def _random_graph(rng: np.random.Generator) -> WeightedDigraph:
 
 def test_walk_root_is_the_cheaper_of_cemetery_and_hub():
     rng = np.random.default_rng(2024)
-    cases = [(make_family(fam), q) for fam in (Bottleneck(10, 4, 0.3), Complete(6), Cycle(12), Bottleneck(200, 20, 1.0)) for q in (0.01, 0.1, 1.0, 10.0)]
+    families = (Bottleneck(10, 4, 0.3), Complete(6), Cycle(12), Bottleneck(200, 20, 1.0))
+    cases = [(make_family(fam), q) for fam in families for q in (0.01, 0.1, 1.0, 10.0)]
     cases += [(g, q) for g in (TWO_TRIANGLES, WEIGHTED_5) for q in (0.01, 0.05, 0.5, 5.0)]
     cases += [(_random_graph(rng), float(10.0 ** rng.uniform(-3, 1))) for _ in range(300)]
     chosen = []
