@@ -5,9 +5,9 @@ The ensemble holds every forest as one row of a next-pointer array
 the samplers hand to estimators, together with its weight and root count.
 So arbitrary event probabilities under the q-tilted measure, conditional
 root-count expectations, and the derivative identity relating them can all
-be evaluated exactly, and separation is read off the rows by the same
-pointer jumping that reduces sampled rows. Counts grow super-exponentially,
-hence the hard cap on the vertex count.
+be evaluated exactly. Every forest's roots are found once, by the pointer
+jumping that reduces sampled rows, so separation is a column comparison.
+Counts grow super-exponentially, hence the hard cap on the vertex count.
 
 :func:`enumerate_forests` fills the array one vertex at a time, in numpy:
 each partial row is repeated once per choice of the next vertex that closes
@@ -50,7 +50,7 @@ class ForestEnsemble:
 
     Row k of ``parents`` (int8, shape (F, n)) is forest k; ``weights[k]`` is
     the product of its edge weights and ``root_counts[k]`` its root count.
-    The arrays are read-only.
+    The arrays, and ``roots``, are read-only.
     """
 
     graph: WeightedDigraph
@@ -60,6 +60,16 @@ class ForestEnsemble:
 
     def __len__(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Every forest's root of every vertex (int8, read-only), by one :func:`_roots` pass in blocks."""
+        step = max(1, BLOCK_ENTRIES // self.parents.shape[1])
+        roots = np.empty_like(self.parents)
+        for start in range(0, len(roots), step):
+            roots[start : start + step] = _roots(self.parents[start : start + step])
+        roots.flags.writeable = False
+        return roots
 
     @cached_property
     def forests(self) -> tuple[RootedForest, ...]:
@@ -115,18 +125,9 @@ def enumerate_forests(g: WeightedDigraph) -> ForestEnsemble:
 
 
 def separation_mask(ensemble: ForestEnsemble, x: int, y: int) -> np.ndarray:
-    """Boolean mask of the forests in which x and y have different roots.
-
-    Roots come from :func:`lepart.wilson._roots`, over blocks of at most
-    ``BLOCK_ENTRIES`` entries, as for sampled rows.
-    """
-    parents = ensemble.parents
-    step = max(1, BLOCK_ENTRIES // parents.shape[1])
-    hit = np.empty(len(parents), dtype=bool)
-    for start in range(0, len(parents), step):
-        root = _roots(parents[start : start + step])
-        hit[start : start + step] = root[:, x] != root[:, y]
-    return hit
+    """Boolean mask of the forests in which x and y have different roots."""
+    roots = ensemble.roots
+    return roots[:, x] != roots[:, y]
 
 
 def _predicate_mask(ensemble: ForestEnsemble, predicate: ForestPredicate) -> np.ndarray:

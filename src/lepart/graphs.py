@@ -532,15 +532,18 @@ def check_vertices(n: int, vertices: Iterable[int]) -> None:
 
 def tree_path(g: WeightedDigraph, x: int, y: int) -> list[int]:
     """The unique undirected path from x to y in a tree."""
+    return _hang_pair(g, x, y)[1]
+
+
+def _hang_pair(g: WeightedDigraph, x: int, y: int):
+    """:func:`leaf_first` from x, and the path from x to y read off its parent array."""
     check_vertices(g.n, (x, y))
     if x == y:
         raise ParameterError("need two distinct vertices")
     if not is_tree(g):
         raise StructureError("tree_path needs a tree (as an undirected graph)")
-    from scipy.sparse.csgraph import breadth_first_order
-    parent = breadth_first_order(g._undirected, x, directed=True, return_predecessors=True)[1]
+    hung = leaf_first(g, x)
     path = [y]
     while path[-1] != x:
-        path.append(int(parent[path[-1]]))
-    path.reverse()
-    return path
+        path.append(int(hung[1][path[-1]]))
+    return hung, path[::-1]

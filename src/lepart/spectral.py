@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .errors import NumericError, ParameterError, StructureError, check_q
-from .graphs import WeightedDigraph, check_vertices, is_tree, laplacian, leaf_first, tree_path
+from .graphs import WeightedDigraph, _hang_pair, check_vertices, is_tree, laplacian
 from .logvalue import LogValue
 
 __all__ = [
@@ -124,6 +124,21 @@ def hitting_prob(g: WeightedDigraph, x: int, y: int, q: float) -> float:
     return float(column[x] / column[y])
 
 
+def _pivots(q: float, n: int, steps) -> tuple[list[float], list[float]]:
+    """Pivots s_v = q + sum_c w(v, c) s_c / (s_c + w(c, v)) by vertex, and bound[j]: v's pivot after step j.
+
+    Step j, (c, v, w(c, v), w(v, c)), adds child c's term to v; every vertex comes after its descendants.
+    """
+    s = [q] * n
+    bound = []
+    append = bound.append
+    for c, v, w_cv, w_vc in steps:
+        s_c = s[c]
+        s[v] = s_v = s[v] + w_vc * s_c / (s_c + w_cv)
+        append(s_v)
+    return s, bound
+
+
 class TreePairCorrelation:
     """Exact two-point separation probability on a tree, reusable across q.
 
@@ -147,14 +162,13 @@ class TreePairCorrelation:
     def __init__(self, g: WeightedDigraph, x: int, y: int):
         if not is_tree(g):
             raise StructureError("operation requires a tree (as an undirected graph)")
-        path = tree_path(g, x, y)
+        (order, parent, up, down), path = _hang_pair(g, x, y)
         self.path = path
         self.d = len(path) - 1
         self._n = g.n
         # Hung from x, every vertex off the path points toward the path, so
         # the elimination list, leaves first, is the reversed breadth-first
         # order without the path vertices.
-        order, parent, up, down = leaf_first(g, x)
         self._steps = list(zip(path[1:], down[path[1:]].tolist(), up[path[1:]].tolist()))
         off_path = np.ones(g.n, dtype=bool)
         off_path[path] = False
@@ -164,9 +178,7 @@ class TreePairCorrelation:
     def at(self, q: float) -> float:
         """Separation probability at killing rate q."""
         check_q(q)
-        s = [q] * self._n
-        for v, p, w_vp, w_pv in self._elim:
-            s[p] += w_pv * s[v] / (s[v] + w_vp)
+        s, _ = _pivots(q, self._n, self._elim)
         # Over the prefix z_0..z_m with the edge to z_{m+1} cut: sigma is the
         # last pivot of T, sep is sigma * P(z_0, z_m in different trees), and
         # cut is 1 - prod_{j<m} w(z_j, z_{j+1}) / pivot_j.

@@ -13,8 +13,7 @@ The sampler uses Wilson's next-pointer form: each step overwrites ``nxt[x]``
 with the vertex the walk left x for (or :data:`ROOT` when it died at x), and
 once the walk dies or hits the forest, a retrace from its start along
 ``nxt`` follows the last exits, which is the chronological loop erasure. No
-path or position table is kept. :func:`partition_of` labels blocks in O(n)
-by following each vertex's pointers only until a vertex of known root.
+path or position table is kept.
 
 On a tree no walk is needed: :class:`TreeSampler` draws the forest exactly,
 top-down from vertex 0, with one uniform per vertex from tables built of the
@@ -25,12 +24,12 @@ rows of many replicas at once, in numpy, and a forest does not depend on
 how the replicas are split into batches. Wilson's sampler reads a
 ``random.Random`` stream instead, replica r seeded by ``split_seed(seed,
 r)``; its :meth:`ForestSampler.draw` fills rows of the same shape, so both
-samplers hand estimators the same array. :func:`_roots` finds every
-vertex's root in such an array by pointer jumping, for sampled rows and for
-the enumerated ensemble alike. :func:`forest_sampler` is the one
-place that chooses: the tree sampler when the graph is a tree, Wilson's
-:class:`ForestSampler` otherwise. An explicit processing order always means
-Wilson's walks.
+samplers hand estimators the same array. :func:`_roots`, pointer jumping
+over such an array, is the one place that finds roots: for sampled rows,
+the enumerated ensemble, and the one row of :func:`partition_of`.
+:func:`forest_sampler` is the one place that chooses: the tree sampler when
+the graph is a tree, Wilson's :class:`ForestSampler` otherwise. An explicit
+processing order always means Wilson's walks.
 
 The forest is a weighted spanning tree of the graph plus the cemetery,
 joined to every vertex by weight q, and on an undirected graph Wilson's
@@ -57,6 +56,7 @@ import numpy as np
 
 from .errors import FormatError, ParameterError, StructureError, check_q
 from .graphs import WeightedDigraph, check_vertices, is_tree, laplacian, leaf_first
+from .spectral import _pivots
 
 __all__ = [
     "ROOT",
@@ -82,19 +82,21 @@ BLOCK_ENTRIES = 1 << 16
 
 
 def _roots(nxt: np.ndarray) -> np.ndarray:
-    """Each vertex's root in each row of a next-pointer array, by pointer jumping.
+    """Each vertex's root in each row of a next-pointer array, by pointer jumping on flat indices.
 
-    Entries are flat indices into ``nxt``: row * n + root. Compare them
-    within a row only. Rows may come from a sampler's :meth:`draw` or from
-    an enumerated ensemble.
+    A valid row is at its fixed point after ceil(log2 n) rounds, and one
+    more is the last: a row with a cycle leaves some entries at a vertex
+    that is not a root.
     """
     rows, n = nxt.shape
-    flat = (np.where(nxt == ROOT, np.arange(n), nxt) + np.arange(0, rows * n, n)[:, None]).ravel()
-    while True:
+    offsets = np.arange(rows)[:, None] * n
+    flat = (np.where(nxt == ROOT, np.arange(n), nxt) + offsets).ravel()
+    for _ in range((n - 1).bit_length() + 1):
         jumped = flat.take(flat)
         if np.array_equal(jumped, flat):
-            return flat.reshape(rows, n)
+            break
         flat = jumped
+    return flat.reshape(rows, n) - offsets
 
 
 @dataclass(frozen=True)
@@ -132,15 +134,11 @@ class RootedForest:
         return v
 
     def validate(self, g: WeightedDigraph | None = None) -> None:
-        """Check acyclicity and, when a graph is given, edge support."""
-        n = self.n
-        for v, p in enumerate(self.parent):
-            if p != ROOT and not 0 <= p < n:
-                raise StructureError(f"parent[{v}]={p} out of range")
+        """Check pointer range and acyclicity (:func:`partition_of`) and, when a graph is given, edge support."""
         partition_of(self)
         if g is not None:
-            if g.n != n:
-                raise StructureError(f"forest on {n} vertices, graph has {g.n}")
+            if g.n != self.n:
+                raise StructureError(f"forest on {self.n} vertices, graph has {g.n}")
             for v, p in enumerate(self.parent):
                 if p != ROOT and g.weight(v, p) == 0.0:
                     raise StructureError(f"forest edge ({v},{p}) is not a graph edge")
@@ -155,39 +153,28 @@ class Partition:
 
 
 def partition_of(forest: RootedForest) -> Partition:
-    """The partition whose blocks are the trees of the forest, in O(n).
+    """The partition whose blocks are the trees of the forest.
 
-    Each vertex's pointers are followed only until a vertex whose root is
-    already known (or a root); the whole chain then takes that root.
+    Roots come from :func:`_roots` on the one row ``forest.parent``. A
+    pointer out of range, or one that leads into a cycle (some vertex's
+    root entry then is not a root), raises :class:`StructureError`.
     """
     parent = forest.parent
     n = len(parent)
-    unknown, on_chain = n, n + 1  # markers outside the vertex range
-    root = [unknown] * n
-    for v in range(n):
-        chain = []
-        x = v
-        while root[x] == unknown:
-            root[x] = on_chain
-            chain.append(x)
-            if parent[x] == ROOT:
-                r = x
-                break
-            x = parent[x]
-        else:
-            r = root[x]
-            if r == on_chain:
-                raise StructureError("parent pointers contain a cycle")
-        for c in chain:
-            root[c] = r
-    # vertices are scanned in increasing order, so blocks come out sorted
-    # internally and first seen in order of their minimum
-    index: dict[int, int] = {}
-    block_of = tuple(index.setdefault(r, len(index)) for r in root)
-    blocks: list[list[int]] = [[] for _ in index]
-    for v, b in enumerate(block_of):
-        blocks[b].append(v)
-    return Partition(block_of, tuple(map(tuple, blocks)))
+    if n and not (ROOT <= min(parent) and max(parent) < n):
+        v = next(v for v, p in enumerate(parent) if not ROOT <= p < n)
+        raise StructureError(f"parent[{v}]={parent[v]} out of range")
+    nxt = np.array(parent, dtype=np.int64)
+    root = _roots(nxt.reshape(1, n))[0]
+    if not (nxt.take(root) == ROOT).all():
+        raise StructureError("parent pointers contain a cycle")
+    # blocks are numbered in order of their minimum, and list their vertices in increasing order
+    _, first, inverse = np.unique(root, return_index=True, return_inverse=True)
+    block_of = np.argsort(np.argsort(first))[inverse]
+    members = np.argsort(block_of, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(block_of)).tolist()
+    blocks = tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends))
+    return Partition(tuple(block_of.tolist()), blocks)
 
 
 #: SplitMix64 (Steele, Lea & Flood 2014): the Weyl increment and the finalizer's multipliers.
@@ -339,9 +326,9 @@ class TreeSampler:
     draws from the same table without the up option, total s_v.
 
     Every table entry is q, an edge weight or a t_c, never a difference.
-    The partial sums of the pivot recurrence are the blocked tables'
-    boundaries (the children of one vertex are contiguous in the leaf-first
-    order), and the up option comes last, above s_v, so one draw
+    The partial sums of the pivot recurrence (:func:`~lepart.spectral._pivots`)
+    are the blocked tables' boundaries (the children of one vertex are
+    contiguous in the leaf-first order), and the up option comes last, above s_v, so one draw
     x = U * total picks: a root if x < q, the parent if x >= s_v, else the
     child whose boundary ``bisect_right`` finds. Since U * s < s for every
     U < 1 and s > 0, a blocked vertex never points back, and a zero weight
@@ -363,13 +350,7 @@ class TreeSampler:
         order, parent, up, down = leaf_first(g, 0)
         order, n = order.astype(np.int64), g.n
         v = order[:0:-1]  # leaves first, without the root
-        s = [q] * n
-        bound = []  # bound[j]: s[parent] once the j-th vertex is eliminated
-        append = bound.append
-        for x, p, w_xp, w_px in zip(v.tolist(), parent[v].tolist(), up[v].tolist(), down[v].tolist()):
-            s_x = s[x]
-            s[p] = s_p = s[p] + w_px * s_x / (s_x + w_xp)
-            append(s_p)
+        s, bound = _pivots(q, n, zip(v.tolist(), parent[v].tolist(), up[v].tolist(), down[v].tolist()))
         self._bound, self._child = np.array(bound), v
         # from here on, vertices are indexed by breadth-first position
         position = np.empty(n, dtype=np.int64)

@@ -32,6 +32,11 @@ Wilson's walk cost, ``wilson_steps(g, q, root)``: the expected number of
 walk steps per forest when the walks are rooted at ``root`` (the cemetery,
 ``ROOT``, or a vertex of an undirected graph), from one dense inverse.
 
+Leaf-first pivots on a tree, ``tree_pivots(g, q, root, path)``: the
+plain elimination loop s[p] += w(p, v) s[v] / (s[v] + w(v, p)), which
+``TreeSampler`` and ``TreePairCorrelation`` must reproduce bit for bit, and
+``tree_pair_separation(g, x, y, q)``, the two-point separation built on it.
+
 Forest enumeration, ``enumerate_forests_dfs(g)``: the recursive
 depth-first search that :func:`lepart.enumerate_forests` replaced, one
 parent tuple per forest; the array enumeration must reproduce its rows,
@@ -44,6 +49,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from lepart import ROOT, ForestEnsemble, LogValue, ParameterError, hitting_prob, laplacian, z_path
+from lepart.graphs import leaf_first, tree_path
 
 #: Spectral product evaluation is skipped above this size (cost and trig error).
 MAX_SPECTRAL_N = 10_000
@@ -125,6 +131,39 @@ def adjacent_separation(g, x, y, q):
     """
     p, r = hitting_prob(g, x, y, q), hitting_prob(g, y, x, q)
     return (1.0 - p - r + p * r) / (1.0 - p * r)
+
+
+def tree_pivots(g, q, root, path=()):
+    """Pivots of the tree g hung from ``root``, by vertex, and their partial sums.
+
+    Every vertex but ``root`` and the ``path`` vertices is eliminated into
+    its parent, leaves first (reversed breadth-first order), and ``bound``
+    records the parent's pivot after each step.
+    """
+    order, parent = leaf_first(g, root)[:2]
+    kept = {root, *path}
+    s = [q] * g.n
+    bound = []
+    for v in order[::-1].tolist():
+        if v not in kept:
+            p = int(parent[v])
+            s[p] += g.weight(p, v) * s[v] / (s[v] + g.weight(v, p))
+            bound.append(s[p])
+    return s, bound
+
+
+def tree_pair_separation(g, x, y, q):
+    """P(x and y in different trees) on a tree: the path recurrence on :func:`tree_pivots`, clamped to [0, 1]."""
+    path = tree_path(g, x, y)
+    s, _ = tree_pivots(g, q, x, path)
+    sigma, sep, cut = s[x], 0.0, 0.0
+    for a, z in zip(path, path[1:]):
+        fwd, back = g.weight(a, z), g.weight(z, a)
+        pivot = sigma + fwd
+        cut = (sigma + fwd * cut) / pivot
+        sep = s[z] * cut + back * sep / pivot
+        sigma = s[z] + back * sigma / pivot
+    return min(max(sep / sigma, 0.0), 1.0)
 
 
 def enumerate_forests_dfs(g):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -392,3 +393,30 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
             code, out, _ = run(capsys, *argv)
             assert (code, out.encode()) == (want_code, fresh.stdout), argv
     assert cli.build_parser.cache_info().misses == 1
+
+
+#: ``lepart sample --family <f> --q <q> --format <fmt> --seed 7`` is pinned by the SHA-256 of its
+#: stdout, so a change in how the forest is drawn or its blocks are found cannot change what it prints.
+SAMPLE_Q = {"path:n=5000": "0.003", "hier:d=2,h=5,weights=1+2+4+8+16": "0.1", "cycle:n=5": "0.5",
+            "commstar:n=40,k=10,w=0.5": "0.2", "bottleneck:n=6,m=4,w=0.5": "0.1"}
+
+
+@pytest.mark.parametrize(
+    "family, fmt, digest",
+    [
+        ("path:n=5000", "csv", "74984518456f3ba53407155b6a8f0a813f448542fdfde92d3ca8bcd7bf0b6731"),
+        ("path:n=5000", "json", "2be52ad454bb1b89b944da5842dff2a480180dac553d9b48df7f51661cd9da79"),
+        ("hier:d=2,h=5,weights=1+2+4+8+16", "csv", "3b315ec0758f6198f35f5c90e5ca0bd18ddae8d01e6f59a06d51fd7d3f002004"),
+        ("hier:d=2,h=5,weights=1+2+4+8+16", "json", "af6e250461bf8580647707ad90ffc0c00280ad7cfcdf064ee61e5397e3fb9a40"),
+        ("cycle:n=5", "csv", "90bb447fcb9261d3327611c9a1c32e12e0b522778e1c498b7e841bf4e8a923b3"),
+        ("cycle:n=5", "json", "47379bc88cd1cb271d70af3c40ebe6e9f9c84a99757b444ed4f70699ceb1f032"),
+        ("commstar:n=40,k=10,w=0.5", "csv", "e3b455b9ccefee4ae296c22a151e33423e6ca754f016afc8345cb42e37bd4a39"),
+        ("commstar:n=40,k=10,w=0.5", "json", "aede9951eded0b0fc483fd5aabffd63a7cd27cc66ffd027b0c5486a73a260607"),
+        ("bottleneck:n=6,m=4,w=0.5", "csv", "b2a76634c2015e60357aff84e9c15d08d1c3adacf00416610c2517959b7470ca"),
+        ("bottleneck:n=6,m=4,w=0.5", "json", "733c68f92d14bf2ea14d025cd9e3c61c365461d89f0bec169d19fe60c5ddba40"),
+    ],
+)
+def test_sample_stdout_is_pinned(capsys, family, fmt, digest):
+    code, out, _ = run(capsys, "sample", "--family", family, "--q", SAMPLE_Q[family], "--format", fmt, "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -275,9 +275,20 @@ def test_complete_8():
 
 def test_ensemble_arrays_are_read_only():
     ens = enumerate_forests(make_family(Path(3)))
-    for a in (ens.parents, ens.weights, ens.root_counts):
+    for a in (ens.parents, ens.weights, ens.root_counts, ens.roots):
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def test_ensemble_roots_are_found_once_block_by_block(monkeypatch):
+    from lepart import enumeration
+
+    g = make_family(Bottleneck(3, 3, 0.5))
+    ens = enumerate_forests(g)
+    monkeypatch.setattr(enumeration, "BLOCK_ENTRIES", 7 * g.n)  # blocks of 7 forests
+    want = [[f.root_of(v) for v in range(g.n)] for f in ens.forests]
+    assert ens.roots.dtype == np.int8 and ens.roots.tolist() == want
+    assert ens.roots is ens.roots
 
 
 def test_russo_check_evaluates_the_predicate_once_per_forest():

@@ -15,6 +15,7 @@ from lepart import (
     Star,
     WeightedDigraph,
     bottleneck_quantities,
+    enumerate_forests,
     expected_root_count,
     hitting_prob,
     make_family,
@@ -224,24 +225,29 @@ def test_sweep_exact_dispatch():
 
 
 def test_sweep_enumerates_once_and_builds_one_sampler_per_q(monkeypatch):
-    from lepart import estimators
+    from lepart import enumeration, estimators
 
     g = make_family(Bottleneck(5, 3, 1.0))
     qs, pairs = [0.5, 1.0, 2.0], [(0, y) for y in range(1, 8)]
     queries = [CorrelationQuery(f"0-{y}", x, y) for x, y in pairs]
     want = [(q, exact_route(g, x, y).at(q)) for q in qs for x, y in pairs]
+    forests = len(enumerate_forests(g))
     calls = {"enumerate_forests": 0, "forest_sampler": 0}
     for name in calls:
         def counted(*args, fn=getattr(estimators, name), name=name):
             calls[name] += 1
             return fn(*args)
         monkeypatch.setattr(estimators, name, counted)
+    reduced = []  # rows of the ensemble that pointer jumping reduced
+    monkeypatch.setattr(enumeration, "_roots", lambda nxt, fn=enumeration._roots: reduced.append(len(nxt)) or fn(nxt))
     table = sweep(g, qs, queries, 0, 3)
     assert [(row.q, row.exact) for row in table.rows] == want
     assert calls == {"enumerate_forests": 1, "forest_sampler": 0}
+    assert sum(reduced) == forests  # one pass over the ensemble serves all 7 pairs
     table = sweep(g, qs, queries, 20, 3)
     assert [(row.q, row.exact) for row in table.rows] == want
     assert calls == {"enumerate_forests": 2, "forest_sampler": len(qs)}
+    assert sum(reduced) == 2 * forests
     for row, (x, y) in zip(table.rows, pairs * len(qs)):
         assert row.estimate == mc_correlation(g, row.q, x, y, 20, row.seed).estimate
 

@@ -31,6 +31,7 @@ from lepart import estimators, wilson
 from lepart.graphs import is_tree, leaf_first
 from lepart.spectral import TreePairCorrelation
 from lepart.wilson import ForestSampler, RootedForest, TreeSampler, forest_sampler, tree_uniforms
+from oracles import tree_pair_separation, tree_pivots
 
 
 def random_tree(seed: int, n: int, one_way: bool) -> WeightedDigraph:
@@ -290,3 +291,21 @@ def test_tree_pair_elimination_matches_the_hand_built_list():
         for v, p, _, _ in pair._elim:
             assert p not in done
             done.add(v)
+
+
+PIVOT_TREES = [
+    make_family(spec)
+    for spec in (Path(2), Path(30), Star(12, 2.0), HierarchicalTree(3, 3, (1.0, 2.0, 4.0)), HierarchicalTree(2, 4, (1.0, 10.0, 100.0, 1e3)))
+] + [random_tree(seed, 12, True) for seed in range(4)]
+
+
+@pytest.mark.parametrize("g", PIVOT_TREES)
+@pytest.mark.parametrize("q", [1e-12, 0.05, 1.0, 20.0])
+def test_pivots_match_the_plain_loop(g, q):
+    s, bound = tree_pivots(g, q, 0)
+    sampler = TreeSampler(g, q)
+    assert sampler._s.tolist() == [s[v] for v in sampler._order.tolist()]
+    assert sampler._bound.tolist() == bound
+    rng = Random(g.n)
+    for x, y in [(0, g.n - 1)] + [tuple(rng.sample(range(g.n), 2)) for _ in range(4)]:
+        assert TreePairCorrelation(g, x, y).at(q) == tree_pair_separation(g, x, y, q)

@@ -1,4 +1,5 @@
 import math
+import re
 from bisect import bisect_right
 from random import Random
 
@@ -268,6 +269,28 @@ def test_partition_of_rejects_cycles():
     for parent in ((1, 0), (0,), (ROOT, 2, 3, 1), (1, 2, ROOT, 4, 3)):
         with pytest.raises(StructureError):
             partition_of(RootedForest(parent))
+
+
+def test_partition_of_names_an_out_of_range_pointer():
+    for parent, name in (((5, ROOT), "parent[0]=5 "), ((ROOT, -2), "parent[1]=-2 "), ((ROOT, 0, 10**30), "parent[2]=")):
+        with pytest.raises(StructureError, match=re.escape(name)):
+            partition_of(RootedForest(parent))
+        with pytest.raises(StructureError, match=re.escape(name)):
+            RootedForest(parent).validate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.lists(st.integers(ROOT, n - 1), min_size=n, max_size=n)))
+def test_partition_of_matches_root_of_on_any_pointer_array(parent):
+    """Forests of any shape, and pointer arrays with cycles, which both must reject."""
+    forest = RootedForest(tuple(parent))
+    try:
+        want = reference_partition_of(forest)
+    except StructureError:
+        with pytest.raises(StructureError, match="cycle"):
+            partition_of(forest)
+    else:
+        assert partition_of(forest) == want
 
 
 @pytest.mark.parametrize(
