@@ -122,7 +122,7 @@ def _check_determinantal_roots() -> str:
         for q in (0.5, 2.0):
             for v in range(g.n):
                 exact = roots_marginal(g, q, (v,))
-                emp = brute_event(ens, q, lambda f, v=v: f.parent[v] == ROOT)
+                emp = brute_event(ens, q, lambda nxt, roots, v=v: nxt[:, v] == ROOT)
                 worst = max(worst, abs(exact - emp))
             worst = max(worst, _rel(float(np.trace(green_kernel(g, q))), expected_root_count(g, q)))
     if worst > 1e-9:
@@ -157,7 +157,7 @@ def _check_edge_probabilities() -> str:
             Z = brute_z(ens, q)
             K = np.linalg.inv(q * np.eye(g.n) - L)
             for x, y, w in g.edges:
-                pe = brute_event(ens, q, lambda f, x=x, y=y: f.parent[x] == y)
+                pe = brute_event(ens, q, lambda nxt, roots, x=x, y=y: nxt[:, x] == y)
                 worst = max(worst, abs(pe - w * (K[x, x] - K[y, x])))
                 gc, _ = g_.contract_edge(g, x, y)
                 worst = max(worst, abs(pe - w * brute_z(enumerate_forests(gc), q) / Z))
@@ -172,9 +172,9 @@ def _check_russo_identity() -> str:
     g = make_family(Path(3))
     ens = enumerate_forests(g)
     preds: list[Callable] = [
-        lambda f: f.parent[0] == ROOT,
-        lambda f: f.root_count == 1,
-        lambda f: f.root_of(0) == f.root_of(2),
+        lambda nxt, roots: nxt[:, 0] == ROOT,
+        lambda nxt, roots: (nxt == ROOT).sum(1) == 1,
+        lambda nxt, roots: roots[:, 0] == roots[:, 2],
     ]
     worst = 0.0
     for q in _QS:
@@ -194,13 +194,13 @@ def _check_path_root_measures() -> str:
         for q in (0.5, 2.0):
             Z = brute_z(ens, q)
             meas = path_root_measures(n, q)
-            pb = brute_event(ens, q, lambda f: f.parent[0] == ROOT)
+            pb = brute_event(ens, q, lambda nxt, roots: nxt[:, 0] == ROOT)
             worst = max(worst, abs(pb - meas.boundary_root.to_float() / Z))
-            pbb = brute_event(ens, q, lambda f: f.parent[0] == ROOT and f.parent[n - 1] == ROOT)
+            pbb = brute_event(ens, q, lambda nxt, roots: (nxt[:, 0] == ROOT) & (nxt[:, n - 1] == ROOT))
             worst = max(worst, abs(pbb - meas.both_boundaries_root.to_float() / Z))
             for v in range(n):
                 d = min(v, n - 1 - v)
-                px = brute_event(ens, q, lambda f, v=v: f.parent[v] == ROOT)
+                px = brute_event(ens, q, lambda nxt, roots, v=v: nxt[:, v] == ROOT)
                 worst = max(worst, abs(px - path_interior_root_measure(n, d, q).to_float() / Z))
     if worst > 1e-10:
         raise AssertionError(f"worst gap {worst:.3e} > 1e-10")

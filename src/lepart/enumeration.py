@@ -7,7 +7,9 @@ So arbitrary event probabilities under the q-tilted measure, conditional
 root-count expectations, and the derivative identity relating them can all
 be evaluated exactly. Every forest's roots are found once, by the pointer
 jumping that reduces sampled rows, so separation is a column comparison.
-Counts grow super-exponentially, hence the hard cap on the vertex count.
+An event is a row predicate (:data:`RowPredicate`), applied once to the
+whole ensemble as :func:`~lepart.estimators.mc_event` applies it to each
+sampled block. Counts grow super-exponentially, hence the hard cap.
 
 :func:`enumerate_forests` fills the array one vertex at a time, in numpy:
 each partial row is repeated once per choice of the next vertex that closes
@@ -24,9 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SizeError, UndefinedConditionalError, check_q
+from .errors import ParameterError, SizeError, UndefinedConditionalError, check_q
 from .graphs import WeightedDigraph
-from .wilson import BLOCK_ENTRIES, ROOT, RootedForest, _roots
+from .wilson import BLOCK_ENTRIES, ROOT, _roots
 
 __all__ = [
     "MAX_ENUM_VERTICES",
@@ -41,7 +43,9 @@ __all__ = [
 
 MAX_ENUM_VERTICES = 8
 
-ForestPredicate = Callable[[RootedForest], bool]
+#: An event on forests: (next-pointer rows (B, n), their roots (B, n)) -> bool array of shape (B,),
+#: e.g. ``lambda nxt, roots: roots[:, 0] == roots[:, 2]``.
+RowPredicate = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class ForestEnsemble:
     """All spanning rooted forests of a graph, with weights and root counts.
 
     Row k of ``parents`` (int8, shape (F, n)) is forest k; ``weights[k]`` is
-    the product of its edge weights and ``root_counts[k]`` its root count.
+    the product of its edge weights and ``root_counts[k]`` (int8) its root count.
     The arrays, and ``roots``, are read-only.
     """
 
@@ -71,11 +75,6 @@ class ForestEnsemble:
         roots.flags.writeable = False
         return roots
 
-    @cached_property
-    def forests(self) -> tuple[RootedForest, ...]:
-        """The rows as :class:`RootedForest` objects, built on first use (for predicates)."""
-        return tuple(RootedForest(tuple(row)) for row in self.parents.tolist())
-
     def masses(self, q: float) -> np.ndarray:
         """Unnormalized masses q^{#roots} * weight, one per forest."""
         check_q(q)
@@ -95,7 +94,9 @@ def enumerate_forests(g: WeightedDigraph) -> ForestEnsemble:
     closes a cycle exactly when ``ends[k, p] == v``; once v is assigned,
     every chain that ended at v ends where v's new pointer leads. Weights
     are multiplied in vertex order, as the depth-first search does, so each
-    row's weight is the same float.
+    row's weight is the same float. The chain ends are dropped before the
+    rows are gathered, and not updated after the last vertex, so the peak
+    stays near the size of the arrays returned.
     """
     if g.n > MAX_ENUM_VERTICES:
         raise SizeError(f"enumeration capped at n={MAX_ENUM_VERTICES}, got n={g.n}")
@@ -104,7 +105,7 @@ def enumerate_forests(g: WeightedDigraph) -> ForestEnsemble:
     # column ROOT is the sentinel slot n, so ends[:, ROOT] reads ROOT
     ends = np.append(np.arange(n), ROOT).astype(np.int8)[None, :]
     weights = np.ones(1)
-    root_counts = np.zeros(1, dtype=np.int64)
+    root_counts = np.zeros(1, dtype=np.int8)
     for v in range(n):
         lo, hi = g.indptr[v], g.indptr[v + 1]
         # choice 0 is ROOT, choice c >= 1 points v at its c-th out-neighbour
@@ -113,12 +114,16 @@ def enumerate_forests(g: WeightedDigraph) -> ForestEnsemble:
         end = ends[:, ptr]
         keep = np.flatnonzero(end != v)  # row-major: each row's choices stay together, in order
         rows, choice = np.divmod(keep, len(ptr))
+        if v < n - 1:  # no chain is followed after the last vertex
+            ends = ends[rows]
+            np.copyto(ends, end.ravel()[keep][:, None], where=ends == v)
+        del keep, end
         parents = parents[rows]
         parents[:, v] = ptr[choice]
-        ends = ends[rows]
-        np.copyto(ends, end.ravel()[keep][:, None], where=ends == v)
-        weights = weights[rows] * factor[choice]
-        root_counts = root_counts[rows] + (choice == 0)
+        weights = weights[rows]
+        weights *= factor[choice]
+        root_counts = root_counts[rows]
+        root_counts += choice == 0
     for a in (parents, weights, root_counts):
         a.flags.writeable = False
     return ForestEnsemble(g, parents, weights, root_counts)
@@ -130,8 +135,13 @@ def separation_mask(ensemble: ForestEnsemble, x: int, y: int) -> np.ndarray:
     return roots[:, x] != roots[:, y]
 
 
-def _predicate_mask(ensemble: ForestEnsemble, predicate: ForestPredicate) -> np.ndarray:
-    return np.fromiter((predicate(f) for f in ensemble.forests), dtype=bool, count=len(ensemble))
+def _event_mask(predicate: RowPredicate, nxt: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The predicate on rows ``nxt`` with roots ``roots``; :class:`ParameterError` unless one bool per row."""
+    hit = predicate(nxt, roots)
+    if not (isinstance(hit, np.ndarray) and hit.dtype == bool and hit.shape == nxt.shape[:1]):
+        got = f"{hit.dtype} array of shape {hit.shape}" if isinstance(hit, np.ndarray) else type(hit).__name__
+        raise ParameterError(f"an event predicate must return a bool array of shape ({len(nxt)},), got {got}")
+    return hit
 
 
 def brute_z(ensemble: ForestEnsemble, q: float) -> float:
@@ -139,9 +149,9 @@ def brute_z(ensemble: ForestEnsemble, q: float) -> float:
     return float(np.sum(ensemble.masses(q)))
 
 
-def brute_event(ensemble: ForestEnsemble, q: float, predicate: ForestPredicate) -> float:
-    """Probability of {predicate holds} under the q-tilted forest measure."""
-    return ensemble.probability(q, _predicate_mask(ensemble, predicate))
+def brute_event(ensemble: ForestEnsemble, q: float, predicate: RowPredicate) -> float:
+    """Probability of {predicate holds} under the q-tilted measure; the predicate sees every row at once."""
+    return ensemble.probability(q, _event_mask(predicate, ensemble.parents, ensemble.roots))
 
 
 def brute_correlation(ensemble: ForestEnsemble, q: float, x: int, y: int) -> float:
@@ -150,7 +160,7 @@ def brute_correlation(ensemble: ForestEnsemble, q: float, x: int, y: int) -> flo
 
 
 def russo_check(
-    ensemble: ForestEnsemble, q: float, predicate: ForestPredicate
+    ensemble: ForestEnsemble, q: float, predicate: RowPredicate
 ) -> tuple[float, float]:
     """Both sides of the root-count derivative identity for an event H.
 
@@ -158,11 +168,11 @@ def russo_check(
     q -> P(H) at step q*1e-6 (the probability is a rational function of q,
     so truncation error is negligible) and rhs the exact
     (1/q) P(H) (E[#roots | H] - E[#roots]) from the ensemble. This is a
-    verification device, not a numerical-differentiation feature. The
-    predicate is evaluated once per forest.
+    verification device, not a numerical-differentiation feature. The row
+    predicate is applied once, to ``ensemble.parents`` and ``ensemble.roots``.
     """
     masses = ensemble.masses(q)
-    hit = _predicate_mask(ensemble, predicate)
+    hit = _event_mask(predicate, ensemble.parents, ensemble.roots)
     mass_hit = masses[hit].sum()
     if mass_hit == 0.0:
         raise UndefinedConditionalError("conditional root count undefined: P(event) = 0")

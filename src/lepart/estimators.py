@@ -9,8 +9,9 @@ On a tree, replica r reads the counter-based uniforms U[r, i] of
 blocks of next-pointer rows, one array per block of replicas
 (:func:`_run_replicas`): separation compares roots found by pointer
 jumping, root events and root counts read the ROOT entries, and
-:func:`mc_event` applies its per-forest predicate to each row. Uncertainty
-is reported as the exact Bernoulli standard error sqrt(p(1-p)/R).
+:func:`mc_event` applies its row predicate once per block, to the rows and
+their roots. Uncertainty is reported as the exact Bernoulli standard error
+sqrt(p(1-p)/R).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .closed_forms import (
     z_cycle,
     z_path,
 )
-from .enumeration import MAX_ENUM_VERTICES, ForestEnsemble, enumerate_forests, separation_mask
+from .enumeration import MAX_ENUM_VERTICES, ForestEnsemble, RowPredicate, _event_mask, enumerate_forests, separation_mask
 from .errors import ParameterError, check_q
 from .graphs import (
     Bottleneck,
@@ -49,7 +50,7 @@ from .graphs import (
 )
 from .logvalue import LogValue
 from .spectral import TreePairCorrelation, laplacian_spectrum, roots_marginal
-from .wilson import BLOCK_ENTRIES, ROOT, ForestSampler, RootedForest, TreeSampler, _roots, forest_sampler, split_seed
+from .wilson import BLOCK_ENTRIES, ROOT, ForestSampler, TreeSampler, _roots, forest_sampler, split_seed
 
 __all__ = [
     "SampleStats",
@@ -140,16 +141,14 @@ def mc_correlation(
     return SampleStats.from_counts(hits, replicas, seed)
 
 
-def mc_event(
-    g: WeightedDigraph,
-    q: float,
-    predicate: Callable[[RootedForest], bool],
-    replicas: int,
-    seed: int,
-) -> SampleStats:
-    """Probability of an arbitrary forest event, by sampling."""
+def mc_event(g: WeightedDigraph, q: float, predicate: RowPredicate, replicas: int, seed: int) -> SampleStats:
+    """Probability of an arbitrary forest event, by sampling.
+
+    The row predicate (:data:`~lepart.enumeration.RowPredicate`) is applied
+    once per drawn block, to its next-pointer rows and their roots.
+    """
     def count(nxt: np.ndarray) -> int:
-        return sum(bool(predicate(RootedForest(tuple(row)))) for row in nxt.tolist())
+        return int(np.count_nonzero(_event_mask(predicate, nxt, _roots(nxt))))
 
     hits = _run_replicas(forest_sampler(g, q), replicas, seed, count)
     return SampleStats.from_counts(hits, replicas, seed)

@@ -117,22 +117,6 @@ class RootedForest:
     def roots(self) -> tuple[int, ...]:
         return tuple(v for v, p in enumerate(self.parent) if p == ROOT)
 
-    @property
-    def root_count(self) -> int:
-        return len(self.roots)
-
-    def root_of(self, v: int) -> int:
-        """The root of the tree containing v."""
-        parent = self.parent
-        n = len(parent)
-        steps = 0
-        while parent[v] != ROOT:
-            v = parent[v]
-            steps += 1
-            if steps > n:
-                raise StructureError("parent pointers contain a cycle")
-        return v
-
     def validate(self, g: WeightedDigraph | None = None) -> None:
         """Check pointer range and acyclicity (:func:`partition_of`) and, when a graph is given, edge support."""
         partition_of(self)
@@ -481,7 +465,7 @@ def forest_from_json(text: str, g: WeightedDigraph | None = None) -> RootedFores
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad forest JSON: {exc}") from exc
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+    if not isinstance(data, list) or not all(type(v) is int for v in data):  # bool is an int subclass
         raise FormatError("forest JSON must be an array of integers")
     forest = RootedForest(tuple(data))
     forest.validate(g)

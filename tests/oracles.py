@@ -41,6 +41,14 @@ Forest enumeration, ``enumerate_forests_dfs(g)``: the recursive
 depth-first search that :func:`lepart.enumerate_forests` replaced, one
 parent tuple per forest; the array enumeration must reproduce its rows,
 weights and root counts exactly.
+
+Per-forest events: :class:`OracleForest` is a :class:`lepart.RootedForest`
+with the per-forest root queries ``root_of`` (a chain walk) and
+``root_count``, which the library left behind when events became row
+predicates. ``oracle_forests(ensemble)`` gives one per ensemble row, and
+``per_forest(pred)`` turns a predicate on such values into the row
+predicate that ``brute_event``, ``russo_check`` and ``mc_event`` take, so
+the tests can hold column expressions against it.
 """
 
 import math
@@ -48,7 +56,17 @@ import math
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from lepart import ROOT, ForestEnsemble, LogValue, ParameterError, hitting_prob, laplacian, z_path
+from lepart import (
+    ROOT,
+    ForestEnsemble,
+    LogValue,
+    ParameterError,
+    RootedForest,
+    StructureError,
+    hitting_prob,
+    laplacian,
+    z_path,
+)
 from lepart.graphs import leaf_first, tree_path
 
 #: Spectral product evaluation is skipped above this size (cost and trig error).
@@ -198,6 +216,39 @@ def enumerate_forests_dfs(g):
     assign(0, 1.0, 0)
     parents = np.array(forests, dtype=np.int8).reshape(len(forests), n)
     return ForestEnsemble(g, parents, np.array(weights), np.array(roots))
+
+
+class OracleForest(RootedForest):
+    """A rooted forest with per-forest root queries."""
+
+    @property
+    def root_count(self):
+        return len(self.roots)
+
+    def root_of(self, v):
+        """The root of the tree containing v, by following parent pointers."""
+        parent = self.parent
+        n = len(parent)
+        steps = 0
+        while parent[v] != ROOT:
+            v = parent[v]
+            steps += 1
+            if steps > n:
+                raise StructureError("parent pointers contain a cycle")
+        return v
+
+
+def oracle_forests(ensemble):
+    """The ensemble's rows as :class:`OracleForest` values, in row order."""
+    return [OracleForest(tuple(row)) for row in ensemble.parents.tolist()]
+
+
+def per_forest(pred):
+    """The row predicate that calls ``pred`` on the :class:`OracleForest` of each row."""
+    def rows(nxt, roots):
+        hits = (bool(pred(OracleForest(tuple(row)))) for row in nxt.tolist())
+        return np.fromiter(hits, dtype=bool, count=len(nxt))
+    return rows
 
 
 def wilson_steps(g, q, root):

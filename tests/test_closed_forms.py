@@ -33,7 +33,7 @@ from lepart import (
 from lepart.closed_forms import path_interior_root_measure, simple_rw_tail_prob
 from lepart.estimators import closed_form_correlation, closed_form_z
 from lepart.wilson import ROOT
-from oracles import Z_PATH_METHODS, adjacent_separation, z_cycle_oracle, z_path_oracle
+from oracles import Z_PATH_METHODS, adjacent_separation, per_forest, z_cycle_oracle, z_path_oracle
 
 
 # -- z_path -------------------------------------------------------------------
@@ -184,15 +184,15 @@ def test_path_root_measures_vs_enumeration(n, q):
 
     Z = brute_z(ens, q)
     meas = path_root_measures(n, q)
-    assert brute_event(ens, q, lambda f: f.parent[0] == ROOT) == pytest.approx(
+    assert brute_event(ens, q, per_forest(lambda f: f.parent[0] == ROOT)) == pytest.approx(
         meas.boundary_root.to_float() / Z, abs=1e-10
     )
-    assert brute_event(ens, q, lambda f: f.parent[0] == ROOT and f.parent[n - 1] == ROOT) == pytest.approx(
+    assert brute_event(ens, q, per_forest(lambda f: f.parent[0] == ROOT and f.parent[n - 1] == ROOT)) == pytest.approx(
         meas.both_boundaries_root.to_float() / Z, abs=1e-10
     )
     for v in range(n):
         d = min(v, n - 1 - v)
-        assert brute_event(ens, q, lambda f, v=v: f.parent[v] == ROOT) == pytest.approx(
+        assert brute_event(ens, q, per_forest(lambda f, v=v: f.parent[v] == ROOT)) == pytest.approx(
             path_interior_root_measure(n, d, q).to_float() / Z, abs=1e-10
         )
 

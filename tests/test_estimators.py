@@ -38,6 +38,7 @@ from lepart.estimators import (
     poisson_binomial_pmf,
 )
 from lepart.wilson import ROOT
+from oracles import per_forest
 
 
 def test_reproducibility_bit_identical():
@@ -77,22 +78,40 @@ def test_mc_correlation_star_leaves():
 
 def test_mc_event_root_and_edge_probabilities():
     g = make_family(Path(5))
-    stats = mc_event(g, 1.0, lambda f: f.parent[2] == ROOT, 40_000, 3)
+    stats = mc_event(g, 1.0, per_forest(lambda f: f.parent[2] == ROOT), 40_000, 3)
     want = roots_marginal(g, 1.0, (2,))
     assert abs(stats.estimate - want) < 4 * max(stats.stderr, 1e-4)
     # P(specific directed edge) via contraction ratio
     from lepart import brute_event, enumerate_forests
 
     g3 = make_family(Path(3))
-    want_edge = brute_event(enumerate_forests(g3), 1.0, lambda f: f.parent[0] == 1)
-    stats_e = mc_event(g3, 1.0, lambda f: f.parent[0] == 1, 40_000, 5)
+    want_edge = brute_event(enumerate_forests(g3), 1.0, per_forest(lambda f: f.parent[0] == 1))
+    stats_e = mc_event(g3, 1.0, per_forest(lambda f: f.parent[0] == 1), 40_000, 5)
     assert abs(stats_e.estimate - want_edge) < 4 * max(stats_e.stderr, 1e-4)
 
 
 def test_mc_event_killing_dominates():
     g = make_family(Cycle(5))
-    stats = mc_event(g, 1e9, lambda f: f.root_count == 5, 1000, 9)
+    stats = mc_event(g, 1e9, per_forest(lambda f: f.root_count == 5), 1000, 9)
     assert stats.estimate > 0.999
+
+
+@pytest.mark.parametrize("family", [Star(6, 0.5), Bottleneck(3, 3, 0.5)], ids=["tree-sampler", "wilson"])
+def test_mc_event_row_predicates_count_the_adapters_hits(family, monkeypatch):
+    """A row predicate counts exactly the forests its per-forest form selects, block by block."""
+    from lepart import estimators
+
+    g = make_family(family)
+    monkeypatch.setattr(estimators, "BLOCK_ENTRIES", 97 * g.n)  # blocks of 97 replicas
+    events = [
+        (lambda nxt, roots: nxt[:, 0] == ROOT, lambda f: f.parent[0] == ROOT),
+        (lambda nxt, roots: roots[:, 1] == roots[:, 4], lambda f: f.root_of(1) == f.root_of(4)),
+        (lambda nxt, roots: (nxt == ROOT).sum(1) == 2, lambda f: f.root_count == 2),
+        (lambda nxt, roots: nxt[:, 1] == 0, lambda f: f.parent[1] == 0),
+    ]
+    for row, pred in events:
+        got, want = mc_event(g, 0.7, row, 1000, 29), mc_event(g, 0.7, per_forest(pred), 1000, 29)
+        assert got == want and 0 < got.successes < 1000
 
 
 def test_doubling_replicas_consistent():

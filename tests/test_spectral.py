@@ -36,7 +36,7 @@ from lepart import (
 from lepart.graphs import contract_edge, delete_edge
 from lepart.spectral import TreePairCorrelation
 from lepart.wilson import ROOT
-from oracles import adjacent_separation
+from oracles import adjacent_separation, per_forest
 
 TINY = [Path(2), Path(4), Cycle(3), Star(4), Complete(4)]
 QS = (0.1, 1.0, 10.0)
@@ -162,7 +162,7 @@ def test_roots_marginal_matches_enumeration(fam, q):
     g = make_family(fam)
     ens = enumerate_forests(g)
     for v in range(g.n):
-        want = brute_event(ens, q, lambda f, v=v: f.parent[v] == ROOT)
+        want = brute_event(ens, q, per_forest(lambda f, v=v: f.parent[v] == ROOT))
         assert roots_marginal(g, q, (v,)) == pytest.approx(want, abs=1e-10)
 
 
@@ -449,7 +449,7 @@ def test_edge_probability_expressions(fam, q):
     Z = brute_z(ens, q)
     K = np.linalg.inv(q * np.eye(g.n) - laplacian(g))
     for x, y, w in g.edges:
-        p_edge = brute_event(ens, q, lambda f, x=x, y=y: f.parent[x] == y)
+        p_edge = brute_event(ens, q, per_forest(lambda f, x=x, y=y: f.parent[x] == y))
         assert p_edge == pytest.approx(w * (K[x, x] - K[y, x]), abs=1e-10)
         gc, _ = contract_edge(g, x, y)
         assert p_edge == pytest.approx(w * brute_z(enumerate_forests(gc), q) / Z, abs=1e-10)

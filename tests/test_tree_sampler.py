@@ -31,7 +31,7 @@ from lepart import estimators, wilson
 from lepart.graphs import is_tree, leaf_first
 from lepart.spectral import TreePairCorrelation
 from lepart.wilson import ForestSampler, RootedForest, TreeSampler, forest_sampler, tree_uniforms
-from oracles import tree_pair_separation, tree_pivots
+from oracles import oracle_forests, tree_pair_separation, tree_pivots
 
 
 def random_tree(seed: int, n: int, one_way: bool) -> WeightedDigraph:
@@ -56,7 +56,7 @@ def chi_square_p(g: WeightedDigraph, q: float, replicas: int, seed: int) -> floa
     ens = enumerate_forests(g)
     masses = ens.masses(q)
     expected = masses / masses.sum() * replicas
-    index = {f.parent: i for i, f in enumerate(ens.forests)}
+    index = {f.parent: i for i, f in enumerate(oracle_forests(ens))}
     counts = np.zeros(len(ens))
     sampler = forest_sampler(g, q)
     assert isinstance(sampler, TreeSampler)

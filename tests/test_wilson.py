@@ -13,6 +13,7 @@ from lepart import (
     Bottleneck,
     Complete,
     Cycle,
+    FormatError,
     HierarchicalTree,
     ParameterError,
     Partition,
@@ -36,7 +37,7 @@ from lepart import (
 from lepart import wilson
 from lepart.estimators import _chi_square_merged
 from lepart.wilson import ForestSampler, forest_sampler
-from oracles import wilson_steps
+from oracles import OracleForest, oracle_forests, wilson_steps
 
 
 def test_single_vertex_always_root():
@@ -77,6 +78,11 @@ def test_forest_json_round_trip():
     assert forest_to_json(RootedForest((ROOT, 0))) == "[0, -1]".replace("0, -1", "-1, 0")  # [-1, 0]
     with pytest.raises(Exception):
         forest_from_json("[[1]]")
+    # bool is an int subclass in Python, so true/false would read as 1/0
+    with pytest.raises(FormatError, match="array of integers"):
+        forest_from_json("[true, -1]", make_family(Path(2)))
+    with pytest.raises(FormatError):
+        forest_from_json("[false]")
 
 
 def test_sampler_determinism_and_seed_splitting():
@@ -127,7 +133,7 @@ def test_huge_killing_rate_roots_everything():
         all_roots = 0
         for r in range(1000):
             f = sampler.sample(Random(split_seed(5, r)))
-            all_roots += f.root_count == g.n
+            all_roots += OracleForest(f.parent).root_count == g.n
         assert all_roots / 1000 > 0.999
 
 
@@ -136,7 +142,7 @@ def test_path2_both_roots_frequency():
     g = make_family(Path(2))
     sampler = ForestSampler(g, 2.0)
     R = 10**5
-    hits = sum(sampler.sample(Random(split_seed(31, r))).root_count == 2 for r in range(R))
+    hits = sum(OracleForest(sampler.sample(Random(split_seed(31, r))).parent).root_count == 2 for r in range(R))
     p_hat = hits / R
     sigma = math.sqrt(0.5 * 0.5 / R)
     assert abs(p_hat - 0.5) < 4 * sigma
@@ -148,7 +154,7 @@ def test_sampler_law_smoke_path3():
     q, R = 1.0, 20_000
     masses = ens.masses(q)
     probs = masses / masses.sum()
-    index = {f.parent: i for i, f in enumerate(ens.forests)}
+    index = {f.parent: i for i, f in enumerate(oracle_forests(ens))}
     counts = np.zeros(len(ens))
     sampler = ForestSampler(g, q)
     for r in range(R):
@@ -166,7 +172,7 @@ def test_processing_order_invariance():
         sampler = ForestSampler(g, q, order)
         hits = 0
         for r in range(R):
-            f = sampler.sample(Random(split_seed(3, r)))
+            f = OracleForest(sampler.sample(Random(split_seed(3, r))).parent)
             hits += f.root_of(1) == f.root_of(2)
         freqs.append(hits / R)
     p = sum(freqs) / 2
@@ -226,9 +232,10 @@ def reference_sample(sampler: ForestSampler, rng: Random) -> RootedForest:
 
 def reference_partition_of(forest: RootedForest) -> Partition:
     """Blocks by one root_of call per vertex, O(n * depth)."""
+    oracle = OracleForest(forest.parent)
     by_root: dict[int, list[int]] = {}
     for v in range(forest.n):
-        by_root.setdefault(forest.root_of(v), []).append(v)
+        by_root.setdefault(oracle.root_of(v), []).append(v)
     blocks = tuple(tuple(sorted(b)) for b in sorted(by_root.values(), key=min))
     block_of = [0] * forest.n
     for i, block in enumerate(blocks):
@@ -333,7 +340,7 @@ def test_hub_rooted_law_matches_enumeration(g, q):
     ens = enumerate_forests(g)
     masses = ens.masses(q)
     probs = masses / masses.sum()
-    index = {f.parent: i for i, f in enumerate(ens.forests)}
+    index = {f.parent: i for i, f in enumerate(oracle_forests(ens))}
     R = 20_000
     counts = np.zeros(len(ens))
     for row in ForestSampler(g, q, root=hub(g)).draw(42, 0, R).tolist():
