@@ -233,8 +233,7 @@ def _cmd_sweep(args, out) -> int:
     g, spec = _load_graph(args)
     x, y = _parse_pair(args.pair, g.n)
     grid = _parse_grid(args.q_grid)
-    target = spec if spec is not None else g
-    table = sweep(target, grid, [CorrelationQuery("corr", x, y)], args.replicas, args.seed)
+    table = sweep(g, grid, [CorrelationQuery("corr", x, y)], args.replicas, args.seed, family=spec)
     for row in table.rows:
         if row.exact is not None:
             _finite(row.exact)

@@ -20,7 +20,7 @@ That is the order of a depth-first search over the same choices, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -61,6 +61,8 @@ class ForestEnsemble:
     parents: np.ndarray
     weights: np.ndarray
     root_counts: np.ndarray
+    #: (q, masses, their total) of the last q that :meth:`probability` was asked about
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -81,9 +83,18 @@ class ForestEnsemble:
         return self.weights * q ** self.root_counts.astype(float)
 
     def probability(self, q: float, hit: np.ndarray) -> float:
-        """Probability of the forests selected by the boolean mask ``hit``."""
-        masses = self.masses(q)
-        return float(masses[hit].sum() / masses.sum())
+        """Probability of the forests selected by the boolean mask ``hit``.
+
+        The masses and their total are kept for the last q asked about, so
+        the pairs of a sweep share one mass vector per q.
+        """
+        last = self._last
+        if last is None or last[0] != q:
+            masses = self.masses(q)
+            last = (q, masses, masses.sum())
+            object.__setattr__(self, "_last", last)  # frozen: the one cache slot
+        _, masses, total = last
+        return float(masses[hit].sum() / total)
 
 
 def enumerate_forests(g: WeightedDigraph) -> ForestEnsemble:

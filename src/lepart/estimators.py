@@ -416,8 +416,13 @@ def sweep(
     queries: Sequence[Query],
     replicas: int,
     seed: int,
+    family: FamilySpec | None = None,
 ) -> SweepTable:
     """Exact values (where a method exists) and MC estimates over a q-grid.
+
+    ``target`` is a graph or a family spec, which is built here; ``family``
+    names the spec a graph target was built from, so its closed forms apply
+    without a second build.
 
     The exact column of a correlation query comes from :func:`exact_route`,
     resolved once per distinct pair before any row is computed (None where no
@@ -427,9 +432,10 @@ def sweep(
     only the exact column. Each (q, query) row draws its own replica
     streams, derived from ``seed`` and the row index, from one sampler per q.
     """
-    family: FamilySpec | None
     if isinstance(target, WeightedDigraph):
-        g, family = target, None
+        g = target
+    elif family is not None:
+        raise ParameterError("give the family spec as the target or as family=, not both")
     else:
         family, g = target, make_family(target)
     qs = [float(q) for q in q_grid]

@@ -85,7 +85,10 @@ class WeightedDigraph:
 
     @classmethod
     def from_arrays(cls, n: int, src, dst, weights) -> "WeightedDigraph":
-        """The graph with edges ``src[i] -> dst[i]`` of weight ``weights[i]``."""
+        """The graph with edges ``src[i] -> dst[i]`` of weight ``weights[i]``.
+
+        Edges already in CSR order (by source, then destination) skip the sort.
+        """
         g = cls.__new__(cls)
         g._build(n, src, dst, weights)
         return g
@@ -95,10 +98,12 @@ class WeightedDigraph:
             raise ParameterError(f"need at least one vertex, got n={n}")
         try:
             src = np.asarray(src, dtype=np.int64)
-            dst = np.asarray(dst, dtype=np.int64)
+            # dst and w may be stored as they are, and stored arrays are made
+            # read-only: copy the caller's, never alias them
+            dst = np.array(dst, dtype=np.int64)
         except OverflowError as exc:
             raise ParameterError(f"vertex id out of range for n={n}") from exc
-        w = np.asarray(weights, dtype=float)
+        w = np.array(weights, dtype=float)
         for error, bad, what in (
             (ParameterError, (src < 0) | (src >= n) | (dst < 0) | (dst >= n), f"is out of range for n={n}"),
             (FormatError, src == dst, "is a self-loop"),
@@ -108,17 +113,19 @@ class WeightedDigraph:
                 i = int(bad.argmax())
                 raise error(f"edge ({src[i]},{dst[i]}) of weight {w[i]} {what}")
         key = src * n + dst
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        bad = key[1:] == key[:-1]
-        if bad.any():
-            i = int(bad.argmax())
-            raise FormatError(f"duplicate edge ({key[i] // n},{key[i] % n})")
-        src = src[order]
+        # strictly increasing keys are CSR order already, without duplicates
+        if not np.all(key[1:] > key[:-1]):
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            bad = key[1:] == key[:-1]
+            if bad.any():
+                i = int(bad.argmax())
+                raise FormatError(f"duplicate edge ({key[i] // n},{key[i] % n})")
+            src, dst, w = src[order], dst[order], w[order]
         self.n = int(n)
         self.indptr = np.searchsorted(src, np.arange(n + 1))
-        self.indices = dst[order]
-        self.weights = w[order]
+        self.indices = dst
+        self.weights = w
         # bincount adds in edge order, as a per-edge loop would
         self.out_weight = np.bincount(src, weights=self.weights, minlength=n)
         for a in (self.indptr, self.indices, self.weights, self.out_weight):
@@ -292,17 +299,17 @@ def make_family(spec: FamilySpec) -> WeightedDigraph:
             raise ParameterError("bottleneck needs n >= 1 and m >= 1")
         check_weight(spec.w)
         n, m = spec.n, spec.m
-        big, small = np.triu_indices(n, 1), np.triu_indices(m, 1)
-        a = np.concatenate((big[0], small[0] + n, [0]))
-        b = np.concatenate((big[1], small[1] + n, [n]))
-        w = np.ones(len(a))
-        w[-1] = spec.w
-        return _both_ways(n + m, a, b, w)
+        adjacency = np.zeros((n + m, n + m), dtype=bool)
+        adjacency[:n, :n] = adjacency[n:, n:] = True
+        adjacency[0, n] = adjacency[n, 0] = True
+        np.fill_diagonal(adjacency, False)
+        src, dst = np.nonzero(adjacency)  # row by row, so already in CSR order
+        return WeightedDigraph.from_arrays(n + m, src, dst, np.where((src < n) != (dst < n), float(spec.w), 1.0))
     if isinstance(spec, Complete):
         if spec.n < 1:
             raise ParameterError("complete graph needs n >= 1")
-        a, b = np.triu_indices(spec.n, 1)
-        return _both_ways(spec.n, a, b, np.ones(len(a)))
+        src, dst = np.nonzero(~np.eye(spec.n, dtype=bool))
+        return WeightedDigraph.from_arrays(spec.n, src, dst, np.ones(len(src)))
     raise ParameterError(f"unknown family spec {spec!r}")
 
 

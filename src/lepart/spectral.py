@@ -5,8 +5,13 @@ rate q > 0 puts mass q^{#roots} * prod(edge weights) on each forest; its
 normalizing constant is det(qI - L) with L the graph Laplacian, and the roots
 form a determinantal process with kernel q(qI - L)^{-1}. qI - L is a sparse
 nonsingular M-matrix, factored in one place (``_factor``: SuperLU without row
-pivoting). The partition function is the product of its pivots; hitting
-probabilities and root marginals are solves against it. The dense kernel
+pivoting). SuperLU reads the graph's own CSR arrays, with q + W(v) inserted
+into each row, as compressed columns, so it factors the transpose of qI - L.
+That is harmless: the determinant is the same, and a solve against qI - L
+asks SuperLU for the transposed system. On an undirected graph the transpose
+is qI - L itself, entry for entry. The partition function is the product of
+the pivots; hitting probabilities and root marginals are solves against
+them. The dense kernel
 (:func:`green_kernel`) is only an oracle. On a tree the probability that two
 vertices share a block is a sum of positive products of subtree determinants,
 which one leaf-to-path elimination evaluates in O(n).
@@ -34,27 +39,52 @@ __all__ = [
 ]
 
 
-def _factor(g: WeightedDigraph, q: float):
-    """SuperLU factors P M P^T = L U of M = qI - L, the one factorization here.
+def _transposed(g: WeightedDigraph, q: float):
+    """(qI - L)^T as the CSC matrix ``_factor`` hands SuperLU, with no arithmetic beyond q + W(v).
 
-    M is a nonsingular M-matrix, so it needs no row pivoting: with the
+    Row v of the graph's CSR arrays, negated, holds -w(v, u) at column u; with
+    q + W(v) inserted at column v it is row v of qI - L. Read as compressed
+    columns, those rows are the columns of the transpose.
+    """
+    from scipy import sparse
+    n = g.n
+    # the CSR keys v * n + u increase, so v's diagonal key v * (n + 1) finds its slot in row v
+    at = np.searchsorted(g._rows * n + g.indices, np.arange(n) * (n + 1))
+    data = np.insert(-g.weights, at, q + g.out_weight)
+    indices = np.insert(g.indices, at, np.arange(n))
+    return sparse.csc_array((data, indices, g.indptr + np.arange(n + 1)), shape=(n, n))
+
+
+def _factor(g: WeightedDigraph, q: float):
+    """SuperLU factors P M^T P^T = L U of M = qI - L, the one factorization here.
+
+    SuperLU receives the graph's CSR arrays with the diagonal q + W(v) inserted
+    into each row (:func:`_transposed`), so it factors M^T, which has the same
+    determinant; a solve against M passes ``trans="T"`` (:func:`_solve`).
+    M^T is a nonsingular M-matrix too, so it needs no row pivoting: with the
     threshold at 0 and a symmetric fill-reducing order, every pivot is the
     diagonal entry and positive, the row and column permutations coincide,
     and log det M is the sum of log U_ii. A pivot that is not positive (or a
     permutation pair that differs) means the factorization broke down.
     """
-    from scipy import sparse
     from scipy.sparse.linalg import splu
     check_q(q)
-    adjacency = sparse.csr_array((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
-    M = (sparse.diags_array(q + g.out_weight, format="csr") - adjacency).tocsc()
     try:
-        lu = splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = splu(_transposed(g, q), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise NumericError(f"sparse LU of qI - L failed at q={q}: {exc}") from exc
     if not (np.all(lu.U.diagonal() > 0) and np.array_equal(lu.perm_r, lu.perm_c)):
         raise NumericError(f"sparse LU of qI - L lost its positive diagonal pivots at q={q}")
     return lu
+
+
+def _solve(g: WeightedDigraph, q: float, rhs: np.ndarray) -> np.ndarray:
+    """(qI - L)^{-1} rhs, against the factors of the transpose.
+
+    On a symmetric graph the factored matrix is qI - L itself, and the plain
+    solve is used: the transposed one rounds differently in the last digits.
+    """
+    return _factor(g, q).solve(rhs, trans="N" if g.is_symmetric else "T")
 
 
 def partition_function(g: WeightedDigraph, q: float) -> LogValue:
@@ -89,7 +119,7 @@ def roots_marginal(g: WeightedDigraph, q: float, vertices) -> float:
         raise ParameterError("need a nonempty vertex set")
     rhs = np.zeros((g.n, len(idx)))
     rhs[idx, range(len(idx))] = q
-    return float(np.linalg.det(_factor(g, q).solve(rhs)[idx]))
+    return float(np.linalg.det(_solve(g, q, rhs)[idx]))
 
 
 def laplacian_spectrum(g: WeightedDigraph) -> np.ndarray:
@@ -120,7 +150,7 @@ def hitting_prob(g: WeightedDigraph, x: int, y: int, q: float) -> float:
         raise ParameterError("need two distinct vertices")
     rhs = np.zeros(g.n)
     rhs[y] = 1.0
-    column = _factor(g, q).solve(rhs)
+    column = _solve(g, q, rhs)
     return float(column[x] / column[y])
 
 

@@ -42,6 +42,13 @@ depth-first search that :func:`lepart.enumerate_forests` replaced, one
 parent tuple per forest; the array enumeration must reproduce its rows,
 weights and root counts exactly.
 
+The factored matrix, ``reference_system(g, q)``: qI - L assembled by
+SciPy sparse algebra (diagonal minus adjacency, converted to CSC), as
+``spectral._factor`` once built it, and ``reference_factor(g, q)``, its
+SuperLU factors with the library's options. On an undirected graph the
+library's CSR-read-as-CSC matrix must equal it entry for entry, and its
+values must equal this route's by ``==``.
+
 Per-forest events: :class:`OracleForest` is a :class:`lepart.RootedForest`
 with the per-forest root queries ``root_of`` (a chain walk) and
 ``root_count``, which the library left behind when events became row
@@ -249,6 +256,19 @@ def per_forest(pred):
         hits = (bool(pred(OracleForest(tuple(row)))) for row in nxt.tolist())
         return np.fromiter(hits, dtype=bool, count=len(nxt))
     return rows
+
+
+def reference_system(g, q):
+    """qI - L in CSC form, by SciPy sparse algebra from the graph's adjacency."""
+    from scipy import sparse
+    adjacency = sparse.csr_array((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
+    return (sparse.diags_array(q + g.out_weight, format="csr") - adjacency).tocsc()
+
+
+def reference_factor(g, q):
+    """SuperLU factors of :func:`reference_system`, with ``spectral._factor``'s options."""
+    from scipy.sparse.linalg import splu
+    return splu(reference_system(g, q), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
 def wilson_steps(g, q, root):

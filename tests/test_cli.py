@@ -185,6 +185,28 @@ def test_sweep_csv(capsys):
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))  # monotone in q
 
 
+def test_sweep_builds_its_graph_once(capsys, monkeypatch):
+    import lepart.estimators as estimators
+    import lepart.graphs as graphs
+
+    built = []
+
+    def counted(spec, fn=graphs.make_family):
+        built.append(spec)
+        return fn(spec)
+
+    for module in (graphs, cli, estimators):
+        monkeypatch.setattr(module, "make_family", counted)
+    code, out, _ = run(
+        capsys, "sweep", "--family", "bottleneck:n=120,m=12,w=1", "--pair", "1,121",
+        "--q-grid", "log:0.01:1:5", "--replicas", "0",
+    )
+    assert code == 0
+    assert built == [parse_family("bottleneck:n=120,m=12,w=1")]
+    rows = out.strip().splitlines()[2:]
+    assert len(rows) == 5 and all(row.split(",")[2] for row in rows)  # the bridge's closed form, at every q
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "corr", "--family", "path:n=2", "--pair", "1,3", "--q", "1")[0] == 2
     assert run(capsys, "z", "--family", "torus:n=3", "--q", "1")[0] == 2

@@ -238,6 +238,11 @@ def test_sweep_exact_dispatch():
     assert t2.rows[0].exact == pytest.approx(star_quantities(40, 1.0, 1.0).leaf_leaf, rel=1e-9)
     t3 = sweep(Bottleneck(20, 10, 1.0), [1.0], [CorrelationQuery("c", 0, 20)], 0, 1)
     assert t3.rows[0].exact == pytest.approx(bottleneck_quantities(20, 10, 1.0, 1.0).bridge, rel=1e-9)
+    # a built graph with its spec takes the same closed form; the spec is given once
+    built = make_family(Bottleneck(20, 10, 1.0))
+    assert sweep(built, [1.0], [CorrelationQuery("c", 0, 20)], 0, 1, family=Bottleneck(20, 10, 1.0)) == t3
+    with pytest.raises(ParameterError, match="not both"):
+        sweep(Bottleneck(20, 10, 1.0), [1.0], [CorrelationQuery("c", 0, 20)], 0, 1, family=Bottleneck(20, 10, 1.0))
     # no exact method: non-tree, non-family, n > 8 pair off the bridge
     t4 = sweep(make_family(Bottleneck(20, 10, 1.0)), [1.0], [CorrelationQuery("c", 1, 21)], 0, 1)
     assert t4.rows[0].exact is None
@@ -269,6 +274,26 @@ def test_sweep_enumerates_once_and_builds_one_sampler_per_q(monkeypatch):
     assert sum(reduced) == 2 * forests
     for row, (x, y) in zip(table.rows, pairs * len(qs)):
         assert row.estimate == mc_correlation(g, row.q, x, y, 20, row.seed).estimate
+
+
+def test_sweep_computes_the_ensemble_masses_once_per_q(monkeypatch):
+    from lepart import enumeration
+
+    g = make_family(Bottleneck(5, 3, 1.0))
+    qs, pairs = [0.5, 1.0, 2.0], [(0, y) for y in range(1, 8)]
+    ens = enumerate_forests(g)
+    want = []  # every row's probability from its own mass vector, as each call once computed it
+    for q in qs:
+        masses = ens.weights * q ** ens.root_counts.astype(float)
+        for x, y in pairs:
+            want.append(float(masses[ens.roots[:, x] != ens.roots[:, y]].sum() / masses.sum()))
+    calls = []
+    monkeypatch.setattr(
+        enumeration.ForestEnsemble, "masses", lambda self, q, fn=enumeration.ForestEnsemble.masses: calls.append(q) or fn(self, q)
+    )
+    table = sweep(g, qs, [CorrelationQuery(f"0-{y}", x, y) for x, y in pairs], 0, 3)
+    assert [row.exact for row in table.rows] == want
+    assert calls == qs
 
 
 def test_sweep_mc_columns_and_csv():

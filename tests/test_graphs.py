@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import accumulate
 
@@ -318,6 +319,63 @@ def test_csr_family_matches_tuple_builder(fam):
     assert sampler._nbrs == [sorted(o) for o in out]
     assert sampler._cum == [list(accumulate(w for _, w in sorted(o.items()))) for o in out]
     assert sampler._total == [q + t for t in total]
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 10), st.data())
+def test_csr_ordered_input_builds_the_same_graph(n, data):
+    """CSR-ordered edges skip the sort; any other order, and duplicates, take it."""
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda c: c[0] != c[1])
+    pairs = sorted(data.draw(st.lists(cells, max_size=n * (n - 1), unique=True)))
+    weights = data.draw(st.lists(st.floats(0.01, 100.0), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(x, y, w) for (x, y), w in zip(pairs, weights)]
+    shuffled = data.draw(st.permutations(edges))
+
+    def arrays(es):
+        return (np.array([e[0] for e in es], dtype=np.int64), np.array([e[1] for e in es], dtype=np.int64),
+                np.array([e[2] for e in es], dtype=float))
+
+    want = WeightedDigraph(n, edges)
+    for es in (edges, shuffled):
+        src, dst, w = arrays(es)
+        g = WeightedDigraph.from_arrays(n, src, dst, w)
+        for a, b in zip((g.indptr, g.indices, g.weights, g.out_weight), (want.indptr, want.indices, want.weights, want.out_weight)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # the caller's arrays are copied, not frozen or shared
+        for a in (src, dst, w):
+            assert a.flags.writeable
+            a[:] = 0
+        assert g == want
+    if edges:
+        k = data.draw(st.integers(0, len(edges) - 1))
+        twin = (edges[k][0], edges[k][1], 2.0)
+        messages = set()
+        for es in (edges[: k + 1] + [twin] + edges[k + 1 :], shuffled + [twin]):
+            with pytest.raises(FormatError, match="duplicate edge") as err:
+                WeightedDigraph.from_arrays(n, *arrays(es))
+            messages.add(str(err.value))
+        assert messages == {f"duplicate edge ({twin[0]},{twin[1]})"}
+
+
+#: SHA-256 over ``indptr``, ``indices``, ``weights`` and ``out_weight`` of the dense families, which
+#: are built already in CSR order; pinned from the builder that sorted both orientations of each pair.
+CSR_DIGESTS = {
+    Complete(1): "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0",
+    Complete(2): "d60fb6c6fcc1c496e4b2f0fbffc5742976704365068844c25c0446f0c632c30b",
+    Complete(7): "69ac28cc51707af5c4895a01f3781481a9053d7d988fe16c0b5f0e041e9309c8",
+    Bottleneck(1, 1, 0.5): "f27e06e7e027a977591314dc251aabe368af5032cea1fafd27c2cb79131b1ed6",
+    Bottleneck(5, 3, 0.2): "aef7e3f6075768653220d598ff7dfe6b69b287ccd98dba8f0c1e46b903f74860",
+    Bottleneck(20, 4, 2.0): "260f324c06eb62eb920e508dad34806eccdc724ceb6b206a0a297a271d5e1a19",
+}
+
+
+@pytest.mark.parametrize("fam", CSR_DIGESTS, ids=str)
+def test_dense_family_arrays_are_pinned(fam):
+    g = make_family(fam)
+    digest = hashlib.sha256()
+    for a in (g.indptr, g.indices, g.weights, g.out_weight):
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == CSR_DIGESTS[fam]
 
 
 def test_graph_arrays_are_read_only():

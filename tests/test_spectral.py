@@ -9,8 +9,10 @@ from scipy.special import logsumexp
 
 from lepart import (
     Bottleneck,
+    CommunityStar,
     Complete,
     Cycle,
+    HierarchicalTree,
     ParameterError,
     Path,
     Star,
@@ -34,9 +36,9 @@ from lepart import (
     z_path,
 )
 from lepart.graphs import contract_edge, delete_edge
-from lepart.spectral import TreePairCorrelation
+from lepart.spectral import TreePairCorrelation, _transposed
 from lepart.wilson import ROOT
-from oracles import adjacent_separation, per_forest
+from oracles import adjacent_separation, per_forest, reference_factor, reference_system
 
 TINY = [Path(2), Path(4), Cycle(3), Star(4), Complete(4)]
 QS = (0.1, 1.0, 10.0)
@@ -112,6 +114,48 @@ def test_sparse_routes_match_dense_linear_algebra():
                 for A in ([x], sorted([x, y])):
                     want = np.linalg.det(K[np.ix_(A, A)])
                     assert roots_marginal(g, q, A) == pytest.approx(want, abs=1e-9)
+
+
+UNDIRECTED_SYSTEMS = [
+    Path(1), Path(2), Path(40), Cycle(3), Cycle(31), Star(2, 0.3), Star(12, 0.5), CommunityStar(20, 6, 0.1),
+    HierarchicalTree(2, 3, (0.5, 1.0, 4.0)), Bottleneck(1, 1, 0.5), Bottleneck(5, 3, 0.2), Bottleneck(20, 4, 2.0),
+    Complete(1), Complete(2), Complete(7), Complete(60),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("fam", UNDIRECTED_SYSTEMS, ids=str)
+def test_factored_matrix_is_the_sparse_algebra_one_on_undirected_graphs(fam):
+    """SuperLU gets qI - L itself, and every value equals the sparse-algebra route's by ``==``."""
+    g = make_family(fam)
+    for q in (1e-9, 1e-3, 0.7, 20.0):
+        got, want = _transposed(g, q), reference_system(g, q)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(got.indices, want.indices) and np.array_equal(got.indptr, want.indptr)
+        lu = reference_factor(g, q)
+        assert partition_function(g, q).log() == float(np.sum(np.log(lu.U.diagonal())))
+        if g.n >= 2:
+            x, y = 0, g.n - 1
+            rhs = np.zeros(g.n)
+            rhs[y] = 1.0
+            column = lu.solve(rhs)
+            assert hitting_prob(g, x, y, q) == float(column[x] / column[y])
+            A = sorted({0, g.n // 2, g.n - 1})
+            rhs = np.zeros((g.n, len(A)))
+            rhs[A, range(len(A))] = q
+            assert roots_marginal(g, q, A) == float(np.linalg.det(lu.solve(rhs)[A]))
+
+
+def test_factored_matrix_is_the_transpose_on_digraphs():
+    """With one-way edges and unequal weights each way, SuperLU gets (qI - L)^T, entry for entry."""
+    one_way = 0
+    for seed in range(40):
+        g = random_digraph(random.Random(seed))
+        one_way += not g.is_symmetric
+        for q in (1e-9, 1.0):
+            got, want = _transposed(g, q), reference_system(g, q)
+            assert got.has_sorted_indices
+            assert got.toarray().tobytes() == want.T.toarray().tobytes()
+    assert one_way >= 30
 
 
 def test_partition_function_path_beyond_dense_reach():
