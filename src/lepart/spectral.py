@@ -40,12 +40,7 @@ __all__ = [
 
 
 def _transposed(g: WeightedDigraph, q: float):
-    """(qI - L)^T as the CSC matrix ``_factor`` hands SuperLU, with no arithmetic beyond q + W(v).
-
-    Row v of the graph's CSR arrays, negated, holds -w(v, u) at column u; with
-    q + W(v) inserted at column v it is row v of qI - L. Read as compressed
-    columns, those rows are the columns of the transpose.
-    """
+    """(qI - L)^T in CSC form: row v of qI - L is the graph's CSR row v, negated, with q + W(v) inserted at v."""
     from scipy import sparse
     n = g.n
     # the CSR keys v * n + u increase, so v's diagonal key v * (n + 1) finds its slot in row v
@@ -60,7 +55,7 @@ def _factor(g: WeightedDigraph, q: float):
 
     SuperLU receives the graph's CSR arrays with the diagonal q + W(v) inserted
     into each row (:func:`_transposed`), so it factors M^T, which has the same
-    determinant; a solve against M passes ``trans="T"`` (:func:`_solve`).
+    determinant; a solve against M asks for the transposed system (:func:`_solve`).
     M^T is a nonsingular M-matrix too, so it needs no row pivoting: with the
     threshold at 0 and a symmetric fill-reducing order, every pivot is the
     diagonal entry and positive, the row and column permutations coincide,
@@ -79,10 +74,9 @@ def _factor(g: WeightedDigraph, q: float):
 
 
 def _solve(g: WeightedDigraph, q: float, rhs: np.ndarray) -> np.ndarray:
-    """(qI - L)^{-1} rhs, against the factors of the transpose.
+    """(qI - L)^{-1} rhs by the transposed solve, or by the plain one on a symmetric graph.
 
-    On a symmetric graph the factored matrix is qI - L itself, and the plain
-    solve is used: the transposed one rounds differently in the last digits.
+    There the factored matrix is qI - L itself, and the transposed solve would round differently.
     """
     return _factor(g, q).solve(rhs, trans="N" if g.is_symmetric else "T")
 
