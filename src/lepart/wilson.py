@@ -16,7 +16,7 @@ once the walk dies or hits the forest, a retrace from its start along
 path or position table is kept.
 
 On a tree no walk is needed: :class:`TreeSampler` draws the forest exactly,
-top-down from vertex 0, with one uniform per vertex from tables built of the
+top-down from vertex 0, with one uniform per vertex compared with the
 leaf-first pivots. Its uniforms are counter-based (:func:`tree_uniforms`):
 the one that replica r reads at breadth-first position i is a SplitMix64
 hash of (seed, r, i), so :meth:`TreeSampler.draw` fills the next-pointer
@@ -311,20 +311,24 @@ class TreeSampler:
 
     Every table entry is q, an edge weight or a t_c, never a difference.
     The partial sums of the pivot recurrence (:func:`~lepart.spectral._pivots`)
-    are the blocked tables' boundaries (the children of one vertex are
-    contiguous in the leaf-first order), and the up option comes last, above s_v, so one draw
-    x = U * total picks: a root if x < q, the parent if x >= s_v, else the
-    child whose boundary ``bisect_right`` finds. Since U * s < s for every
-    U < 1 and s > 0, a blocked vertex never points back, and a zero weight
-    is never picked.
+    tile [q, s_v) into one interval [lo_c, hi_c) per child (the children of
+    one vertex are contiguous in the leaf-first order): hi_c is v's pivot
+    after c's elimination step, lo_c the one before it, or q for the first
+    child. The up option comes last, above s_v, so one draw x = U * total
+    picks: a root if x < q, the parent if x >= s_v, else the child c with
+    lo_c <= x < hi_c. Since U * s < s for every U < 1 and s > 0, a blocked
+    vertex never points back, and a zero weight, an empty interval, is never
+    picked.
 
     Replica r of a seed reads U[r, i] (:func:`tree_uniforms`) at the vertex
     of breadth-first position i, so a forest depends only on (seed, r).
-    :meth:`draw` works out, for all replicas at once, what each vertex
-    picks if free and if blocked. Only which of the two applies is
-    sequential: v is blocked when its parent's pick is v. Pointer doubling
-    settles it in numpy, composing each vertex's map "parent blocked -> v
-    blocked" with its ancestors' in log2(depth) rounds.
+    :meth:`draw` serves all replicas at once. Only whether a vertex is
+    blocked is sequential: v is blocked when its parent's draw falls in v's
+    interval, and two interval tests give that for the parent free and
+    blocked. Pointer doubling settles it in numpy, composing each vertex's
+    map "parent blocked -> v blocked" with its ancestors' in log2(depth)
+    rounds. Then each vertex draws once, and the blocked vertices are the
+    child picks.
     """
 
     def __init__(self, g: WeightedDigraph, q: float):
@@ -335,16 +339,15 @@ class TreeSampler:
         order, n = order.astype(np.int64), g.n
         v = order[:0:-1]  # leaves first, without the root
         s, bound = _pivots(q, n, zip(v.tolist(), parent[v].tolist(), up[v].tolist(), down[v].tolist()))
-        self._bound, self._child = np.array(bound), v
         # from here on, vertices are indexed by breadth-first position
         position = np.empty(n, dtype=np.int64)
         position[order] = np.arange(n)
         above = position[parent[order].clip(0)]
-        # the children of position i are the vertices eliminated at steps lo[i]..last[i]
-        key = -above[:0:-1]  # nondecreasing in the elimination step
-        self._lo = np.searchsorted(key, -np.arange(n), "left")
-        self._last = np.searchsorted(key, -np.arange(n), "right") - 1
-        self._steps = int(max((self._last - self._lo).max(), 0)).bit_length()
+        # position i > 0 is eliminated at step n - 1 - i, just after position i + 1 if that is a
+        # sibling; its parent picks it for x in [lo[i], hi[i]). The root's hi is below every lo.
+        self._hi = np.array([0.0, *reversed(bound)])
+        sibling_next = np.append(above[1:] == above[:-1], False)
+        self._lo = np.where(sibling_next, np.append(self._hi[1:], q), q)
         self._order, self._position, self._above = order, position, above
         # the root's up weight is 0, so its free table is its blocked one and it never points up
         self._parent = order[above]
@@ -365,36 +368,26 @@ class TreeSampler:
         if not isinstance(seed, (int, np.integer)):
             raise ParameterError(f"the tree sampler takes an integer seed, not {type(seed).__name__}")
         u = tree_uniforms(int(seed), start, stop, self.graph.n)
-        free, blocked = self._picks(u * self._free), self._picks(u * self._s)
+        free, blocked = u * self._free, u * self._s
         # (m0, m1)[i] says whether i is blocked when anc[i] is free or blocked;
         # each round composes it with anc[i]'s map and doubles the jump. The root is free.
-        vs, anc = self._order, self._above
-        m0, m1 = free.take(anc, 1) == vs, blocked.take(anc, 1) == vs
+        lo, hi, anc = self._lo, self._hi, self._above
+        up_free, up_blocked = free.take(anc, 1), blocked.take(anc, 1)
+        m0, m1 = (lo <= up_free) & (up_free < hi), (lo <= up_blocked) & (up_blocked < hi)
         for _ in range(self._rounds):
             a0, a1 = m0.take(anc, 1), m1.take(anc, 1)
             m0, m1 = (a0 & m1) | (~a0 & m0), (a1 & m1) | (~a1 & m0)
             anc = anc[anc]
-        return np.where(m0, blocked, free).take(self._position, 1)
+        # m0 now says "my parent picks me": one scatter sets every child pick, and the other
+        # draws pick the parent (x >= s) or nothing (x < q)
+        rows = np.where(np.where(m0, blocked, free) >= self._s, self._parent, ROOT)
+        replica, child = np.nonzero(m0)
+        rows[replica, self._above[child]] = self._order[child]
+        return rows.take(self._position, 1)
 
     def sample(self, seed: int) -> RootedForest:
         """Replica 0 of ``seed``."""
         return RootedForest(tuple(self.draw(seed, 0, 1)[0].tolist()))
-
-    def _picks(self, x: np.ndarray) -> np.ndarray:
-        """What each draw x (columns by position) picks: ROOT, the parent, or a child."""
-        s = self._s
-        picks = np.where(x >= s, self._parent, ROOT)
-        down = np.flatnonzero((x >= self.q) & (x < s))
-        if down.size:  # bisect_right(bound, x, lo, last + 1), vectorized; bound[last] = s > x
-            cols = down % len(s)
-            x, lo, hi = x.take(down), self._lo.take(cols), self._last.take(cols)
-            for _ in range(self._steps):
-                mid = (lo + hi) >> 1
-                right = self._bound.take(mid) <= x
-                lo = np.where(right, mid + 1, lo)
-                hi = np.where(right, hi, mid)
-            picks.put(down, self._child.take(lo))
-        return picks
 
 
 #: Largest graph on which :func:`forest_sampler` weighs a vertex root (one dense solve).

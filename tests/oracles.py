@@ -36,6 +36,9 @@ Leaf-first pivots on a tree, ``tree_pivots(g, q, root, path)``: the
 plain elimination loop s[p] += w(p, v) s[v] / (s[v] + w(v, p)), which
 ``TreeSampler`` and ``TreePairCorrelation`` must reproduce bit for bit, and
 ``tree_pair_separation(g, x, y, q)``, the two-point separation built on it.
+The hypothesis strategy ``asymmetric_trees()`` draws small trees with
+independent weights per direction, some edges one-way, so some of a
+vertex's pick intervals have zero width.
 
 Forest enumeration, ``enumerate_forests_dfs(g)``: the recursive
 depth-first search that :func:`lepart.enumerate_forests` replaced, one
@@ -61,6 +64,7 @@ the tests can hold column expressions against it.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 from lepart import (
@@ -70,6 +74,7 @@ from lepart import (
     ParameterError,
     RootedForest,
     StructureError,
+    WeightedDigraph,
     hitting_prob,
     laplacian,
     z_path,
@@ -175,6 +180,19 @@ def tree_pivots(g, q, root, path=()):
             s[p] += g.weight(p, v) * s[v] / (s[v] + g.weight(v, p))
             bound.append(s[p])
     return s, bound
+
+
+@st.composite
+def asymmetric_trees(draw):
+    """A random tree with independent weights per direction, some edges one-way."""
+    n = draw(st.integers(2, 9))
+    weight = st.floats(0.1, 10.0)
+    edges = []
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        for a, b in draw(st.sampled_from([((u, v), (v, u)), ((u, v),), ((v, u),)])):
+            edges.append((a, b, draw(weight)))
+    return WeightedDigraph(n, edges)
 
 
 def tree_pair_separation(g, x, y, q):

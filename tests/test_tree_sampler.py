@@ -7,6 +7,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from lepart import (
@@ -31,7 +33,7 @@ from lepart import estimators, wilson
 from lepart.graphs import is_tree, leaf_first
 from lepart.spectral import TreePairCorrelation
 from lepart.wilson import ForestSampler, RootedForest, TreeSampler, forest_sampler, tree_uniforms
-from oracles import oracle_forests, tree_pair_separation, tree_pivots
+from oracles import asymmetric_trees, oracle_forests, tree_pair_separation, tree_pivots
 
 
 def random_tree(seed: int, n: int, one_way: bool) -> WeightedDigraph:
@@ -168,20 +170,32 @@ def test_wilson_rows_are_its_replica_streams():
     assert sampler.draw(11, 5, 5).shape == (0, g.n)
 
 
-def per_vertex_rows(sampler: TreeSampler, u: np.ndarray) -> list[list[int]]:
-    """The reference: each replica vertex by vertex in breadth-first order, in Python floats."""
-    q, bound, child = sampler.q, sampler._bound.tolist(), sampler._child.tolist()
-    columns = (sampler._order, sampler._parent, sampler._s, sampler._free, sampler._lo, sampler._last)
-    plan = list(zip(*(c.tolist() for c in columns)))
+def per_vertex_rows(g: WeightedDigraph, q: float, u: np.ndarray) -> list[list[int]]:
+    """The reference: each replica vertex by vertex in breadth-first order, in Python floats.
+
+    v's draw x picks a root below q, its parent from s_v up, and otherwise
+    the child that ``bisect_right`` finds among the pivots v reaches as its
+    children are eliminated (:func:`oracles.tree_pivots`).
+    """
+    order, parent, up, _ = leaf_first(g, 0)
+    order, parent, up = order.tolist(), parent.tolist(), up.tolist()
+    s, bound = tree_pivots(g, q, 0)
+    children: dict[int, tuple[list[float], list[int]]] = {}
+    for c, b in zip(order[:0:-1], bound):  # tree_pivots steps through order backwards, without the root
+        bounds, kids = children.setdefault(parent[c], ([], []))
+        bounds.append(b)
+        kids.append(c)
     rows = []
     for row in u.tolist():
-        nxt = [ROOT] * len(row)
-        for (v, p, s, free, lo, last), x in zip(plan, row):
-            x *= s if nxt[p] == v else free
-            if x >= s:
+        nxt = [ROOT] * g.n
+        for v, x in zip(order, row):
+            p = parent[v]
+            x *= s[v] if p != ROOT and nxt[p] == v else s[v] + up[v]
+            if x >= s[v]:
                 nxt[v] = p
             elif x >= q:
-                nxt[v] = child[bisect_right(bound, x, lo, last + 1)]
+                bounds, kids = children[v]
+                nxt[v] = kids[bisect_right(bounds, x)]
         rows.append(nxt)
     return rows
 
@@ -199,7 +213,36 @@ def test_draw_matches_the_per_vertex_loop(g, q):
     sampler = TreeSampler(g, q)
     rows = sampler.draw(5, 0, 300)
     assert rows.dtype == np.int64
-    assert rows.tolist() == per_vertex_rows(sampler, tree_uniforms(5, 0, 300, g.n))
+    assert rows.tolist() == per_vertex_rows(g, q, tree_uniforms(5, 0, 300, g.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(asymmetric_trees(), st.floats(1e-3, 10.0), st.integers(0, 2**64 - 1))
+def test_draw_matches_the_per_vertex_loop_on_one_way_edges(g, q, seed):
+    # a child whose only edge points to its parent has a zero-width interval
+    rows = TreeSampler(g, q).draw(seed, 0, 200)
+    assert rows.tolist() == per_vertex_rows(g, q, tree_uniforms(seed, 0, 200, g.n))
+
+
+def test_draws_on_interval_ends_pick_as_bisect_right_does(monkeypatch):
+    """Draws that land exactly on q, on a pivot or on s pick what ``bisect_right`` picks.
+
+    Vertex 1 is the centre of a star on leaves 2..9 and hangs from vertex 0,
+    weights 1 in the star, w(0, 1) = 2, w(1, 0) = 4 and q = 1. Leaves 5 and 9
+    only point to the centre, so their intervals have zero width, and the
+    centre's pivots are the binary fractions 1, 1.5, 2, 2.5, 2.5, 3, 3.5, 4
+    (leaves 9..2); s_0 = 2. So every draw below is exact: the centre's
+    draws run through its pivots, blocked (s = 4) and free (s + w(1, 0) = 8).
+    """
+    star = [(1, c, 1.0) for c in range(2, 10) if c not in (5, 9)] + [(c, 1, 1.0) for c in range(2, 10)]
+    g = WeightedDigraph(10, [(0, 1, 2.0), (1, 0, 4.0), *star])
+    ends = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
+    # vertex 0 picks the centre at U = 0.75 only; each leaf's free draw is exactly its s = 1
+    u = np.array([[0.75, x / 4, *[0.5] * 8] for x in ends] + [[0.25, x / 8, *[0.5] * 8] for x in ends])
+    monkeypatch.setattr(wilson, "tree_uniforms", lambda seed, start, stop, n: u)
+    rows = TreeSampler(g, 1.0).draw(0, 0, len(u)).tolist()
+    assert [row[:2] for row in rows] == [[1, c] for c in (8, 7, 6, 4, 3, 2)] + [[ROOT, c] for c in (8, 7, 6, 4, 3, 2)]
+    assert rows == per_vertex_rows(g, 1.0, u)
 
 
 def test_rows_do_not_depend_on_the_split(monkeypatch):
@@ -304,8 +347,17 @@ PIVOT_TREES = [
 def test_pivots_match_the_plain_loop(g, q):
     s, bound = tree_pivots(g, q, 0)
     sampler = TreeSampler(g, q)
-    assert sampler._s.tolist() == [s[v] for v in sampler._order.tolist()]
-    assert sampler._bound.tolist() == bound
+    order = sampler._order.tolist()
+    assert sampler._s.tolist() == [s[v] for v in order]
+    lo, hi, above = sampler._lo.tolist(), sampler._hi.tolist(), sampler._above.tolist()
+    assert hi[:0:-1] == bound  # position i > 0 is eliminated at step n - 1 - i
+    assert not lo[0] < hi[0]  # the root's interval is empty
+    # each vertex's child intervals, in elimination order, tile [q, s_p)
+    for p in range(g.n):
+        kids = [i for i in range(g.n - 1, 0, -1) if above[i] == p]
+        if kids:
+            assert [lo[i] for i in kids] == [q] + [hi[i] for i in kids[:-1]]
+            assert hi[kids[-1]] == s[order[p]]
     rng = Random(g.n)
     for x, y in [(0, g.n - 1)] + [tuple(rng.sample(range(g.n), 2)) for _ in range(4)]:
         assert TreePairCorrelation(g, x, y).at(q) == tree_pair_separation(g, x, y, q)

@@ -37,7 +37,7 @@ from lepart import (
 from lepart import wilson
 from lepart.estimators import _chi_square_merged
 from lepart.wilson import ForestSampler, forest_sampler
-from oracles import OracleForest, oracle_forests, wilson_steps
+from oracles import OracleForest, asymmetric_trees, oracle_forests, wilson_steps
 
 
 def test_single_vertex_always_root():
@@ -102,19 +102,6 @@ def test_invalid_q_and_order():
             sample_forest(g, q, 1)
     with pytest.raises(ParameterError):
         ForestSampler(g, 1.0, order=(0, 1))
-
-
-@st.composite
-def asymmetric_trees(draw):
-    """A random tree with independent weights per direction, some edges one-way."""
-    n = draw(st.integers(2, 9))
-    weight = st.floats(0.1, 10.0)
-    edges = []
-    for v in range(1, n):
-        u = draw(st.integers(0, v - 1))
-        for a, b in draw(st.sampled_from([((u, v), (v, u)), ((u, v),), ((v, u),)])):
-            edges.append((a, b, draw(weight)))
-    return WeightedDigraph(n, edges)
 
 
 @settings(max_examples=20, deadline=None)
