@@ -63,7 +63,7 @@ _CLOSED_FORM_FAMILIES = [
 
 
 def _check_enumeration_vs_determinant() -> str:
-    """Sparse-LU partition function against enumeration and dense LU."""
+    """The partition function, by either route of ``spectral._factor``, against enumeration and dense LU."""
     worst = 0.0
     for fam in _TINY_FAMILIES:
         g = make_family(fam)

@@ -12,8 +12,9 @@ double precision), 4 verification failure.
 ``main(argv)`` may be called repeatedly in one process: the argument parser
 is built once, on the first call, and reused. Importing the CLI loads no
 SciPy; a route loads the part it needs on first use: tree routes load
-``scipy.sparse.csgraph``, ``z --method det`` loads ``scipy.sparse.linalg``,
-and ``verify`` loads ``scipy.special``.
+``scipy.sparse.csgraph``, ``z --method det`` loads ``scipy.linalg`` on a
+dense graph and ``scipy.sparse.linalg`` on a sparse one, and ``verify``
+loads ``scipy.special``.
 """
 
 from __future__ import annotations

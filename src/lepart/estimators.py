@@ -427,7 +427,7 @@ def sweep(
     The exact column of a correlation query comes from :func:`exact_route`,
     resolved once per distinct pair before any row is computed (None where no
     route applies), all pairs sharing one enumerated ensemble when n <= 8;
-    root queries solve against one sparse factorization of qI - L per row
+    root queries solve against one factorization of qI - L per row
     (:func:`roots_marginal`). ``replicas == 0`` skips sampling and fills
     only the exact column. Each (q, query) row draws its own replica
     streams, derived from ``seed`` and the row index, from one sampler per q.

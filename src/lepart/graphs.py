@@ -104,14 +104,17 @@ class WeightedDigraph:
         except OverflowError as exc:
             raise ParameterError(f"vertex id out of range for n={n}") from exc
         w = np.array(weights, dtype=float)
-        for error, bad, what in (
-            (ParameterError, (src < 0) | (src >= n) | (dst < 0) | (dst >= n), f"is out of range for n={n}"),
-            (FormatError, src == dst, "is a self-loop"),
-            (FormatError, ~(np.isfinite(w) & (w > 0)), "needs a positive, finite weight"),
-        ):
+
+        def reject(error, bad, what):
+            i = int(bad.argmax())
+            raise error(f"edge ({src[i]},{dst[i]}) of weight {w[i]} {what}")
+
+        # min/max reductions decide the range check; the mask only finds the first offending edge
+        if len(src) and not (0 <= min(src.min(), dst.min()) and max(src.max(), dst.max()) < n):
+            reject(ParameterError, (src < 0) | (src >= n) | (dst < 0) | (dst >= n), f"is out of range for n={n}")
+        for bad, what in ((src == dst, "is a self-loop"), (~(np.isfinite(w) & (w > 0)), "needs a positive, finite weight")):
             if bad.any():
-                i = int(bad.argmax())
-                raise error(f"edge ({src[i]},{dst[i]}) of weight {w[i]} {what}")
+                reject(FormatError, bad, what)
         key = src * n + dst
         # strictly increasing keys are CSR order already, without duplicates
         if not np.all(key[1:] > key[:-1]):

@@ -3,18 +3,19 @@
 The measure on spanning rooted forests of a weighted digraph G with killing
 rate q > 0 puts mass q^{#roots} * prod(edge weights) on each forest; its
 normalizing constant is det(qI - L) with L the graph Laplacian, and the roots
-form a determinantal process with kernel q(qI - L)^{-1}. qI - L is a sparse
-nonsingular M-matrix, factored in one place (``_factor``: SuperLU without row
-pivoting). SuperLU reads the graph's own CSR arrays, with q + W(v) inserted
-into each row, as compressed columns, so it factors the transpose of qI - L.
-That is harmless: the determinant is the same, and a solve against qI - L
-asks SuperLU for the transposed system. On an undirected graph the transpose
-is qI - L itself, entry for entry. The partition function is the product of
-the pivots; hitting probabilities and root marginals are solves against
-them. The dense kernel
-(:func:`green_kernel`) is only an oracle. On a tree the probability that two
-vertices share a block is a sum of positive products of subtree determinants,
-which one leaf-to-path elimination evaluates in O(n).
+form a determinantal process with kernel q(qI - L)^{-1}. qI - L is a
+nonsingular M-matrix, and ``_factor`` factors its transpose without row
+pivoting by one of two routes, chosen by the share of nonzeros: LAPACK's
+dense LU on dense graphs, where SuperLU's fill costs more than the dense
+work, and SuperLU on sparse ones, where it reads the graph's own CSR arrays,
+with q + W(v) inserted into each row, as compressed columns. The transpose
+is harmless: the determinant is the same, and a solve against qI - L asks
+for the transposed system. On an undirected graph the transpose is qI - L
+itself, entry for entry. The partition function is the product of the
+pivots; hitting probabilities and root marginals are solves against them.
+The dense kernel (:func:`green_kernel`) is only an oracle. On a tree the
+probability that two vertices share a block is a sum of positive products of
+subtree determinants, which one leaf-to-path elimination evaluates in O(n).
 """
 
 from __future__ import annotations
@@ -50,40 +51,59 @@ def _transposed(g: WeightedDigraph, q: float):
     return sparse.csc_array((data, indices, g.indptr + np.arange(n + 1)), shape=(n, n))
 
 
-def _factor(g: WeightedDigraph, q: float):
-    """SuperLU factors P M^T P^T = L U of M = qI - L, the one factorization here.
+#: Share of nonzeros of qI - L, (nnz + n) / n^2, from which :func:`_factor` takes the dense
+#: route. Timed against SuperLU on random graphs and on the families (CHANGES.md), dense LU
+#: won from shares of 1-2% on graphs with fill, and from about 2.5% on trees, which have none.
+DENSE_SHARE = 1 / 40
 
-    SuperLU receives the graph's CSR arrays with the diagonal q + W(v) inserted
-    into each row (:func:`_transposed`), so it factors M^T, which has the same
-    determinant; a solve against M asks for the transposed system (:func:`_solve`).
-    M^T is a nonsingular M-matrix too, so it needs no row pivoting: with the
-    threshold at 0 and a symmetric fill-reducing order, every pivot is the
-    diagonal entry and positive, the row and column permutations coincide,
-    and log det M is the sum of log U_ii. A pivot that is not positive (or a
-    permutation pair that differs) means the factorization broke down.
+
+def _factor(g: WeightedDigraph, q: float):
+    """The pivots of M^T = (qI - L)^T without row pivoting, and ``solve(rhs)``, which returns M^{-1} rhs.
+
+    M^T is a nonsingular M-matrix and strictly diagonally dominant by
+    columns, so its LU needs no row pivoting: every pivot is positive, and
+    log det M is the sum of their logs. A pivot that is not positive, or a
+    row swap, means the factorization broke down to rounding.
+
+    Dense graphs, with (nnz + n) / n^2 >= :data:`DENSE_SHARE`: LAPACK's
+    dgetrf factors M^T, the F-ordered view of M = qI - L (whose entries
+    equal :func:`_transposed`'s), and dgetrs solves against M by the
+    transposed solve. LAPACK is called directly: SciPy's ``lu_factor``
+    would only warn on a zero pivot. Sparse graphs: SuperLU factors
+    P M^T P^T = L U of :func:`_transposed`; with the threshold at 0 and a
+    symmetric fill-reducing order, the row and column permutations
+    coincide unless a row was swapped. A solve asks it for the transposed
+    system, or for the plain one on a symmetric graph, where the factored
+    matrix is M itself and the transposed solve would round differently.
     """
-    from scipy.sparse.linalg import splu
     check_q(q)
+    n = g.n
+    if len(g.indices) + n >= DENSE_SHARE * n * n:
+        from scipy.linalg.lapack import dgetrf, dgetrs
+        lu, piv, info = dgetrf((q * np.eye(n) - laplacian(g)).T, overwrite_a=True)
+        pivots = lu.diagonal()
+        if info != 0 or not (np.all(pivots > 0) and np.array_equal(piv, np.arange(n))):
+            raise NumericError(f"dense LU of qI - L lost its positive diagonal pivots at q={q}")
+        return pivots, lambda rhs: dgetrs(lu, piv, rhs, trans=1)[0]
+    from scipy.sparse.linalg import splu
     try:
         lu = splu(_transposed(g, q), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise NumericError(f"sparse LU of qI - L failed at q={q}: {exc}") from exc
-    if not (np.all(lu.U.diagonal() > 0) and np.array_equal(lu.perm_r, lu.perm_c)):
+    pivots = lu.U.diagonal()
+    if not (np.all(pivots > 0) and np.array_equal(lu.perm_r, lu.perm_c)):
         raise NumericError(f"sparse LU of qI - L lost its positive diagonal pivots at q={q}")
-    return lu
+    return pivots, lambda rhs: lu.solve(rhs, trans="N" if g.is_symmetric else "T")
 
 
 def _solve(g: WeightedDigraph, q: float, rhs: np.ndarray) -> np.ndarray:
-    """(qI - L)^{-1} rhs by the transposed solve, or by the plain one on a symmetric graph.
-
-    There the factored matrix is qI - L itself, and the transposed solve would round differently.
-    """
-    return _factor(g, q).solve(rhs, trans="N" if g.is_symmetric else "T")
+    """(qI - L)^{-1} rhs against :func:`_factor`'s factors."""
+    return _factor(g, q)[1](rhs)
 
 
 def partition_function(g: WeightedDigraph, q: float) -> LogValue:
     """Normalizing constant det(qI - L) of the forest measure, in log space."""
-    return LogValue.from_log(float(np.sum(np.log(_factor(g, q).U.diagonal()))))
+    return LogValue.from_log(float(np.sum(np.log(_factor(g, q)[0]))))
 
 
 def green_kernel(g: WeightedDigraph, q: float) -> np.ndarray:

@@ -369,18 +369,24 @@ class TreeSampler:
             raise ParameterError(f"the tree sampler takes an integer seed, not {type(seed).__name__}")
         u = tree_uniforms(int(seed), start, stop, self.graph.n)
         free, blocked = u * self._free, u * self._s
+        del u
         # (m0, m1)[i] says whether i is blocked when anc[i] is free or blocked;
         # each round composes it with anc[i]'s map and doubles the jump. The root is free.
+        # The parent's two draws share one buffer, so at most three (R, n) float arrays are held.
         lo, hi, anc = self._lo, self._hi, self._above
-        up_free, up_blocked = free.take(anc, 1), blocked.take(anc, 1)
-        m0, m1 = (lo <= up_free) & (up_free < hi), (lo <= up_blocked) & (up_blocked < hi)
+        up = free.take(anc, 1)
+        m0 = (lo <= up) & (up < hi)
+        blocked.take(anc, 1, out=up, mode="clip")  # anc is in range; mode "raise" would buffer out
+        m1 = (lo <= up) & (up < hi)
+        del up
         for _ in range(self._rounds):
             a0, a1 = m0.take(anc, 1), m1.take(anc, 1)
             m0, m1 = (a0 & m1) | (~a0 & m0), (a1 & m1) | (~a1 & m0)
             anc = anc[anc]
         # m0 now says "my parent picks me": one scatter sets every child pick, and the other
         # draws pick the parent (x >= s) or nothing (x < q)
-        rows = np.where(np.where(m0, blocked, free) >= self._s, self._parent, ROOT)
+        np.copyto(free, blocked, where=m0)  # each vertex's own draw
+        rows = np.where(free >= self._s, self._parent, ROOT)
         replica, child = np.nonzero(m0)
         rows[replica, self._above[child]] = self._order[child]
         return rows.take(self._position, 1)

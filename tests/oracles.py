@@ -48,9 +48,11 @@ weights and root counts exactly.
 The factored matrix, ``reference_system(g, q)``: qI - L assembled by
 SciPy sparse algebra (diagonal minus adjacency, converted to CSC), as
 ``spectral._factor`` once built it, and ``reference_factor(g, q)``, its
-SuperLU factors with the library's options. On an undirected graph the
-library's CSR-read-as-CSC matrix must equal it entry for entry, and its
-values must equal this route's by ``==``.
+SuperLU factors with the library's options, and
+``reference_dense_factor(g, q)``, LAPACK's LU of its transpose, made
+dense. On an undirected graph the library's CSR-read-as-CSC matrix must
+equal it entry for entry, and its values must equal by ``==`` those of the
+route ``spectral._factor`` takes.
 
 Per-forest events: :class:`OracleForest` is a :class:`lepart.RootedForest`
 with the per-forest root queries ``root_of`` (a chain walk) and
@@ -287,6 +289,14 @@ def reference_factor(g, q):
     """SuperLU factors of :func:`reference_system`, with ``spectral._factor``'s options."""
     from scipy.sparse.linalg import splu
     return splu(reference_system(g, q), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def reference_dense_factor(g, q):
+    """LAPACK's dgetrf of :func:`reference_system`, made dense and transposed: ``(lu, piv)``."""
+    from scipy.linalg.lapack import dgetrf
+    lu, piv, info = dgetrf(reference_system(g, q).toarray().T)
+    assert info == 0
+    return lu, piv
 
 
 def wilson_steps(g, q, root):

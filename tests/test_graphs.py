@@ -63,6 +63,9 @@ def test_validation_errors():
         if max(max(x, y) for x, y, _ in edges) < 2**63:
             with pytest.raises(error):
                 WeightedDigraph.from_arrays(2, *zip(*edges))
+    # the message names the first offending edge
+    with pytest.raises(ParameterError, match=r"edge \(3,0\) of weight 2.0 is out of range for n=2"):
+        WeightedDigraph(2, ((0, 1, 1.0), (3, 0, 2.0), (0, 7, 1.0)))
 
 
 def test_edge_counts():

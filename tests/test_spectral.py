@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgetrs
 from scipy.special import logsumexp
 
 from lepart import (
@@ -36,9 +37,11 @@ from lepart import (
     z_path,
 )
 from lepart.graphs import contract_edge, delete_edge
-from lepart.spectral import TreePairCorrelation, _transposed
+from lepart import spectral
+from lepart.errors import NumericError
+from lepart.spectral import DENSE_SHARE, TreePairCorrelation, _transposed
 from lepart.wilson import ROOT
-from oracles import adjacent_separation, per_forest, reference_factor, reference_system
+from oracles import adjacent_separation, per_forest, reference_dense_factor, reference_factor, reference_system
 
 TINY = [Path(2), Path(4), Cycle(3), Star(4), Complete(4)]
 QS = (0.1, 1.0, 10.0)
@@ -123,26 +126,104 @@ UNDIRECTED_SYSTEMS = [
 ]  # fmt: skip
 
 
+def _takes_dense_route(g: WeightedDigraph) -> bool:
+    return len(g.indices) + g.n >= DENSE_SHARE * g.n**2
+
+
 @pytest.mark.parametrize("fam", UNDIRECTED_SYSTEMS, ids=str)
 def test_factored_matrix_is_the_sparse_algebra_one_on_undirected_graphs(fam):
-    """SuperLU gets qI - L itself, and every value equals the sparse-algebra route's by ``==``."""
+    """The factored matrix is qI - L itself, and every value equals by ``==`` that of the reference
+    factors of the route ``_factor`` takes: SuperLU's, or LAPACK's dense LU."""
     g = make_family(fam)
     for q in (1e-9, 1e-3, 0.7, 20.0):
         got, want = _transposed(g, q), reference_system(g, q)
         assert got.data.tobytes() == want.data.tobytes()
         assert np.array_equal(got.indices, want.indices) and np.array_equal(got.indptr, want.indptr)
-        lu = reference_factor(g, q)
-        assert partition_function(g, q).log() == float(np.sum(np.log(lu.U.diagonal())))
+        if _takes_dense_route(g):
+            lu, piv = reference_dense_factor(g, q)
+            pivots, solve = lu.diagonal(), lambda rhs: dgetrs(lu, piv, rhs, trans=1)[0]
+        else:
+            lu = reference_factor(g, q)
+            pivots, solve = lu.U.diagonal(), lu.solve
+        assert partition_function(g, q).log() == float(np.sum(np.log(pivots)))
         if g.n >= 2:
             x, y = 0, g.n - 1
             rhs = np.zeros(g.n)
             rhs[y] = 1.0
-            column = lu.solve(rhs)
+            column = solve(rhs)
             assert hitting_prob(g, x, y, q) == float(column[x] / column[y])
             A = sorted({0, g.n // 2, g.n - 1})
             rhs = np.zeros((g.n, len(A)))
             rhs[A, range(len(A))] = q
-            assert roots_marginal(g, q, A) == float(np.linalg.det(lu.solve(rhs)[A]))
+            assert roots_marginal(g, q, A) == float(np.linalg.det(solve(rhs)[A]))
+
+
+def _values_by_route(g: WeightedDigraph, q: float, share: float, monkeypatch) -> list[float]:
+    """log Z, a hitting probability and a root marginal, with ``DENSE_SHARE`` set to ``share``."""
+    monkeypatch.setattr(spectral, "DENSE_SHARE", share)
+    values = [partition_function(g, q).log()]
+    if g.n >= 2:
+        values += [hitting_prob(g, 0, g.n - 1, q), roots_marginal(g, q, sorted({0, g.n // 2, g.n - 1}))]
+    return values
+
+
+def test_dense_and_sparse_routes_agree(monkeypatch):
+    """Both routes of ``_factor``, each forced, agree within 1e-12 (relative to log Z, absolute for
+    the probabilities), on the undirected families and on digraphs."""
+    graphs = [make_family(fam) for fam in UNDIRECTED_SYSTEMS] + [random_digraph(random.Random(seed)) for seed in range(40)]
+    for g in graphs:
+        for q in (1e-3, 0.7, 20.0):
+            dense = _values_by_route(g, q, 0.0, monkeypatch)
+            sparse = _values_by_route(g, q, math.inf, monkeypatch)
+            for a, b in zip(dense, sparse):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (g, q, dense, sparse)
+
+
+#: The benchmark's graph families (perfbench/workloads.py): its trees of at least 200 vertices and
+#: its cycles, which SuperLU factors faster than dense LU, and its cliques, which it factors slower.
+_SPARSE_FAMILIES = (
+    [Path(n) for n in (200, 250, 300, 450, 600, 800, 1000, 1100, 1500, 2000, 3000, 5000)]
+    + [Cycle(n) for n in (300, 450, 600, 800, 1000, 1200)]
+    + [Star(n, 0.5) for n in (200, 400)]
+    + [CommunityStar(n, k, w) for n, k, w in (
+        (200, 40, 0.5), (300, 90, 2.0), (400, 150, 0.1), (200, 70, 2.0), (300, 30, 0.1), (400, 120, 0.5),
+        (200, 60, 0.1), (250, 100, 1.0), (200, 25, 0.01), (250, 50, 0.1))]
+    + [HierarchicalTree(d, h, (1.0,) * h) for d, h in ((2, 7), (2, 8), (3, 5), (4, 4))]
+)  # fmt: skip
+_DENSE_FAMILIES = (
+    [Complete(n) for n in (80, 110, 140, 170, 200, 230)]
+    + [Bottleneck(n, m, w) for n, m, w in (
+        (100, 10, 0.5), (120, 20, 1.0), (140, 30, 0.2), (160, 20, 0.5), (180, 40, 1.0), (200, 10, 0.2),
+        (80, 8, 0.2), (100, 10, 0.5), (120, 12, 1.0), (200, 20, 1.0))]
+    + [Bottleneck(max(2, round(0.6 * n)), max(2, n - max(2, round(0.6 * n))), 0.5) for n in (6, 8, 16, 24, 40)]
+)  # fmt: skip
+
+
+@pytest.mark.parametrize("fam, dense", [(f, False) for f in _SPARSE_FAMILIES] + [(f, True) for f in _DENSE_FAMILIES], ids=str)
+def test_factor_route_follows_the_share_of_nonzeros(fam, dense, monkeypatch):
+    """``_factor`` calls LAPACK's dgetrf on the benchmark's cliques and SuperLU on its trees and cycles."""
+    from scipy.linalg import lapack
+    from scipy.sparse import linalg
+    called = []
+    for module, name in ((lapack, "dgetrf"), (linalg, "splu")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=original, name=name, **k: called.append(name) or f(*a, **k))
+    partition_function(make_family(fam), 0.5)
+    assert called == (["dgetrf"] if dense else ["splu"])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [make_family(Complete(4)), make_family(Complete(30)), undirected(3, [(0, 1, 0.1), (1, 2, 0.1), (0, 2, 0.5)])],
+    ids=["complete4", "complete30", "triangle"],
+)
+def test_factor_raises_below_the_rounding_of_the_weights(g):
+    """At q = 1e-17, q + W(v) rounds to W(v): dense LU meets a zero pivot on Complete(4), swaps
+    rows on Complete(30), and ends on a last pivot of -1.1e-16 on the triangle without a swap.
+    Each raises rather than return a log of rounding error."""
+    for call in (lambda: partition_function(g, 1e-17), lambda: hitting_prob(g, 0, 1, 1e-17)):
+        with pytest.raises(NumericError):
+            call()
 
 
 def test_factored_matrix_is_the_transpose_on_digraphs():
