@@ -2,14 +2,15 @@
 
 Each quantity has one formula, built from sums and products of positive
 terms, so it keeps its relative precision down to the paper's segment scale
-q ~ 1/n^2. Partition functions and rooting measures are positive
-:class:`LogValue` s that are only multiplied, divided and raised to powers,
-so paths with millions of vertices do not overflow. Path and cycle formulas
-are written through t = arccosh(1 + q/2), in which the n-path has
-Z_n = q sinh(n t) / sinh(t) (so Z_0 = 0); path vertices are addressed by
-their 1-based position in the line. ``tests/oracles.py`` keeps independent
-routes to the path and cycle partition functions (binomial sums, the
-Laplacian spectrum, the three-term recurrence) to check these against.
+q ~ 1/n^2. Partition functions and rooting measures are products, quotients
+and powers of positive factors, so each is formed as a sum of float logs and
+returned as a :class:`LogValue`; paths with millions of vertices do not
+overflow. Path and cycle formulas are written through t = arccosh(1 + q/2),
+in which the n-path has Z_n = q sinh(n t) / sinh(t) (so Z_0 = 0); path
+vertices are addressed by their 1-based position in the line.
+``tests/oracles.py`` keeps independent routes to the path and cycle
+partition functions (binomial sums, the Laplacian spectrum, the three-term
+recurrence) to check these against.
 """
 
 from __future__ import annotations
@@ -90,18 +91,23 @@ def z_path(n: int, q: float, method: str = "closed") -> LogValue:
     if n < 1:
         raise ParameterError(f"path needs n >= 1, got {n}")
     check_q(q)
+    return LogValue(_log_z_path(n, q))
+
+
+def _log_z_path(n: int, q: float) -> float:
+    """log Z_n of :func:`z_path`, for valid n and q."""
     disc = math.sqrt(q * q + 4 * q)
     log_half_a = math.log1p((q + disc) / 2)  # log(A) with A = (q + 2 + disc) / 2
     # log((B/A)^n) with B = 1/A; formed from log1p, since log(4) - 2 log(2A) cancels at small q
     log_ratio = -2 * n * log_half_a
     correction = math.log(-math.expm1(log_ratio)) if log_ratio < 0 else -math.inf
-    return LogValue.from_log(math.log(q) + n * log_half_a + correction - 0.5 * math.log(q * q + 4 * q))
+    return math.log(q) + n * log_half_a + correction - 0.5 * math.log(q * q + 4 * q)
 
 
-def _boundary_root(n: int, q: float) -> LogValue:
-    """Z_n - Z_{n-1} (with Z_0 = 0) as the positive q cosh((n - 1/2) t) / cosh(t/2)."""
+def _log_boundary_root(n: int, q: float) -> float:
+    """log(Z_n - Z_{n-1}) (with Z_0 = 0), from the positive q cosh((n - 1/2) t) / cosh(t/2)."""
     t = _arccosh_1_plus_half(q)
-    return LogValue.from_log(math.log(q) + _log_cosh((n - 0.5) * t) - _log_cosh(t / 2))
+    return math.log(q) + _log_cosh((n - 0.5) * t) - _log_cosh(t / 2)
 
 
 def z_cycle(n: int, q: float) -> LogValue:
@@ -113,7 +119,7 @@ def z_cycle(n: int, q: float) -> LogValue:
     if n < 3:
         raise ParameterError(f"cycle needs n >= 3, got {n}")
     check_q(q)
-    return LogValue.from_log(math.log(4.0) + 2 * _log_sinh(n * _arccosh_1_plus_half(q) / 2))
+    return LogValue(math.log(4.0) + 2 * _log_sinh(n * _arccosh_1_plus_half(q) / 2))
 
 
 def path_correlation(n: int, x: int, y: int, q: float) -> float:
@@ -165,14 +171,14 @@ def path_root_measures(n: int, q: float) -> PathRootMeasures:
     if n < 1:
         raise ParameterError(f"path needs n >= 1, got {n}")
     check_q(q)
-    zn = z_path(n, q)
+    log_zn = _log_z_path(n, q)
     return PathRootMeasures(
         n=n,
         q=q,
-        boundary_root=_boundary_root(n, q),
+        boundary_root=LogValue(_log_boundary_root(n, q)),
         # with n = 1 both boundaries are the one vertex
-        both_boundaries_root=zn if n == 1 else LogValue.from_float(q) * z_path(n - 1, q),
-        z=zn,
+        both_boundaries_root=LogValue(log_zn if n == 1 else math.log(q) + _log_z_path(n - 1, q)),
+        z=LogValue(log_zn),
     )
 
 
@@ -185,7 +191,7 @@ def path_interior_root_measure(n: int, d: int, q: float) -> LogValue:
     if not 0 <= d <= n - 1:
         raise ParameterError(f"need 0 <= d <= n-1, got d={d}, n={n}")
     check_q(q)
-    return _boundary_root(d + 1, q) * _boundary_root(n - d, q) / LogValue.from_float(q)
+    return LogValue(_log_boundary_root(d + 1, q) + _log_boundary_root(n - d, q) - math.log(q))
 
 
 # -- simple random walk bands ----------------------------------------------
@@ -306,7 +312,7 @@ def star_quantities(n: int, w: float, q: float) -> StarQuantities:
         raise ParameterError(f"star closed forms need n >= 3, got {n}")
     check_weight(w)
     check_q(q)
-    z = LogValue.from_float(q) * LogValue.from_float(q + w) ** (n - 2) * LogValue.from_float(q + n * w)
+    z = LogValue(math.log(q) + (n - 2) * math.log(q + w) + math.log(q + n * w))
     center_leaf = q * (q + (n - 1) * w) / ((q + w) * (q + n * w))
     leaf_leaf = q * (q * q + (n + 2) * w * q + 2 * (n - 1) * w * w) / ((q + w) ** 2 * (q + n * w))
     return StarQuantities(n=n, w=w, q=q, z=z, center_leaf=center_leaf, leaf_leaf=leaf_leaf)
@@ -360,12 +366,7 @@ def community_star_quantities(n: int, k: int, w: float, q: float) -> CommunitySt
     check_weight(w)
     check_q(q)
     quad = q * q + ((n - k) * w + k + 1) * q + n * w
-    z = (
-        LogValue.from_float(q)
-        * LogValue.from_float(q + w) ** (n - k - 2)
-        * LogValue.from_float(q + 1) ** (k - 1)
-        * LogValue.from_float(quad)
-    )
+    z = LogValue(math.log(q) + (n - k - 2) * math.log(q + w) + (k - 1) * math.log(q + 1) + math.log(quad))
     center_v1 = center_vw = v1_v1 = v1_vw = vw_vw = None
     if k >= 1:
         center_v1 = q * (q * q + ((n - k) * w + k) * q + (n - 1) * w) / ((q + 1) * quad)
@@ -444,7 +445,7 @@ def z_complete(n: int, q: float) -> LogValue:
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     check_q(q)
-    return LogValue.from_float(q) * LogValue.from_float(q + n) ** (n - 1)
+    return LogValue(math.log(q) + (n - 1) * math.log(q + n))
 
 
 def complete_rooting_measure(n: int, r: int, q: float) -> LogValue:
@@ -456,11 +457,7 @@ def complete_rooting_measure(n: int, r: int, q: float) -> LogValue:
     if not 1 <= r <= n:
         raise ParameterError(f"need 1 <= r <= n, got r={r}, n={n}")
     check_q(q)
-    return (
-        LogValue.from_float(q) ** r
-        * LogValue.from_float(q + r)
-        * LogValue.from_float(q + n) ** (n - r - 1)
-    )
+    return LogValue(r * math.log(q) + math.log(q + r) + (n - r - 1) * math.log(q + n))
 
 
 # -- bottleneck graphs -------------------------------------------------------
@@ -485,12 +482,7 @@ def bottleneck_quantities(n: int, m: int, w: float, q: float) -> BottleneckQuant
     check_weight(w)
     check_q(q)
     core = q * (q + n) * (q + m) + w * (q + 1) * (2 * q + n + m)
-    z = (
-        LogValue.from_float(q)
-        * LogValue.from_float(core)
-        * LogValue.from_float(q + n) ** (n - 2)
-        * LogValue.from_float(q + m) ** (m - 2)
-    )
+    z = LogValue(math.log(q) + math.log(core) + (n - 2) * math.log(q + n) + (m - 2) * math.log(q + m))
     bridge = q * (q + n) * (q + m) / core
     return BottleneckQuantities(n=n, m=m, w=w, q=q, z=z, bridge=bridge)
 

@@ -56,6 +56,23 @@ __all__ = [
 Edge = tuple[int, int, float]
 
 
+def _vertex_ids(ids, n: int, copy: bool) -> np.ndarray:
+    """``ids`` as an int64 array; ParameterError for a float id or one beyond int64.
+
+    Integer ids take one pass; only other inputs are converted again, to int64.
+    """
+    a = np.array(ids) if copy else np.asarray(ids)
+    if a.dtype.kind in "ib":
+        return a.astype(np.int64, copy=False)
+    try:
+        converted = np.array(ids, dtype=np.int64)
+    except OverflowError as exc:
+        raise ParameterError(f"vertex id out of range for n={n}") from exc
+    if a.size and a.dtype.kind == "f":
+        raise ParameterError(f"vertex ids must be integers, got {a.dtype} ids")
+    return converted
+
+
 class WeightedDigraph:
     """A finite weighted digraph without self-loops or parallel edges, in CSR form.
 
@@ -96,13 +113,10 @@ class WeightedDigraph:
     def _build(self, n: int, src, dst, weights) -> None:
         if n < 1:
             raise ParameterError(f"need at least one vertex, got n={n}")
-        try:
-            src = np.asarray(src, dtype=np.int64)
-            # dst and w may be stored as they are, and stored arrays are made
-            # read-only: copy the caller's, never alias them
-            dst = np.array(dst, dtype=np.int64)
-        except OverflowError as exc:
-            raise ParameterError(f"vertex id out of range for n={n}") from exc
+        src = _vertex_ids(src, n, copy=False)
+        # dst and w may be stored as they are, and stored arrays are made
+        # read-only: copy the caller's, never alias them
+        dst = _vertex_ids(dst, n, copy=True)
         w = np.array(weights, dtype=float)
 
         def reject(error, bad, what):
@@ -365,6 +379,8 @@ def parse_family(text: str) -> FamilySpec:
                 raise ParameterError(f"malformed family parameter {item!r}")
             key = key.strip()
             val = val.strip()
+            if key in kwargs:
+                raise ParameterError(f"repeated family parameter {key!r}")
             convert: Callable[[str], object]
             if key in ("n", "m", "k", "d", "h"):
                 convert = int
@@ -384,6 +400,11 @@ def parse_family(text: str) -> FamilySpec:
         raise ParameterError(f"bad parameters for family {name!r}: {exc}") from exc
 
 
+def _float_text(x: float) -> str:
+    """``repr``, which round-trips every finite float, with no ``+`` to split ``weights`` on."""
+    return repr(float(x)).replace("e+", "e")
+
+
 def family_to_string(spec: FamilySpec) -> str:
     """Inverse of :func:`parse_family`."""
     for name, cls in _FAMILY_NAMES.items():
@@ -392,9 +413,9 @@ def family_to_string(spec: FamilySpec) -> str:
             for field in spec.__dataclass_fields__:
                 val = getattr(spec, field)
                 if field == "weights":
-                    parts.append("weights=" + "+".join(f"{w:g}" for w in val))
+                    parts.append("weights=" + "+".join(_float_text(w) for w in val))
                 else:
-                    parts.append(f"{field}={val:g}" if isinstance(val, float) else f"{field}={val}")
+                    parts.append(f"{field}={_float_text(val)}" if isinstance(val, float) else f"{field}={val}")
             return f"{name}:{','.join(parts)}"
     raise ParameterError(f"unknown family spec {spec!r}")
 

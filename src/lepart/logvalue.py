@@ -1,11 +1,10 @@
 """Positive scalars stored as their natural log.
 
 Partition functions of graphs with thousands of vertices overflow doubles,
-so they are carried around as ``exp(logmag)`` and only converted to a plain
-float on demand. Every partition function and rooting measure is positive,
-and every closed form is a product, quotient or power of positive factors,
-so the arithmetic is exactly those three operations, each one addition,
-subtraction or multiplication of logs.
+so each partition function and rooting measure is formed as a float log
+where it is computed, and handed out as ``LogValue(log)``. The class only
+carries that log: ``.log()`` reads it back, and ``.to_float()`` converts it
+on demand. It has no arithmetic; callers add and subtract the logs.
 """
 
 from __future__ import annotations
@@ -22,16 +21,6 @@ class LogValue:
 
     logmag: float
 
-    @staticmethod
-    def from_float(x: float) -> "LogValue":
-        if not x > 0:
-            raise ValueError(f"LogValue holds positive numbers only, got {x}")
-        return LogValue(math.log(x))
-
-    @staticmethod
-    def from_log(logmag: float) -> "LogValue":
-        return LogValue(logmag)
-
     def to_float(self) -> float:
         """Convert to a float; overflows to inf, underflows to 0."""
         try:
@@ -42,14 +31,3 @@ class LogValue:
     def log(self) -> float:
         """Natural log."""
         return self.logmag
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        return LogValue(self.logmag + other.logmag)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        return LogValue(self.logmag - other.logmag)
-
-    def __pow__(self, k: int) -> "LogValue":
-        if not isinstance(k, int):
-            raise TypeError("only integer powers are supported")
-        return LogValue(k * self.logmag)

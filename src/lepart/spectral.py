@@ -103,7 +103,7 @@ def _solve(g: WeightedDigraph, q: float, rhs: np.ndarray) -> np.ndarray:
 
 def partition_function(g: WeightedDigraph, q: float) -> LogValue:
     """Normalizing constant det(qI - L) of the forest measure, in log space."""
-    return LogValue.from_log(float(np.sum(np.log(_factor(g, q)[0]))))
+    return LogValue(float(np.sum(np.log(_factor(g, q)[0]))))
 
 
 def green_kernel(g: WeightedDigraph, q: float) -> np.ndarray:

@@ -112,18 +112,18 @@ def z_path_oracle(n, q, method):
     if method == "combinatorial":
         k = np.arange(1, n + 1)
         terms = _log_binom(n + k - 1, 2 * k - 1) + k * math.log(q)
-        return LogValue.from_log(float(logsumexp(terms)))
+        return LogValue(float(logsumexp(terms)))
     if method == "spectral":
         if n > MAX_SPECTRAL_N:
             raise ParameterError(f"spectral product only evaluated for n <= {MAX_SPECTRAL_N}")
         j = np.arange(1, n)
-        return LogValue.from_log(float(math.log(q) + np.log(q + 2 - 2 * np.cos(np.pi * j / n)).sum()))
+        return LogValue(float(math.log(q) + np.log(q + 2 - 2 * np.cos(np.pi * j / n)).sum()))
     if method == "recurrence":
         return _z_path_recurrence(n, q)
     if method == "chebyshev":
         # U_{n-1}(cosh t) = sinh(n t) / sinh(t) with t = arccosh(1 + q/2)
         t = math.log1p(q / 2 + math.sqrt(q * q / 4 + q))
-        return LogValue.from_log(math.log(q) + _log_sinh(n * t) - _log_sinh(t))
+        return LogValue(math.log(q) + _log_sinh(n * t) - _log_sinh(t))
     if method == "closed":
         return z_path(n, q)
     raise ParameterError(f"unknown z_path method {method!r}; known: {Z_PATH_METHODS}")
@@ -138,7 +138,7 @@ def _z_path_recurrence(n, q):
             prev *= 1e-280
             cur *= 1e-280
             shift += 280 * math.log(10.0)
-    return LogValue.from_log(math.log(cur) + shift)
+    return LogValue(math.log(cur) + shift)
 
 
 def z_cycle_oracle(n, q, method):
@@ -146,11 +146,11 @@ def z_cycle_oracle(n, q, method):
     if method == "path":
         log_zn, log_zn1 = z_path(n, q).log(), z_path(n - 1, q).log()
         log_sum = np.logaddexp(log_zn, math.log(2.0 / q) + _log_sub(log_zn, log_zn1))
-        return LogValue.from_log(_log_sub(float(log_sum), math.log(2.0)))
+        return LogValue(_log_sub(float(log_sum), math.log(2.0)))
     if method == "combinatorial":
         k = np.arange(1, n + 1)
         terms = np.logaddexp(_log_binom(n + k, 2 * k), _log_binom(n + k - 1, 2 * k)) + k * math.log(q)
-        return LogValue.from_log(float(logsumexp(terms)))
+        return LogValue(float(logsumexp(terms)))
     raise ParameterError(f"unknown z_cycle method {method!r}; known: path, combinatorial")
 
 

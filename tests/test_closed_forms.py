@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from lepart import (
     brute_correlation,
     community_star_center_limit,
     community_star_quantities,
+    complete_rooting_measure,
     enumerate_forests,
     make_family,
     partition_function,
@@ -27,6 +29,7 @@ from lepart import (
     star_limits,
     star_quantities,
     tree_correlation,
+    z_complete,
     z_cycle,
     z_path,
 )
@@ -430,3 +433,40 @@ def test_bottleneck_limit_classifier():
     assert bottleneck_limit("across", -0.9, 0.0, 0.5) == 0.0
     with pytest.raises(ParameterError):
         bottleneck_limit("diagonal", 0.0, 0.0, 0.5)
+
+
+# -- pinned rounding ---------------------------------------------------------------
+
+PIN_Q = (1e-12, 1e-6, 1e-3, 0.1, 1.0, 7.5, 1e3, 1e6)
+
+
+def _pinned_logs():
+    """Every closed-form partition function and rooting measure on a fixed grid, in a fixed order."""
+    for q in PIN_Q:
+        for n in (1, 2, 3, 10, 1000, 10**5):
+            meas = path_root_measures(n, q)
+            yield from (z_path(n, q), meas.boundary_root, meas.both_boundaries_root, meas.z)
+            yield from (path_interior_root_measure(n, d, q) for d in sorted({0, n // 2, n - 1}))
+        for n in (3, 4, 10, 1000, 10**5):
+            yield z_cycle(n, q)
+        for w in (0.5, 1.0, 3.0):
+            for n in (3, 10, 1000):
+                yield star_quantities(n, w, q).z
+            for n in (3, 10, 200):
+                for k in sorted({0, 1, n // 2, n - 1}):
+                    yield community_star_quantities(n, k, w, q).z
+            for n, m in ((2, 2), (10, 5), (200, 20)):
+                yield bottleneck_quantities(n, m, w, q).z
+        for n in (1, 2, 10, 500):
+            yield z_complete(n, q)
+            yield from (complete_rooting_measure(n, r, q) for r in sorted({1, n // 2 or 1, n}))
+    for fam in (Path(200), Cycle(20), Star(10, 0.5), Bottleneck(8, 4, 0.5)):
+        g = make_family(fam)
+        for q in (1e-3, 1.0, 1e3):
+            yield partition_function(g, q)
+
+
+def test_closed_form_logs_are_pinned():
+    # any change in how a log is summed changes its last bits, and so this digest
+    digest = hashlib.sha256("\n".join(repr(v.log()) for v in _pinned_logs()).encode())
+    assert digest.hexdigest() == "7e893fc5c56f2d9344e42a629cf7d3fb7722449aa47c194fad9f55a4168d9670"

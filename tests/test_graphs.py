@@ -56,6 +56,10 @@ def test_validation_errors():
         (ParameterError, ((0, 5, 1.0),)),
         (ParameterError, ((-1, 0, 1.0),)),
         (ParameterError, ((0, 2**70, 1.0),)),
+        # float ids are rejected, not truncated, as check_vertices rejects them in queries
+        (ParameterError, ((0.7, 1, 1.0),)),
+        (ParameterError, ((1, 0.5, 1.0),)),
+        (ParameterError, ((0, 1.0, 1.0),)),
     ]
     for error, edges in bad:
         with pytest.raises(error):
@@ -63,6 +67,10 @@ def test_validation_errors():
         if max(max(x, y) for x, y, _ in edges) < 2**63:
             with pytest.raises(error):
                 WeightedDigraph.from_arrays(2, *zip(*edges))
+    with pytest.raises(ParameterError, match="vertex ids must be integers"):
+        WeightedDigraph(3, [(0.7, 1, 1.0), (1, 2.9, 1.0)])
+    with pytest.raises(ParameterError, match="vertex ids must be integers"):
+        WeightedDigraph.from_arrays(3, np.array([0.5]), [1], [1.0])
     # the message names the first offending edge
     with pytest.raises(ParameterError, match=r"edge \(3,0\) of weight 2.0 is out of range for n=2"):
         WeightedDigraph(2, ((0, 1, 1.0), (3, 0, 2.0), (0, 7, 1.0)))
@@ -148,11 +156,33 @@ def test_parse_family_round_trip():
     for text in ("path:n=10", "bottleneck:n=100,m=10,w=0.5", "hier:d=3,h=3,weights=1+10+100", "commstar:n=8,k=2,w=0.25"):
         spec = parse_family(text)
         assert parse_family(family_to_string(spec)) == spec
+    # every digit of a weight survives the trip
+    for spec in (Star(5, 0.123456789), CommunityStar(5, 2, 2.0000001), HierarchicalTree(2, 2, (1e300, 1e-300))):
+        assert parse_family(family_to_string(spec)) == spec
     assert parse_family("path:n=2") == Path(2)
     with pytest.raises(ParameterError):
         parse_family("torus:n=3")
     with pytest.raises(ParameterError):
         parse_family("path:m=3")
+    with pytest.raises(ParameterError, match="repeated"):
+        parse_family("path:n=5,n=6")
+
+
+positive_weights = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(
+    st.one_of(
+        st.builds(Star, st.integers(3, 50), positive_weights),
+        st.builds(CommunityStar, st.integers(3, 50), st.integers(0, 2), positive_weights),
+        st.builds(Bottleneck, st.integers(2, 50), st.integers(2, 50), positive_weights),
+        st.integers(1, 4).flatmap(
+            lambda h: st.builds(HierarchicalTree, st.integers(1, 3), st.just(h), st.tuples(*[positive_weights] * h))
+        ),
+    )
+)
+def test_family_to_string_round_trips_every_positive_weight(spec):
+    assert parse_family(family_to_string(spec)) == spec
 
 
 def test_edge_list_round_trip():
