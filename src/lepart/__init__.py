@@ -55,7 +55,6 @@ from .wilson import (
     forest_sampler,
     forest_to_json,
     partition_of,
-    sample_forest,
     split_seed,
 )
 from .enumeration import (

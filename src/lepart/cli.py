@@ -32,7 +32,7 @@ from .errors import FormatError, LepartError, NumericError, ParameterError, chec
 from .estimators import CORRELATION_METHODS, CorrelationQuery, closed_form_z, exact_route, mc_correlation, sweep
 from .graphs import WeightedDigraph, load_edge_list, make_family, parse_family, save_edge_list
 from .spectral import partition_function
-from .wilson import forest_to_json, partition_of, sample_forest
+from .wilson import RootedForest, forest_sampler, forest_to_json, partition_of
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
@@ -215,7 +215,7 @@ def _cmd_corr(args, out) -> int:
 def _cmd_sample(args, out) -> int:
     g, _ = _load_graph(args)
     _print_config(args, out)
-    forest = sample_forest(g, args.q, args.seed)
+    forest = RootedForest(tuple(forest_sampler(g, args.q).draw(args.seed, 0, 1)[0].tolist()))
     part = partition_of(forest)
     payload = {
         "parent": list(forest.parent),

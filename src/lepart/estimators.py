@@ -50,7 +50,7 @@ from .graphs import (
 )
 from .logvalue import LogValue
 from .spectral import TreePairCorrelation, laplacian_spectrum, roots_marginal
-from .wilson import BLOCK_ENTRIES, ROOT, ForestSampler, TreeSampler, _roots, forest_sampler, split_seed
+from .wilson import BLOCK_ENTRIES, ROOT, ForestSampler, TreeSampler, _roots, check_seed, forest_sampler, split_seed
 
 __all__ = [
     "SampleStats",
@@ -432,6 +432,7 @@ def sweep(
     only the exact column. Each (q, query) row draws its own replica
     streams, derived from ``seed`` and the row index, from one sampler per q.
     """
+    seed = check_seed(seed)
     if isinstance(target, WeightedDigraph):
         g = target
     elif family is not None:

@@ -28,8 +28,8 @@ samplers hand estimators the same array. :func:`_roots`, pointer jumping
 over such an array, is the one place that finds roots: for sampled rows,
 the enumerated ensemble, and the one row of :func:`partition_of`.
 :func:`forest_sampler` is the one place that chooses: the tree sampler when
-the graph is a tree, Wilson's :class:`ForestSampler` otherwise. An explicit
-processing order always means Wilson's walks.
+the graph is a tree, Wilson's :class:`ForestSampler` otherwise. A single
+forest, as ``lepart sample --seed s`` prints, is replica 0 of ``s``.
 
 The forest is a weighted spanning tree of the graph plus the cemetery,
 joined to every vertex by weight q, and on an undirected graph Wilson's
@@ -38,8 +38,7 @@ forest waits for walks to be killed, about (q + W)/q steps each on a dense
 graph at small q; rooted at a vertex of large weight W, the walks mostly
 stop on reaching it. :func:`forest_sampler` roots them at the vertex of
 largest W when one dense solve says that takes fewer expected steps
-(:func:`_walk_root`); :func:`sample_forest` and directed graphs keep the
-cemetery.
+(:func:`_walk_root`); directed graphs keep the cemetery.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from random import Random
-from typing import Sequence
 
 import numpy as np
 
@@ -66,7 +64,6 @@ __all__ = [
     "ForestSampler",
     "TreeSampler",
     "forest_sampler",
-    "sample_forest",
     "split_seed",
     "tree_uniforms",
     "forest_to_json",
@@ -179,6 +176,18 @@ def split_seed(master_seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` as a Python int; any integer, numpy's included, is accepted, and anything else raises.
+
+    :func:`split_seed` adds the seed to 64-bit constants, which a numpy
+    integer overflows and a float cannot mask, so both samplers' ``draw``
+    and :func:`~lepart.estimators.sweep` convert their seed here, once per call.
+    """
+    if not isinstance(seed, (int, np.integer)):
+        raise ParameterError(f"need an integer seed, not {type(seed).__name__}")
+    return int(seed)
+
+
 def _mix(z: np.ndarray) -> np.ndarray:
     """:func:`split_seed`'s finalizer on a uint64 array, in place (numpy wraps mod 2^64)."""
     z ^= z >> np.uint64(30)
@@ -223,24 +232,17 @@ class ForestSampler:
     first, and the pointer path it leaves is reversed at the end.
     """
 
-    def __init__(
-        self, g: WeightedDigraph, q: float, order: Sequence[int] | None = None, root: int = ROOT
-    ):
+    def __init__(self, g: WeightedDigraph, q: float, root: int = ROOT):
         check_q(q)
         self.graph = g
         self.q = q
         n = g.n
-        if order is None:
-            order = range(n)
-        self.order = tuple(order)
-        if sorted(self.order) != list(range(n)):
-            raise ParameterError("processing order must be a permutation of the vertices")
         if root != ROOT:
             check_vertices(n, (root,))
             if not g.is_symmetric:
                 raise ParameterError("a vertex root needs an undirected graph")
         self.root = root
-        self._starts = self.order if root == ROOT else (ROOT, *self.order)
+        self._starts = range(n) if root == ROOT else (ROOT, *range(n))
         self._total = (q + g.out_weight).tolist()
         ptr, dst, w = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
         rows = list(zip(ptr, ptr[1:]))
@@ -292,6 +294,7 @@ class ForestSampler:
 
         Replica r is :meth:`sample` on ``Random(split_seed(seed, r))``.
         """
+        seed = check_seed(seed)
         forests = (self.sample(Random(split_seed(seed, r))).parent for r in range(start, stop))
         n = self.graph.n
         return np.fromiter(chain.from_iterable(forests), np.int64, (stop - start) * n).reshape(-1, n)
@@ -365,9 +368,7 @@ class TreeSampler:
         Row k is the forest of replica start + k, :data:`ROOT` marking a
         root; it does not depend on the range it is drawn in.
         """
-        if not isinstance(seed, (int, np.integer)):
-            raise ParameterError(f"the tree sampler takes an integer seed, not {type(seed).__name__}")
-        u = tree_uniforms(int(seed), start, stop, self.graph.n)
+        u = tree_uniforms(check_seed(seed), start, stop, self.graph.n)
         free, blocked = u * self._free, u * self._s
         del u
         # (m0, m1)[i] says whether i is blocked when anc[i] is free or blocked;
@@ -390,10 +391,6 @@ class TreeSampler:
         replica, child = np.nonzero(m0)
         rows[replica, self._above[child]] = self._order[child]
         return rows.take(self._position, 1)
-
-    def sample(self, seed: int) -> RootedForest:
-        """Replica 0 of ``seed``."""
-        return RootedForest(tuple(self.draw(seed, 0, 1)[0].tolist()))
 
 
 #: Largest graph on which :func:`forest_sampler` weighs a vertex root (one dense solve).
@@ -437,21 +434,6 @@ def _walk_root(g: WeightedDigraph, q: float) -> int:
     except np.linalg.LinAlgError:  # q below the rounding of the weights: keep the cemetery
         return ROOT
     return h if total * column[h] < 2.0 * float(column @ c) else ROOT
-
-
-def sample_forest(
-    g: WeightedDigraph, q: float, rng_seed: int, order: Sequence[int] | None = None
-) -> RootedForest:
-    """Draw one forest with law q^{#roots} * prod(weights) / Z.
-
-    On a tree this is replica 0 of ``rng_seed`` (:meth:`TreeSampler.sample`);
-    otherwise Wilson's walks, rooted at the cemetery, read
-    ``Random(rng_seed)``. An explicit processing ``order`` always runs
-    Wilson's walks.
-    """
-    if order is None and is_tree(g):
-        return TreeSampler(g, q).sample(rng_seed)
-    return ForestSampler(g, q, order).sample(Random(rng_seed))
 
 
 def forest_to_json(forest: RootedForest) -> str:

@@ -430,15 +430,41 @@ SAMPLE_Q = {"path:n=5000": "0.003", "hier:d=2,h=5,weights=1+2+4+8+16": "0.1", "c
         ("path:n=5000", "json", "2be52ad454bb1b89b944da5842dff2a480180dac553d9b48df7f51661cd9da79"),
         ("hier:d=2,h=5,weights=1+2+4+8+16", "csv", "3b315ec0758f6198f35f5c90e5ca0bd18ddae8d01e6f59a06d51fd7d3f002004"),
         ("hier:d=2,h=5,weights=1+2+4+8+16", "json", "af6e250461bf8580647707ad90ffc0c00280ad7cfcdf064ee61e5397e3fb9a40"),
-        ("cycle:n=5", "csv", "90bb447fcb9261d3327611c9a1c32e12e0b522778e1c498b7e841bf4e8a923b3"),
-        ("cycle:n=5", "json", "47379bc88cd1cb271d70af3c40ebe6e9f9c84a99757b444ed4f70699ceb1f032"),
+        ("cycle:n=5", "csv", "2338e002eec8ed2c2677e9e4b89d66e8bbb494cd4cfc354d3df0f9d6ad87c5a7"),
+        ("cycle:n=5", "json", "9af6b2ea1fa50cf723920cde0224a440ff2338631aad19416b77e8121f0fb051"),
         ("commstar:n=40,k=10,w=0.5", "csv", "e3b455b9ccefee4ae296c22a151e33423e6ca754f016afc8345cb42e37bd4a39"),
         ("commstar:n=40,k=10,w=0.5", "json", "aede9951eded0b0fc483fd5aabffd63a7cd27cc66ffd027b0c5486a73a260607"),
-        ("bottleneck:n=6,m=4,w=0.5", "csv", "b2a76634c2015e60357aff84e9c15d08d1c3adacf00416610c2517959b7470ca"),
-        ("bottleneck:n=6,m=4,w=0.5", "json", "733c68f92d14bf2ea14d025cd9e3c61c365461d89f0bec169d19fe60c5ddba40"),
+        ("bottleneck:n=6,m=4,w=0.5", "csv", "9155686eb184630ecd5825866c2f6b88a62b7c3ab4fc0836f4e3b6453dbb60bf"),
+        ("bottleneck:n=6,m=4,w=0.5", "json", "09e4a8f529a6e313faaa10936d1383f8c7ee242360caed2f4f0df4c9b66ecd6c"),
     ],
 )
 def test_sample_stdout_is_pinned(capsys, family, fmt, digest):
     code, out, _ = run(capsys, "sample", "--family", family, "--q", SAMPLE_Q[family], "--format", fmt, "--seed", "7")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("family", [*SAMPLE_Q, "complete:n=300"])
+def test_sample_prints_replica_0(capsys, family, fmt):
+    """``sample --seed 7`` prints row 0 of ``forest_sampler(g, q).draw(7, 0, 1)`` and that row's blocks.
+
+    complete:n=300 has more than MAX_HUB_VERTICES vertices, so its walks are rooted at the cemetery.
+    """
+    q = SAMPLE_Q.get(family, "0.1")
+    code, out, _ = run(capsys, "sample", "--family", family, "--q", q, "--format", fmt, "--seed", "7")
+    assert code == 0
+    g = make_family(parse_family(family))
+    sampler = lepart.forest_sampler(g, float(q))
+    if family == "complete:n=300":
+        assert sampler.root == -1
+    row = sampler.draw(7, 0, 1)[0].tolist()
+    blocks = [list(b) for b in lepart.partition_of(RootedForest(tuple(row))).blocks]
+    lines = out.strip().splitlines()
+    assert len(lines) == (3 if fmt == "csv" else 2)
+    if fmt == "json":
+        payload = json.loads(lines[1])
+        assert (payload["parent"], payload["blocks"]) == (row, blocks)
+    else:
+        assert json.loads(lines[1]) == row
+        assert lines[2] == "blocks," + ";".join("|".join(map(str, b)) for b in blocks)

@@ -176,6 +176,26 @@ def test_numpy_integer_vertex_ids_are_accepted():
     assert roots_marginal(g, 0.5, np.array([2])) == roots_marginal(g, 0.5, [2])
 
 
+SEEDED_CALLS = {
+    "mc_correlation": lambda g, seed: mc_correlation(g, 0.5, 0, 3, 40, seed),
+    "mc_event": lambda g, seed: mc_event(g, 0.5, lambda nxt, roots: roots[:, 0] == roots[:, 3], 40, seed),
+    "sweep": lambda g, seed: sweep(g, [0.5, 2.0], [CorrelationQuery("c", 0, 3)], 40, seed).rows,
+}
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), 3.0], ids=["int64", "float"])
+@pytest.mark.parametrize("call", SEEDED_CALLS.values(), ids=SEEDED_CALLS)
+@pytest.mark.parametrize("family", [Path(6), Cycle(6)], ids=["path6", "cycle6"])
+def test_a_seed_is_any_integer_and_nothing_else(family, call, seed):
+    """A numpy integer seed gives the rows of the Python int, on the tree sampler and on Wilson's; a float raises."""
+    g = make_family(family)
+    if isinstance(seed, float):
+        with pytest.raises(ParameterError, match="integer seed"):
+            call(g, seed)
+    else:
+        assert call(g, seed) == call(g, int(seed))
+
+
 def test_out_of_range_vertices():
     g = make_family(Path(5))
     for x, y in ((0, 9), (-1, 2)):

@@ -30,7 +30,6 @@ from lepart import (
     laplacian,
     make_family,
     partition_of,
-    sample_forest,
     split_seed,
     undirected,
 )
@@ -43,7 +42,7 @@ from oracles import OracleForest, asymmetric_trees, oracle_forests, wilson_steps
 def test_single_vertex_always_root():
     g = WeightedDigraph(1, ())
     for seed in range(5):
-        assert sample_forest(g, 1.0, seed).parent == (ROOT,)
+        assert forest_sampler(g, 1.0).draw(seed, 0, 1).tolist() == [[ROOT]]
 
 
 def test_partition_of_examples():
@@ -87,9 +86,9 @@ def test_forest_json_round_trip():
 
 def test_sampler_determinism_and_seed_splitting():
     g = make_family(Star(6, 0.5))
-    a = sample_forest(g, 1.0, 123)
-    b = sample_forest(g, 1.0, 123)
-    assert a == b
+    a = forest_sampler(g, 1.0).draw(123, 0, 1)
+    b = forest_sampler(g, 1.0).draw(123, 0, 1)
+    assert np.array_equal(a, b)
     seeds = {split_seed(99, r) for r in range(1000)}
     assert len(seeds) == 1000
     assert split_seed(99, 0) != split_seed(100, 0)
@@ -99,9 +98,7 @@ def test_invalid_q_and_order():
     g = make_family(Path(3))
     for q in (0.0, math.inf, math.nan):
         with pytest.raises(ParameterError):
-            sample_forest(g, q, 1)
-    with pytest.raises(ParameterError):
-        ForestSampler(g, 1.0, order=(0, 1))
+            forest_sampler(g, q).draw(1, 0, 1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -109,8 +106,7 @@ def test_invalid_q_and_order():
 def test_samples_are_valid_forests(fam, seed):
     g = fam if isinstance(fam, WeightedDigraph) else make_family(fam)
     for q in (0.2, 5.0):
-        f = sample_forest(g, q, seed)
-        f.validate(g)
+        RootedForest(tuple(forest_sampler(g, q).draw(seed, 0, 1)[0].tolist())).validate(g)
 
 
 def test_huge_killing_rate_roots_everything():
@@ -150,23 +146,6 @@ def test_sampler_law_smoke_path3():
     assert p > 0.001
 
 
-def test_processing_order_invariance():
-    # same-block probability must not depend on the sweep order
-    g = make_family(Star(5))
-    q, R = 1.0, 30_000
-    freqs = []
-    for order in (None, (4, 3, 2, 1, 0)):
-        sampler = ForestSampler(g, q, order)
-        hits = 0
-        for r in range(R):
-            f = OracleForest(sampler.sample(Random(split_seed(3, r))).parent)
-            hits += f.root_of(1) == f.root_of(2)
-        freqs.append(hits / R)
-    p = sum(freqs) / 2
-    sigma = math.sqrt(2 * p * (1 - p) / R)
-    assert abs(freqs[0] - freqs[1]) < 4 * sigma
-
-
 # -- next-pointer sampler against the path/position reference ----------------
 
 
@@ -188,7 +167,7 @@ def reference_sample(sampler: ForestSampler, rng: Random) -> RootedForest:
     """
     q = sampler.q
     parent: list = [None] * sampler.graph.n
-    for start in sampler.order:
+    for start in range(sampler.graph.n):
         if parent[start] is not None:
             continue
         path = [start]
@@ -237,19 +216,18 @@ ONE_WAY = WeightedDigraph(
 
 
 @pytest.mark.parametrize(
-    "g, q, order",
+    "g, q",
     [
-        (make_family(Path(50)), 0.05, None),
-        (make_family(Bottleneck(20, 5, 0.3)), 0.2, None),
-        (make_family(Complete(7)), 0.5, None),
-        (make_family(HierarchicalTree(3, 3, (1.0, 2.0, 4.0))), 0.3, None),
-        (ONE_WAY, 0.4, None),
-        (make_family(Path(50)), 0.05, tuple(range(0, 50, 2)) + tuple(range(49, 0, -2))),
+        (make_family(Path(50)), 0.05),
+        (make_family(Bottleneck(20, 5, 0.3)), 0.2),
+        (make_family(Complete(7)), 0.5),
+        (make_family(HierarchicalTree(3, 3, (1.0, 2.0, 4.0))), 0.3),
+        (ONE_WAY, 0.4),
     ],
-    ids=["path50", "bottleneck", "complete7", "hier33", "one-way", "path50-order"],
+    ids=["path50", "bottleneck", "complete7", "hier33", "one-way"],
 )
-def test_next_pointer_sampler_matches_reference(g, q, order):
-    sampler = ForestSampler(g, q, order)
+def test_next_pointer_sampler_matches_reference(g, q):
+    sampler = ForestSampler(g, q)
     for seed in range(2000):
         fast, slow = CountingRandom(seed), CountingRandom(seed)
         forest = sampler.sample(fast)
