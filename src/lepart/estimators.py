@@ -5,13 +5,15 @@ replica r's forest depends only on (seed, r), so runs are reproducible,
 parallelizable, and replica counts can be extended without reusing indices.
 On a tree, replica r reads the counter-based uniforms U[r, i] of
 :func:`~lepart.wilson.tree_uniforms`; elsewhere, Wilson's walks read a
-``random.Random`` seeded by ``split_seed(seed, r)``. Each estimator reduces
-blocks of next-pointer rows, one array per block of replicas
-(:func:`_run_replicas`): separation compares roots found by pointer
-jumping, root events and root counts read the ROOT entries, and
-:func:`mc_event` applies its row predicate once per block, to the rows and
-their roots. Uncertainty is reported as the exact Bernoulli standard error
-sqrt(p(1-p)/R).
+``random.Random`` seeded by ``split_seed(seed, r)``. Each estimator works
+through the replicas in blocks (:func:`_blocks`). A separation asks the
+sampler for its count of separated replicas in the block
+(``separations``), which the tree sampler draws from the pair's ancestors
+alone. The others reduce next-pointer rows, one array per block
+(:func:`_run_replicas`): root events and root counts read the ROOT
+entries, and :func:`mc_event` applies its row predicate once per block, to
+the rows and their roots. Uncertainty is reported as the exact Bernoulli
+standard error sqrt(p(1-p)/R).
 """
 
 from __future__ import annotations
@@ -99,6 +101,14 @@ class SampleStats:
 T = TypeVar("T")
 
 
+def _blocks(sampler: ForestSampler | TreeSampler, replicas: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of replicas 0..R-1, at most :data:`BLOCK_ENTRIES` next-pointer entries each."""
+    if replicas < 1:
+        raise ParameterError(f"need at least one replica, got {replicas}")
+    step = max(1, BLOCK_ENTRIES // sampler.graph.n)
+    return [(start, min(start + step, replicas)) for start in range(0, replicas, step)]
+
+
 def _run_replicas(
     sampler: ForestSampler | TreeSampler, replicas: int, seed: int, reduce: Callable[[np.ndarray], T]
 ) -> T:
@@ -107,27 +117,18 @@ def _run_replicas(
     Each block is a (B, n) array from ``sampler.draw`` whose row k is the
     forest of one replica, :data:`ROOT` marking a root.
     """
-    if replicas < 1:
-        raise ParameterError(f"need at least one replica, got {replicas}")
-    step = max(1, BLOCK_ENTRIES // sampler.graph.n)
-    total = 0
-    for start in range(0, replicas, step):
-        total = total + reduce(sampler.draw(seed, start, min(start + step, replicas)))
-    return total
+    return sum(reduce(sampler.draw(seed, start, stop)) for start, stop in _blocks(sampler, replicas))
 
 
-def _separated(x: int, y: int) -> Callable[[np.ndarray], int]:
-    """Counts the rows in which x and y have different roots."""
-    def count(nxt: np.ndarray) -> int:
-        root = _roots(nxt)
-        return int(np.count_nonzero(root[:, x] != root[:, y]))
-    return count
+def _separations(sampler: ForestSampler | TreeSampler, replicas: int, seed: int, x: int, y: int) -> int:
+    """The number of replicas 0..R-1 in which x and y have different roots, as the sampler counts them."""
+    return sum(sampler.separations(seed, start, stop, x, y) for start, stop in _blocks(sampler, replicas))
 
 
-def _all_roots(vertices: Sequence[int]) -> Callable[[np.ndarray], int]:
-    """Counts the rows in which every listed vertex is a root."""
+def _all_roots(sampler: ForestSampler | TreeSampler, replicas: int, seed: int, vertices: Sequence[int]) -> int:
+    """The number of replicas 0..R-1 in which every listed vertex is a root."""
     columns = list(vertices)
-    return lambda nxt: int(np.count_nonzero((nxt[:, columns] == ROOT).all(1)))
+    return _run_replicas(sampler, replicas, seed, lambda nxt: int(np.count_nonzero((nxt[:, columns] == ROOT).all(1))))
 
 
 def mc_correlation(
@@ -137,7 +138,7 @@ def mc_correlation(
     check_vertices(g.n, (x, y))
     if x == y:
         raise ParameterError("need two distinct vertices")
-    hits = _run_replicas(forest_sampler(g, q), replicas, seed, _separated(x, y))
+    hits = _separations(forest_sampler(g, q), replicas, seed, x, y)
     return SampleStats.from_counts(hits, replicas, seed)
 
 
@@ -463,15 +464,14 @@ def sweep(
             if isinstance(query, CorrelationQuery):
                 route = routes[query.x, query.y]
                 exact = None if route is None else route.at(q)
-                count = _separated(query.x, query.y)
+                count, asked = _separations, (query.x, query.y)
             else:
                 exact = roots_marginal(g, q, query.vertices)
-                count = _all_roots(query.vertices)
+                count, asked = _all_roots, (query.vertices,)
             estimate = stderr = None
             row_seed = split_seed(seed, len(rows))
             if sampler is not None:
-                successes = _run_replicas(sampler, replicas, row_seed, count)
-                stats = SampleStats.from_counts(successes, replicas, row_seed)
+                stats = SampleStats.from_counts(count(sampler, replicas, row_seed, *asked), replicas, row_seed)
                 estimate, stderr = stats.estimate, stats.stderr
             rows.append(
                 SweepRow(

@@ -168,19 +168,25 @@ def hitting_prob(g: WeightedDigraph, x: int, y: int, q: float) -> float:
     return float(column[x] / column[y])
 
 
-def _pivots(q: float, n: int, steps) -> tuple[list[float], list[float]]:
-    """Pivots s_v = q + sum_c w(v, c) s_c / (s_c + w(c, v)) by vertex, and bound[j]: v's pivot after step j.
+def _pivots(q: float, n: int, steps, bound: list[float] | None = None) -> list[float]:
+    """Pivots s_v = q + sum_c w(v, c) s_c / (s_c + w(c, v)) by vertex.
 
-    Step j, (c, v, w(c, v), w(v, c)), adds child c's term to v; every vertex comes after its descendants.
+    Step j, (c, v, w(c, v), w(v, c)), adds child c's term to v; every vertex
+    comes after its descendants. Given a list ``bound``, step j appends v's
+    pivot after it: the partial sums that only the tree sampler reads.
     """
     s = [q] * n
-    bound = []
+    if bound is None:
+        for c, v, w_cv, w_vc in steps:
+            s_c = s[c]
+            s[v] += w_vc * s_c / (s_c + w_cv)
+        return s
     append = bound.append
     for c, v, w_cv, w_vc in steps:
         s_c = s[c]
         s[v] = s_v = s[v] + w_vc * s_c / (s_c + w_cv)
         append(s_v)
-    return s, bound
+    return s
 
 
 class TreePairCorrelation:
@@ -197,10 +203,12 @@ class TreePairCorrelation:
     where s_j is z_j's pivot after eliminating its piece leaf to root and T
     is the tridiagonal Schur complement of qI - L on the path. Pivots follow
     the positive recurrence s_v = q + sum_c w(v, c) s_c / (s_c + w(c, v)).
-    ``at`` runs it over the pieces, then along the path with the sum carried
-    as a ratio to the pivots. Every quantity stays below q + W(v) and every
-    update adds positive terms, so a call costs O(n) without cancellation or
-    overflow, and a tiny separation probability keeps its relative precision.
+    ``at`` runs it over the pieces, then along the path, carrying the
+    separation probability itself, a weighted mean of positive terms, and
+    not its product with the pivot, which is about q^2. Every quantity stays
+    below q + W(v) and every update adds positive terms, so a call costs
+    O(n) without cancellation, overflow or underflow, and a tiny separation
+    probability keeps its relative precision (the tests go down to q = 1e-300).
     """
 
     def __init__(self, g: WeightedDigraph, x: int, y: int):
@@ -222,17 +230,18 @@ class TreePairCorrelation:
     def at(self, q: float) -> float:
         """Separation probability at killing rate q."""
         check_q(q)
-        s, _ = _pivots(q, self._n, self._elim)
+        s = _pivots(q, self._n, self._elim)
         # Over the prefix z_0..z_m with the edge to z_{m+1} cut: sigma is the
-        # last pivot of T, sep is sigma * P(z_0, z_m in different trees), and
-        # cut is 1 - prod_{j<m} w(z_j, z_{j+1}) / pivot_j.
-        sigma, sep, cut = s[self.path[0]], 0.0, 0.0
+        # last pivot of T, u is P(z_0, z_m in different trees), and cut is
+        # 1 - prod_{j<m} w(z_j, z_{j+1}) / pivot_j. sigma * u, about q^2 at
+        # small q, would underflow; u is a weighted mean of cut and itself.
+        sigma, u, cut = s[self.path[0]], 0.0, 0.0
         for z, fwd, back in self._steps:
             pivot = sigma + fwd
             cut = (sigma + fwd * cut) / pivot
-            sep = s[z] * cut + back * sep / pivot
-            sigma = s[z] + back * sigma / pivot
-        u = sep / sigma
+            carried = back * sigma / pivot
+            sigma = s[z] + carried
+            u = cut * (s[z] / sigma) + u * (carried / sigma)
         if not -1e-8 <= u <= 1 + 1e-8:
             warnings.warn(
                 f"tree correlation {u!r} left [0,1] beyond roundoff at q={q}",

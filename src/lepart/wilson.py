@@ -25,11 +25,21 @@ how the replicas are split into batches. Wilson's sampler reads a
 ``random.Random`` stream instead, replica r seeded by ``split_seed(seed,
 r)``; its :meth:`ForestSampler.draw` fills rows of the same shape, so both
 samplers hand estimators the same array. :func:`_roots`, pointer jumping
-over such an array, is the one place that finds roots: for sampled rows,
-the enumerated ensemble, and the one row of :func:`partition_of`.
+over such an array, is the one place that finds roots: for Wilson's rows,
+for the rows an event predicate reads, for the enumerated ensemble, and for
+the one row of :func:`partition_of`.
 :func:`forest_sampler` is the one place that chooses: the tree sampler when
 the graph is a tree, Wilson's :class:`ForestSampler` otherwise. A single
 forest, as ``lepart sample --seed s`` prints, is replica 0 of ``s``.
+
+Both samplers also count, for a pair x, y, the replicas of a range in which
+the two have different roots (``separations``). Wilson's sampler finds the
+roots of its rows. The tree sampler draws only x, y and their ancestors,
+the two paths to vertex 0: whether a vertex is blocked depends on its
+ancestors' draws alone, which read the same uniforms as in a whole row.
+The edge from v to its parent is in the forest when the parent picks v or
+v's own draw points up, and x and y share a tree when every edge of the
+path between them is, so no row is built and no root is found.
 
 The forest is a weighted spanning tree of the graph plus the cemetery,
 joined to every vertex by weight q, and on an undirected graph Wilson's
@@ -206,9 +216,14 @@ def tree_uniforms(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     al., "Parallel random numbers: as easy as 1, 2, 3" (SC 2011). Row k of
     the result is replica start + k.
     """
+    return _uniforms(seed, start, stop, np.arange(n))
+
+
+def _uniforms(seed: int, start: int, stop: int, positions: np.ndarray) -> np.ndarray:
+    """The columns ``positions`` of :func:`tree_uniforms`, bit for bit, without the others."""
     gamma = np.uint64(_GAMMA)
     streams = _mix(np.arange(start + 1, stop + 1, dtype=np.uint64) * gamma + np.uint64(seed & _MASK))
-    z = _mix(streams[:, None] + np.arange(1, n + 1, dtype=np.uint64) * gamma)
+    z = _mix(streams[:, None] + (positions + 1).astype(np.uint64) * gamma)
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
@@ -299,6 +314,11 @@ class ForestSampler:
         n = self.graph.n
         return np.fromiter(chain.from_iterable(forests), np.int64, (stop - start) * n).reshape(-1, n)
 
+    def separations(self, seed: int, start: int, stop: int, x: int, y: int) -> int:
+        """The number of replicas start..stop-1 of ``seed`` in which x and y have different roots."""
+        root = _roots(self.draw(seed, start, stop))
+        return int(np.count_nonzero(root[:, x] != root[:, y]))
+
 
 class TreeSampler:
     """Exact top-down sampler for one (tree, q) pair: one uniform per vertex.
@@ -331,7 +351,8 @@ class TreeSampler:
     blocked. Pointer doubling settles it in numpy, composing each vertex's
     map "parent blocked -> v blocked" with its ancestors' in log2(depth)
     rounds. Then each vertex draws once, and the blocked vertices are the
-    child picks.
+    child picks. :meth:`separations` runs the same steps on the ancestors
+    of a pair only.
     """
 
     def __init__(self, g: WeightedDigraph, q: float):
@@ -341,7 +362,8 @@ class TreeSampler:
         order, parent, up, down = leaf_first(g, 0)
         order, n = order.astype(np.int64), g.n
         v = order[:0:-1]  # leaves first, without the root
-        s, bound = _pivots(q, n, zip(v.tolist(), parent[v].tolist(), up[v].tolist(), down[v].tolist()))
+        bound: list[float] = []
+        s = _pivots(q, n, zip(v.tolist(), parent[v].tolist(), up[v].tolist(), down[v].tolist()), bound)
         # from here on, vertices are indexed by breadth-first position
         position = np.empty(n, dtype=np.int64)
         position[order] = np.arange(n)
@@ -356,11 +378,39 @@ class TreeSampler:
         self._parent = order[above]
         self._s = np.array(s)[order]
         self._free = self._s + up[order]
-        # doubling rounds until every jump reaches the root
-        anc, self._rounds = above, 0
-        while anc.any():
-            anc = anc[anc]
-            self._rounds += 1
+        self._jumps = _jump_tables(above)
+
+    def _draws(self, seed: int, start: int, stop: int, cols: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Each position's own draw and whether its parent picks it, shape (stop - start, len(cols)) each.
+
+        ``cols`` is an ascending, ancestor-closed array of positions, or None
+        for all n. A position reads the same uniform either way, and its
+        parent is in ``cols``, so each entry is the same as in the whole tree's.
+        """
+        if cols is None:
+            u = tree_uniforms(seed, start, stop, self.graph.n)
+            s, total, lo, hi, jumps = self._s, self._free, self._lo, self._hi, self._jumps
+        else:
+            u = _uniforms(seed, start, stop, cols)
+            s, total, lo, hi = self._s[cols], self._free[cols], self._lo[cols], self._hi[cols]
+            jumps = _jump_tables(np.searchsorted(cols, self._above[cols]))
+        free, blocked = u * total, u * s
+        del u
+        # (m0, m1)[i] says whether i is blocked when its parent is free or blocked; round k
+        # composes it with the map of i's ancestor 2^k levels up, until every jump reaches
+        # the root, which is free.
+        # The parent's two draws share one buffer, so at most three (R, n) float arrays are held.
+        up = free.take(jumps[0], 1)
+        m0 = (lo <= up) & (up < hi)
+        blocked.take(jumps[0], 1, out=up, mode="clip")  # in range; mode "raise" would buffer out
+        m1 = (lo <= up) & (up < hi)
+        del up
+        for anc in jumps[:-1]:
+            a0, a1 = m0.take(anc, 1), m1.take(anc, 1)
+            m0, m1 = (a0 & m1) | (~a0 & m0), (a1 & m1) | (~a1 & m0)
+        # m0 now says "my parent picks me"; such a vertex draws from its blocked table
+        np.copyto(free, blocked, where=m0)
+        return free, m0
 
     def draw(self, seed: int, start: int, stop: int) -> np.ndarray:
         """Next-pointer rows, shape (stop - start, n), of replicas start..stop-1 of ``seed``.
@@ -368,29 +418,54 @@ class TreeSampler:
         Row k is the forest of replica start + k, :data:`ROOT` marking a
         root; it does not depend on the range it is drawn in.
         """
-        u = tree_uniforms(check_seed(seed), start, stop, self.graph.n)
-        free, blocked = u * self._free, u * self._s
-        del u
-        # (m0, m1)[i] says whether i is blocked when anc[i] is free or blocked;
-        # each round composes it with anc[i]'s map and doubles the jump. The root is free.
-        # The parent's two draws share one buffer, so at most three (R, n) float arrays are held.
-        lo, hi, anc = self._lo, self._hi, self._above
-        up = free.take(anc, 1)
-        m0 = (lo <= up) & (up < hi)
-        blocked.take(anc, 1, out=up, mode="clip")  # anc is in range; mode "raise" would buffer out
-        m1 = (lo <= up) & (up < hi)
-        del up
-        for _ in range(self._rounds):
-            a0, a1 = m0.take(anc, 1), m1.take(anc, 1)
-            m0, m1 = (a0 & m1) | (~a0 & m0), (a1 & m1) | (~a1 & m0)
-            anc = anc[anc]
-        # m0 now says "my parent picks me": one scatter sets every child pick, and the other
-        # draws pick the parent (x >= s) or nothing (x < q)
-        np.copyto(free, blocked, where=m0)  # each vertex's own draw
-        rows = np.where(free >= self._s, self._parent, ROOT)
+        own, m0 = self._draws(check_seed(seed), start, stop)
+        # one scatter sets every child pick, and the other draws pick the parent (x >= s) or
+        # nothing (x < q)
+        rows = np.where(own >= self._s, self._parent, ROOT)
         replica, child = np.nonzero(m0)
         rows[replica, self._above[child]] = self._order[child]
         return rows.take(self._position, 1)
+
+    def separations(self, seed: int, start: int, stop: int, x: int, y: int) -> int:
+        """The number of replicas start..stop-1 of ``seed`` in which x and y have different roots.
+
+        Only x, y and their ancestors draw (:meth:`_closure`). The edge from
+        position i to its parent is in the forest when the parent picks i or
+        i's own draw points up, and x and y share a tree when every edge of
+        their path is. The count equals that of :meth:`draw`'s rows.
+        """
+        cols, path = self._closure(x, y)
+        own, m0 = self._draws(check_seed(seed), start, stop, cols)
+        used = m0[:, path] | (own[:, path] >= self._s[cols[path]])
+        return stop - start - int(np.count_nonzero(used.all(1)))
+
+    def _closure(self, x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
+        """``cols``, the positions of x, y and all their ancestors, ascending, and the indices into ``cols`` of the path's edges.
+
+        The edges of the path from x to y are those from the positions that
+        are x or an ancestor of x, or y or an ancestor of y, but not both.
+        """
+        reach = self._position[[x, y], None]
+        # reach[:, j] is the ancestor j levels up, or the root, so each jump doubles the levels reached
+        for jump in self._jumps:
+            if not reach[:, -1].any():
+                break
+            reach = np.hstack([reach, jump[reach]])
+        of_x, of_y = np.zeros((2, self.graph.n), dtype=bool)
+        of_x[reach[0]] = of_y[reach[1]] = True
+        cols = np.flatnonzero(of_x | of_y)
+        return cols, np.flatnonzero(of_x[cols] != of_y[cols])
+
+
+def _jump_tables(above: np.ndarray) -> list[np.ndarray]:
+    """jumps[k][i], index i's ancestor 2^k levels up under the parent map ``above``, or 0, the root, which is its own parent.
+
+    The last table is all 0: the ones before it serve the rounds of pointer doubling.
+    """
+    jumps = [above]
+    while jumps[-1].any():
+        jumps.append(jumps[-1][jumps[-1]])
+    return jumps
 
 
 #: Largest graph on which :func:`forest_sampler` weighs a vertex root (one dense solve).

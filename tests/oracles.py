@@ -198,17 +198,21 @@ def asymmetric_trees(draw):
 
 
 def tree_pair_separation(g, x, y, q):
-    """P(x and y in different trees) on a tree: the path recurrence on :func:`tree_pivots`, clamped to [0, 1]."""
+    """P(x and y in different trees) on a tree: the path recurrence on :func:`tree_pivots`, clamped to [0, 1].
+
+    The separation u is carried as a probability, the weighted mean of cut and itself.
+    """
     path = tree_path(g, x, y)
     s, _ = tree_pivots(g, q, x, path)
-    sigma, sep, cut = s[x], 0.0, 0.0
+    sigma, u, cut = s[x], 0.0, 0.0
     for a, z in zip(path, path[1:]):
         fwd, back = g.weight(a, z), g.weight(z, a)
         pivot = sigma + fwd
         cut = (sigma + fwd * cut) / pivot
-        sep = s[z] * cut + back * sep / pivot
-        sigma = s[z] + back * sigma / pivot
-    return min(max(sep / sigma, 0.0), 1.0)
+        carried = back * sigma / pivot
+        sigma = s[z] + carried
+        u = cut * (s[z] / sigma) + u * (carried / sigma)
+    return min(max(u, 0.0), 1.0)
 
 
 def enumerate_forests_dfs(g):

@@ -444,6 +444,46 @@ def test_sample_stdout_is_pinned(capsys, family, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+#: Fixed-seed Monte Carlo output on four tree families, pinned by the SHA-256 of its stdout as it was
+#: when every separation was counted from whole next-pointer rows and pointer jumping, so counting it
+#: from the pair's ancestors alone cannot change what is printed. The digest of a sweep leaves out its
+#: exact column, whose last digits moved when the tree recursion began to carry the separation as a
+#: probability; the tree-exact tests hold those values.
+MC_CASES = {
+    "path:n=30": ("6,25", "0.1", "503cb49ca3bcaa806d374266475f2163bb4ca95c811ef65a0211a1e2e584e185",
+                  "920f49df2948a1978220ea1bf701b944d08bb3907715a745a02f51e314cd1339"),
+    "star:n=40,w=0.5": ("3,4", "0.5", "7bc1a36ea81fd54ca5fdbb0bb35ac791b2e8c0979368c3bd62f717276007feaa",
+                        "8275cb09011b484117a261f5231f2373e3d43ea1e1f6cddd8b28ae01e33ee679"),
+    "commstar:n=40,k=10,w=0.5": ("2,21", "0.2", "c1d3a5f29dc12220973376850177e0703135e100530a58ccb21b36925dee273d",
+                                 "469c4b9a5bc81ae6c30afced9e4d886403de1f2b1005d51a8a8ca287064c3264"),
+    "hier:d=2,h=5,weights=1+2+4+8+16": ("11,41", "0.3", "ba7cb92706f806b334654481d340677af8dcbfd9b7b6b73d7a7797539ad22941",
+                                        "bbe2ccaaae0ed5fdced2b910cdcc7fc0a601d3861156ff5b9d8ae70644d69b63"),
+}
+
+
+@pytest.mark.parametrize("family", MC_CASES)
+def test_mc_corr_and_sweep_stdout_is_pinned(capsys, family):
+    pair, q, corr_digest, sweep_digest = MC_CASES[family]
+    code, out, _ = run(capsys, "corr", "--family", family, "--pair", pair, "--q", q, "--method", "mc", "--replicas", "300", "--seed", "11")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == corr_digest
+    grid = f"log:{q}:{float(q) * 20:g}:3"
+    code, out, _ = run(capsys, "sweep", "--family", family, "--pair", pair, "--q-grid", grid, "--replicas", "80", "--seed", "11")
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    rows = [",".join("" if i == 2 else field for i, field in enumerate(line.split(","))) for line in lines[2:]]
+    assert len(rows) == 3 and all(line.split(",")[2] for line in lines[2:])
+    assert hashlib.sha256("".join(lines[:2] + rows).encode()).hexdigest() == sweep_digest
+
+
+def test_tree_corr_prints_a_separation_below_q_squared_underflow(capsys):
+    code, out, _ = run(capsys, "corr", "--family", "path:n=3", "--pair", "1,3", "--q", "1e-200", "--method", "tree")
+    assert code == 0
+    value = float(out.strip().splitlines()[-1].split(",")[1])
+    assert value == pytest.approx(path_correlation(3, 1, 3, 1e-200), rel=1e-12, abs=0)
+    assert value == pytest.approx(4e-200 / 3, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("family", [*SAMPLE_Q, "complete:n=300"])
 def test_sample_prints_replica_0(capsys, family, fmt):

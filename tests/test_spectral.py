@@ -421,6 +421,15 @@ def test_tree_correlation_long_path_exact():
         assert abs(pair.at(q) - path_correlation(40, 1, 40, q)) <= 1e-12
 
 
+@pytest.mark.parametrize("q", [1e-200, 1e-300])
+def test_tree_correlation_keeps_its_relative_precision_where_q_squared_underflows(q):
+    # the separation is about q, and sigma * P(sep) about q^2, which is 0 in floats below q = 1e-154
+    for n, x, y in ((2, 0, 1), (3, 0, 2), (10, 0, 9), (40, 3, 20), (200, 5, 150)):
+        want = path_correlation(n, x + 1, y + 1, q)
+        assert 0 < want < 1e6 * q
+        assert abs(TreePairCorrelation(make_family(Path(n)), x, y).at(q) - want) <= 1e-12 * want, (n, x, y)
+
+
 def _separation_by_slogdet(g: WeightedDigraph, path: list[int], q: float) -> float:
     """1 - P(same tree) as the d+1-term sum, every determinant by dense LU.
 

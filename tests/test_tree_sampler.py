@@ -4,6 +4,7 @@ import hashlib
 import math
 from bisect import bisect_right
 from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from lepart import (
 from lepart import estimators, wilson
 from lepart.graphs import is_tree, leaf_first
 from lepart.spectral import TreePairCorrelation
-from lepart.wilson import ForestSampler, RootedForest, TreeSampler, forest_sampler, tree_uniforms
+from lepart.wilson import ForestSampler, RootedForest, TreeSampler, _roots, _uniforms, forest_sampler, tree_uniforms
 from oracles import asymmetric_trees, oracle_forests, tree_pair_separation, tree_pivots
 
 
@@ -270,6 +271,88 @@ def test_leaf_first_lists_children_contiguously():
             p = int(parent[v])
             assert position[p] < position[v]
             assert up[v] == g.weight(v, p) and down[v] == g.weight(p, v)
+
+
+def rows_count(sampler, seed: int, start: int, stop: int, x: int, y: int) -> int:
+    """The reference count: whole rows, their roots by pointer jumping, and a comparison."""
+    root = _roots(sampler.draw(seed, start, stop))
+    return int(np.count_nonzero(root[:, x] != root[:, y]))
+
+
+@st.composite
+def tree_pairs(draw):
+    """A random tree on at most 60 vertices, weights per direction, some edges one-way, and a pair.
+
+    The pair is vertex 0 and another, an ancestor and a descendant (hung from
+    0), two siblings, or any two vertices.
+    """
+    n = draw(st.integers(2, 60))
+    parent = [-1] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    edges = []
+    for v in range(1, n):
+        u = parent[v]
+        for a, b in draw(st.sampled_from([((u, v), (v, u)), ((u, v),), ((v, u),)])):
+            edges.append((a, b, draw(st.floats(0.05, 20.0))))
+    g = WeightedDigraph(n, edges)
+    y = draw(st.integers(1, n - 1))
+    kind = draw(st.sampled_from(["vertex 0", "ancestor", "sibling", "any"]))
+    siblings = [v for v in range(1, n) if parent[v] == parent[y] and v != y]
+    if kind == "vertex 0":
+        x = 0
+    elif kind == "ancestor":
+        x = y
+        for _ in range(draw(st.integers(1, n))):
+            x = parent[x] if parent[x] >= 0 else x
+    elif kind == "sibling" and siblings:
+        x = draw(st.sampled_from(siblings))
+    else:
+        x = draw(st.integers(0, n - 1).filter(lambda v: v != y))
+    return g, x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_pairs(), st.floats(1e-3, 30.0), st.integers(0, 2**64 - 1), st.integers(0, 500), st.integers(1, 120), st.integers(1, 40))
+def test_separations_match_rows_and_roots(case, q, seed, start, replicas, block):
+    g, x, y = case
+    sampler = TreeSampler(g, q)
+    for a, b in ((x, y), (y, x)):
+        assert sampler.separations(seed, start, start + replicas, a, b) == rows_count(sampler, seed, start, start + replicas, a, b)
+    # replicas 0..R-1 in blocks of ``block`` rows: the estimators' sum crosses every block boundary
+    with mock.patch.object(estimators, "BLOCK_ENTRIES", block * g.n):
+        assert len(estimators._blocks(sampler, replicas)) == -(-replicas // block)
+        assert estimators._separations(sampler, replicas, seed, x, y) == rows_count(sampler, seed, 0, replicas, x, y)
+
+
+@pytest.mark.parametrize(
+    "spec, x, y, q, mixed",
+    [
+        (Path(3000), 0, 2999, 0.003, False),
+        (Path(3000), 2999, 0, 1e-7, True),
+        (Star(2000, 1.0), 1999, 1000, 1.0, True),
+        (Star(2000, 1.0), 1000, 1999, 0.1, True),
+    ],
+    ids=["path3000-ends", "path3000-ends-small-q", "star2000-leaves", "star2000-leaves-small-q"],
+)
+def test_separations_match_rows_and_roots_on_large_trees(spec, x, y, q, mixed):
+    """The closure of Path(3000)'s ends is the whole path. In the mixed cases some of the 40 replicas join the pair."""
+    sampler = TreeSampler(make_family(spec), q)
+    for start, stop in ((0, 40), (37, 38)):
+        assert sampler.separations(11, start, stop, x, y) == rows_count(sampler, 11, start, stop, x, y)
+    assert (0 < rows_count(sampler, 11, 0, 40, x, y) < 40) == mixed
+
+
+def test_wilson_separations_are_its_rows_and_roots():
+    sampler = ForestSampler(make_family(Bottleneck(5, 3, 0.5)), 0.4)
+    assert sampler.separations(11, 3, 40, 0, 5) == rows_count(sampler, 11, 3, 40, 0, 5)
+
+
+@pytest.mark.parametrize("seed", [0, 42, -7, 2**64 - 1])
+def test_subset_uniforms_are_the_full_grid_columns(seed):
+    full = tree_uniforms(seed, 3, 40, 50)
+    for columns in ([0], [49], [0, 1, 2], [5, 17, 18, 33, 49], list(range(50))):
+        cols = np.array(columns)
+        assert np.array_equal(_uniforms(seed, 3, 40, cols), full[:, cols])
+    assert _uniforms(seed, 3, 40, np.array([], dtype=np.int64)).shape == (37, 0)
 
 
 def _sha(g, q) -> str:
