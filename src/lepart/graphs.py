@@ -3,6 +3,15 @@
 Vertices are integer ids ``0..n-1``. An undirected graph is stored as both
 orientations with equal weight, so the forest measure applies uniformly.
 
+Every graph is one CSR representation (:class:`WeightedDigraph`). Edge lists
+from users, files and the sparse families pass every check of
+``WeightedDigraph._build``, edge by edge; the dense families, complete and
+bottleneck, are built from their weight matrix by ``_from_weights``, where
+one pass over the matrix checks the weights and the CSR order holds by
+construction. Both end in the same store step, which also keeps each edge's
+flat key ``src * n + dst``: :func:`laplacian` and the dense factorization
+scatter at those keys into an n x n buffer.
+
 Vertex labeling conventions (fixed so correlation queries are reproducible):
 
 * path: ``0..n-1`` in line order;
@@ -139,13 +148,25 @@ class WeightedDigraph:
                 i = int(bad.argmax())
                 raise FormatError(f"duplicate edge ({key[i] // n},{key[i] % n})")
             src, dst, w = src[order], dst[order], w[order]
+        # bincount adds in edge order, as a per-edge loop would; with no edges it would count in int64
+        out_weight = np.bincount(src, weights=w, minlength=n).astype(float, copy=False)
+        self._store(n, np.searchsorted(src, np.arange(n + 1)), dst, w, out_weight, key)
+
+    def _store(self, n: int, indptr, indices, weights, out_weight, keys) -> None:
+        """Keep checked arrays in CSR order, read-only: the last step of both builders.
+
+        ``keys`` are the edges' flat indices ``src * n + dst`` into an n x n
+        array, strictly increasing: :func:`laplacian` and the dense
+        factorization scatter at them, and SuperLU's matrix finds each row's
+        diagonal slot among them.
+        """
         self.n = int(n)
-        self.indptr = np.searchsorted(src, np.arange(n + 1))
-        self.indices = dst
-        self.weights = w
-        # bincount adds in edge order, as a per-edge loop would
-        self.out_weight = np.bincount(src, weights=self.weights, minlength=n)
-        for a in (self.indptr, self.indices, self.weights, self.out_weight):
+        self.indptr = indptr
+        self.indices = indices
+        self.weights = weights
+        self.out_weight = out_weight
+        self._keys = keys
+        for a in (indptr, indices, weights, out_weight, keys):
             a.flags.writeable = False
 
     @cached_property
@@ -204,9 +225,16 @@ class WeightedDigraph:
         # A tree has n - 1 undirected pairs, each stored once or twice.
         if not n - 1 <= len(self.indices) <= 2 * (n - 1) or len(self._pairs) != n - 1:
             return False
-        from scipy.sparse.csgraph import breadth_first_order
         # n - 1 pairs form a tree exactly when they connect all n vertices
-        return len(breadth_first_order(self._undirected, 0, directed=True, return_predecessors=False)) == n
+        return len(self._search_from_0[0]) == n
+
+    @cached_property
+    def _search_from_0(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_breadth_first` from vertex 0, read-only: :func:`is_tree` and :func:`leaf_first` share it."""
+        found = _breadth_first(self, 0)
+        for a in found:
+            a.flags.writeable = False
+        return found
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDigraph):
@@ -235,6 +263,39 @@ def undirected(n: int, pairs: Iterable[Edge]) -> WeightedDigraph:
 def _both_ways(n: int, a, b, w) -> WeightedDigraph:
     """The graph with edges a[i] -> b[i] and b[i] -> a[i], both of weight w[i]."""
     return WeightedDigraph.from_arrays(n, np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((w, w)))
+
+
+def _from_weights(W: np.ndarray) -> WeightedDigraph:
+    """The graph with an edge x -> y of weight W[x, y] wherever that is positive, from a dense float matrix.
+
+    The dense families call it with a fresh matrix, whose diagonal it zeroes.
+    One pass checks what :meth:`WeightedDigraph._build` checks edge by edge,
+    that every weight is finite and not negative; the edges are the nonzeros
+    of the off-diagonal mask, row by row, so they are in range, in CSR order,
+    unique and without self-loops by construction. ``out_weight`` is summed
+    in edge order, as ``_build``'s bincount sums it, and ``is_symmetric`` is
+    read off W == W^T, without a sort.
+    """
+    n = len(W)
+    np.fill_diagonal(W, 0.0)
+    if not (0.0 <= W.min() and W.max() < np.inf):  # a nan fails the first test
+        x, y = np.argwhere(~(np.isfinite(W) & (W >= 0.0)))[0]
+        raise FormatError(f"edge ({x},{y}) of weight {W[x, y]} needs a nonnegative, finite weight")
+    mask = W > 0.0
+    keys = np.flatnonzero(mask)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+    # column = key - n * row, formed in place: every fresh array of n^2 entries costs its page faults
+    indices = np.repeat(np.arange(n) * n, np.diff(indptr))
+    np.subtract(keys, indices, out=indices)
+    symmetric = np.array_equal(W, W.T)
+    # numpy sums over the outer axis one row at a time, so column v's sum adds W[0, v], W[1, v], ...
+    # in turn, and zeros add nothing: on a symmetric W that is out_weight[v] in edge order
+    out_weight = (W if symmetric else np.ascontiguousarray(W.T)).sum(axis=0)
+    g = WeightedDigraph.__new__(WeightedDigraph)
+    g._store(n, indptr, indices, W.ravel()[keys], out_weight, keys)
+    g.is_symmetric = symmetric
+    return g
 
 
 # -- graph families ------------------------------------------------------
@@ -316,17 +377,14 @@ def make_family(spec: FamilySpec) -> WeightedDigraph:
             raise ParameterError("bottleneck needs n >= 1 and m >= 1")
         check_weight(spec.w)
         n, m = spec.n, spec.m
-        adjacency = np.zeros((n + m, n + m), dtype=bool)
-        adjacency[:n, :n] = adjacency[n:, n:] = True
-        adjacency[0, n] = adjacency[n, 0] = True
-        np.fill_diagonal(adjacency, False)
-        src, dst = np.nonzero(adjacency)  # row by row, so already in CSR order
-        return WeightedDigraph.from_arrays(n + m, src, dst, np.where((src < n) != (dst < n), float(spec.w), 1.0))
+        W = np.zeros((n + m, n + m))
+        W[:n, :n] = W[n:, n:] = 1.0
+        W[0, n] = W[n, 0] = spec.w
+        return _from_weights(W)
     if isinstance(spec, Complete):
         if spec.n < 1:
             raise ParameterError("complete graph needs n >= 1")
-        src, dst = np.nonzero(~np.eye(spec.n, dtype=bool))
-        return WeightedDigraph.from_arrays(spec.n, src, dst, np.ones(len(src)))
+        return _from_weights(np.ones((spec.n, spec.n)))
     raise ParameterError(f"unknown family spec {spec!r}")
 
 
@@ -424,11 +482,24 @@ def family_to_string(spec: FamilySpec) -> str:
 
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:
-    """Dense Laplacian L with L[x, y] = w(x, y) off-diagonal and zero row sums."""
-    L = np.zeros((g.n, g.n))
-    L[g._rows, g.indices] = g.weights
-    L[np.diag_indices(g.n)] -= g.out_weight
-    return L
+    """Dense Laplacian L with L[x, y] = w(x, y) off-diagonal and zero row sums.
+
+    Built by :func:`_dense`, as the dense factorization builds qI - L; the
+    diagonal is 0 - W(v), so an isolated vertex keeps +0.0.
+    """
+    return _dense(g, g.weights, 0.0 - g.out_weight)
+
+
+def _dense(g: WeightedDigraph, off_diagonal, diagonal) -> np.ndarray:
+    """The n x n array with ``off_diagonal`` at the edges and ``diagonal`` on the diagonal, +0.0 elsewhere.
+
+    One flat scatter at the graph's CSR keys, into a zeroed buffer.
+    """
+    n = g.n
+    a = np.zeros(n * n)
+    a[g._keys] = off_diagonal
+    a[:: n + 1] = diagonal
+    return a.reshape(n, n)
 
 
 # -- edge-list TSV ------------------------------------------------------------
@@ -525,7 +596,11 @@ def contract_edge(g: WeightedDigraph, x: int, y: int) -> tuple[WeightedDigraph, 
 
 
 def is_tree(g: WeightedDigraph) -> bool:
-    """True when the underlying undirected graph is a spanning tree (worked out once per graph)."""
+    """True when the underlying undirected graph is a spanning tree (worked out once per graph).
+
+    The breadth-first search from vertex 0 that decides it is kept for
+    :func:`leaf_first` from vertex 0, so a tree's sampler searches once.
+    """
     return g._is_tree
 
 
@@ -540,8 +615,8 @@ def leaf_first(g: WeightedDigraph, root: int) -> tuple[np.ndarray, np.ndarray, n
     where that direction is absent. At ``root``, parent is -1 and both
     weights are 0. g must be a tree (see :func:`is_tree`).
     """
-    from scipy.sparse.csgraph import breadth_first_order
-    order, parent = breadth_first_order(g._undirected, root, directed=True, return_predecessors=True)
+    order, parent = g._search_from_0 if root == 0 else _breadth_first(g, root)
+    parent = parent.copy()  # the search from 0 is kept on g
     parent[root] = -1
     rows, cols = g._rows, g.indices
     up, down = np.zeros(g.n), np.zeros(g.n)
@@ -550,6 +625,12 @@ def leaf_first(g: WeightedDigraph, root: int) -> tuple[np.ndarray, np.ndarray, n
     to_child = parent[cols] == rows
     down[cols[to_child]] = g.weights[to_child]
     return order, parent, up, down
+
+
+def _breadth_first(g: WeightedDigraph, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """csgraph's breadth-first order of the vertices reached from ``root``, and their predecessors."""
+    from scipy.sparse.csgraph import breadth_first_order
+    return breadth_first_order(g._undirected, root, directed=True, return_predecessors=True)
 
 
 def check_vertices(n: int, vertices: Iterable[int]) -> None:

@@ -7,9 +7,13 @@ form a determinantal process with kernel q(qI - L)^{-1}. qI - L is a
 nonsingular M-matrix, and ``_factor`` factors its transpose without row
 pivoting by one of two routes, chosen by the share of nonzeros: LAPACK's
 dense LU on dense graphs, where SuperLU's fill costs more than the dense
-work, and SuperLU on sparse ones, where it reads the graph's own CSR arrays,
-with q + W(v) inserted into each row, as compressed columns. The transpose
-is harmless: the determinant is the same, and a solve against qI - L asks
+work, with qI - L written by one scatter of -w at the graph's CSR keys and
+q + W(v) on the diagonal of a zeroed buffer, and SuperLU on sparse ones,
+where it reads the graph's own CSR arrays, with q + W(v) inserted into each
+row, as compressed columns. When q is lost to rounding in every q + W(v),
+the stored matrix would be -L, which is singular, and both routes raise
+:class:`~lepart.errors.NumericError` before they factor. The transpose is
+harmless: the determinant is the same, and a solve against qI - L asks
 for the transposed system. On an undirected graph the transpose is qI - L
 itself, entry for entry. The partition function is the product of the
 pivots; hitting probabilities and root marginals are solves against them.
@@ -25,7 +29,7 @@ import warnings
 import numpy as np
 
 from .errors import NumericError, ParameterError, StructureError, check_q
-from .graphs import WeightedDigraph, _hang_pair, check_vertices, is_tree, laplacian
+from .graphs import WeightedDigraph, _dense, _hang_pair, check_vertices, is_tree, laplacian
 from .logvalue import LogValue
 
 __all__ = [
@@ -45,7 +49,7 @@ def _transposed(g: WeightedDigraph, q: float):
     from scipy import sparse
     n = g.n
     # the CSR keys v * n + u increase, so v's diagonal key v * (n + 1) finds its slot in row v
-    at = np.searchsorted(g._rows * n + g.indices, np.arange(n) * (n + 1))
+    at = np.searchsorted(g._keys, np.arange(n) * (n + 1))
     data = np.insert(-g.weights, at, q + g.out_weight)
     indices = np.insert(g.indices, at, np.arange(n))
     return sparse.csc_array((data, indices, g.indptr + np.arange(n + 1)), shape=(n, n))
@@ -63,13 +67,18 @@ def _factor(g: WeightedDigraph, q: float):
     M^T is a nonsingular M-matrix and strictly diagonally dominant by
     columns, so its LU needs no row pivoting: every pivot is positive, and
     log det M is the sum of their logs. A pivot that is not positive, or a
-    row swap, means the factorization broke down to rounding.
+    row swap, means the factorization broke down to rounding. When every
+    q + W(v) rounds to W(v), the stored M is exactly -L, which is singular:
+    that raises before either route factors.
 
-    Dense graphs, with (nnz + n) / n^2 >= :data:`DENSE_SHARE`: LAPACK's
-    dgetrf factors M^T, the F-ordered view of M = qI - L (whose entries
-    equal :func:`_transposed`'s), and dgetrs solves against M by the
-    transposed solve. LAPACK is called directly: SciPy's ``lu_factor``
-    would only warn on a zero pivot. Sparse graphs: SuperLU factors
+    Dense graphs, with (nnz + n) / n^2 >= :data:`DENSE_SHARE`: M = qI - L
+    is written into a zeroed n x n buffer by one scatter of -w at the CSR
+    keys and q + W(v) on the diagonal (:func:`~lepart.graphs._dense`), so
+    its entries equal :func:`_transposed`'s and its zeros are +0.0.
+    LAPACK's dgetrf factors M^T, the F-ordered view of that buffer, and
+    dgetrs solves against M by the transposed solve. LAPACK is called
+    directly: SciPy's ``lu_factor`` would only warn on a zero pivot. Sparse
+    graphs: SuperLU factors
     P M^T P^T = L U of :func:`_transposed`; with the threshold at 0 and a
     symmetric fill-reducing order, the row and column permutations
     coincide unless a row was swapped. A solve asks it for the transposed
@@ -78,9 +87,12 @@ def _factor(g: WeightedDigraph, q: float):
     """
     check_q(q)
     n = g.n
+    diagonal = q + g.out_weight
+    if np.array_equal(diagonal, g.out_weight):
+        raise NumericError(f"q={q} is lost to rounding in every q + W(v): qI - L is stored as -L, which is singular")
     if len(g.indices) + n >= DENSE_SHARE * n * n:
         from scipy.linalg.lapack import dgetrf, dgetrs
-        lu, piv, info = dgetrf((q * np.eye(n) - laplacian(g)).T, overwrite_a=True)
+        lu, piv, info = dgetrf(_dense(g, -g.weights, diagonal).T, overwrite_a=True)
         pivots = lu.diagonal()
         if info != 0 or not (np.all(pivots > 0) and np.array_equal(piv, np.arange(n))):
             raise NumericError(f"dense LU of qI - L lost its positive diagonal pivots at q={q}")

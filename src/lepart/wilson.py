@@ -48,7 +48,9 @@ forest waits for walks to be killed, about (q + W)/q steps each on a dense
 graph at small q; rooted at a vertex of large weight W, the walks mostly
 stop on reaching it. :func:`forest_sampler` roots them at the vertex of
 largest W when one dense solve says that takes fewer expected steps
-(:func:`_walk_root`); directed graphs keep the cemetery.
+(:func:`_walk_root`), and always when q is lost to rounding in every
+q + W(v), where walks to the cemetery would not end; directed graphs keep
+the cemetery.
 """
 
 from __future__ import annotations
@@ -491,22 +493,27 @@ def _walk_root(g: WeightedDigraph, q: float) -> int:
     G_vv + G_hh - 2 G_vh, so E(h) - E(cemetery) = C G_hh - 2 (Gc)_h, where C
     = sum_v c(v) + nq. One dense solve gives the column G e_h. Since G_hh >=
     1/c_h and (Gc)_h <= c_h / q, the hub cannot win when q C >= 2 c_h^2, and
-    no solve is made. Directed graphs, and graphs of more than
+    no solve is made. When every q + W(v) rounds to W(v), a walk's killing
+    test u < q, with u uniform on [0, q + W(v)), is as good as never met, so
+    walks to the cemetery would not end: the hub is taken, with no solve, on
+    a graph of any size. Directed graphs, and otherwise graphs of more than
     :data:`MAX_HUB_VERTICES` vertices, keep the cemetery.
     """
     n = g.n
-    if not g.is_symmetric or n > MAX_HUB_VERTICES:
+    if not g.is_symmetric:
         return ROOT
     c = q + g.out_weight
     h = int(np.argmax(c))
+    if np.array_equal(c, g.out_weight):
+        return h
     total = float(c.sum()) + n * q
-    if q * total >= 2.0 * c[h] ** 2:
+    if n > MAX_HUB_VERTICES or q * total >= 2.0 * c[h] ** 2:
         return ROOT
     e_h = np.zeros(n)
     e_h[h] = 1.0
     try:
         column = np.linalg.solve(q * np.eye(n) - laplacian(g), e_h)
-    except np.linalg.LinAlgError:  # q below the rounding of the weights: keep the cemetery
+    except np.linalg.LinAlgError:  # singular to rounding: keep the cemetery
         return ROOT
     return h if total * column[h] < 2.0 * float(column @ c) else ROOT
 

@@ -268,6 +268,24 @@ def test_overflowing_exact_values_exit_3(capsys, argv):
     assert err.startswith("numeric error:")
 
 
+@pytest.mark.parametrize("q", ["1e-20", "1e-300"])
+def test_det_exits_3_when_q_rounds_away_from_every_weight(capsys, q):
+    """Every q + W(v) rounds to W(v) = 299, so the stored qI - L is -L, which is singular."""
+    code, out, err = run(capsys, "z", "--family", "complete:n=300", "--q", q, "--method", "det")
+    assert code == 3
+    assert all(line.startswith("#") for line in out.splitlines())  # no value
+    assert err.startswith("numeric error:") and "rounding" in err
+
+
+def test_sample_ends_when_q_rounds_away_from_every_weight(capsys):
+    """At q = 1e-320 the cemetery's walks cannot end; rooted at the hub, one forest is drawn."""
+    code, out, _ = run(capsys, "sample", "--family", "complete:n=3", "--q", "1e-320")
+    assert code == 0
+    row = json.loads(out.strip().splitlines()[1])
+    RootedForest(tuple(row)).validate(make_family(parse_family("complete:n=3")))
+    assert row.count(-1) == 1
+
+
 def test_negative_replicas_exit_2(capsys):
     assert run(capsys, "corr", "--family", "path:n=5", "--pair", "1,5", "--q", "1", "--method", "mc", "--replicas", "-5")[0] == 2
     assert run(capsys, "sweep", "--family", "path:n=5", "--q-grid", "log:0.1:1:3", "--pair", "1,5", "--replicas", "-3")[0] == 2

@@ -26,6 +26,7 @@ from lepart import (
     save_edge_list,
     undirected,
 )
+from lepart import graphs
 from lepart.graphs import (
     contract_edge,
     delete_edge,
@@ -333,7 +334,20 @@ EQUIVALENCE_FAMILIES = [
     HierarchicalTree(1, 1, (2.0,)), HierarchicalTree(2, 3, (0.1, 0.2, 0.7)), HierarchicalTree(3, 3, (0.1, 1.0, 10.0)),
     Bottleneck(1, 1, 0.5), Bottleneck(4, 3, 2.0), Bottleneck(13, 6, 0.01),
     Complete(1), Complete(2), Complete(5), Complete(23),
+    # the benchmark's dense sizes
+    Complete(230), Bottleneck(200, 10, 0.2), Bottleneck(180, 40, 1.0),
 ]  # fmt: skip
+
+
+def lexsort_is_symmetric(g: WeightedDigraph) -> bool:
+    """Whether every edge's reverse is an edge of the same weight, by one lexsort of the reversed edges."""
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    order = np.lexsort((rows, g.indices))
+    return bool(
+        np.array_equal(g.indices[order], rows)
+        and np.array_equal(rows[order], g.indices)
+        and np.array_equal(g.weights[order], g.weights)
+    )
 
 
 @pytest.mark.parametrize("fam", EQUIVALENCE_FAMILIES, ids=str)
@@ -343,9 +357,13 @@ def test_csr_family_matches_tuple_builder(fam):
     assert g.n == n
     assert g.edges == edges
     assert g.out == out
-    assert g.out_weight.tobytes() == total.tobytes()
+    assert g.out_weight.dtype == np.float64 and g.out_weight.tobytes() == total.tobytes()
     assert laplacian(g).tobytes() == L.tobytes()
     assert WeightedDigraph(n, reversed(edges)) == g
+    rows = np.array([e[0] for e in edges], dtype=np.int64)
+    assert g._rows.dtype == np.int64 and g._rows.tobytes() == rows.tobytes()
+    assert g._keys.tobytes() == (rows * n + g.indices).tobytes()
+    assert g.is_symmetric is lexsort_is_symmetric(g) is True
     # identical jump tables, hence identical forests for a fixed stream
     q = 0.7
     sampler = ForestSampler(g, q)
@@ -399,6 +417,10 @@ CSR_DIGESTS = {
     Bottleneck(1, 1, 0.5): "f27e06e7e027a977591314dc251aabe368af5032cea1fafd27c2cb79131b1ed6",
     Bottleneck(5, 3, 0.2): "aef7e3f6075768653220d598ff7dfe6b69b287ccd98dba8f0c1e46b903f74860",
     Bottleneck(20, 4, 2.0): "260f324c06eb62eb920e508dad34806eccdc724ceb6b206a0a297a271d5e1a19",
+    # the benchmark's sizes, pinned from the builder that passed a boolean mask's nonzeros through _build
+    Complete(230): "aace3255a86cbedad6a77ae28d0fdf1a2c786da0ef2f7dd4674d9bef8a5231f5",
+    Bottleneck(200, 10, 0.2): "b347dc7bcda650b4b14cc6403d50e8394b956a4ff4f78742394d88276bdca2f7",
+    Bottleneck(180, 40, 1.0): "0b6208311a96ab4a2f7d51f6da192fa439caf2ae85cf56c97937d760b99a5740",
 }
 
 
@@ -409,6 +431,37 @@ def test_dense_family_arrays_are_pinned(fam):
     for a in (g.indptr, g.indices, g.weights, g.out_weight):
         digest.update(a.tobytes())
     assert digest.hexdigest() == CSR_DIGESTS[fam]
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 12), st.data())
+def test_weight_matrix_builds_the_edge_list_graph(n, data):
+    """``_from_weights`` gives the arrays, keys and symmetry that ``from_arrays`` gives for the same
+    edges, bit for bit, on one-way edges and unequal weights each way too; its diagonal is ignored."""
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.sampled_from([0.1, 0.2, 0.3]))
+    cells = data.draw(st.lists(weight, min_size=n * n, max_size=n * n))
+    W = np.array(cells).reshape(n, n)
+    if data.draw(st.booleans()):
+        W = np.triu(W) + np.triu(W, 1).T  # symmetric
+    src, dst = np.nonzero(W * ~np.eye(n, dtype=bool))
+    want = WeightedDigraph.from_arrays(n, src, dst, W[src, dst])
+    g = graphs._from_weights(W.copy())
+    for a, b in zip((g.indptr, g.indices, g.weights, g.out_weight, g._keys, g._rows),
+                    (want.indptr, want.indices, want.weights, want.out_weight, want._keys, want._rows)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert g.is_symmetric is lexsort_is_symmetric(want) is want.is_symmetric
+    assert laplacian(g).tobytes() == laplacian(want).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_weight_matrix_rejects_a_bad_entry(bad):
+    W = np.ones((4, 4))
+    W[2, 1] = bad
+    with pytest.raises(FormatError, match=r"edge \(2,1\)"):
+        graphs._from_weights(W)
+    W = np.ones((4, 4))
+    W[3, 3] = bad  # the diagonal is no edge
+    assert graphs._from_weights(W) == make_family(Complete(4))
 
 
 def test_graph_arrays_are_read_only():

@@ -226,6 +226,53 @@ def test_factor_raises_below_the_rounding_of_the_weights(g):
             call()
 
 
+@pytest.mark.parametrize("fam", UNDIRECTED_SYSTEMS + [Complete(230), Bottleneck(200, 10, 0.2), Bottleneck(180, 40, 1.0)], ids=str)
+def test_dense_route_factors_the_sparse_algebra_matrix(fam, monkeypatch):
+    """The matrix that dgetrf receives is the transpose of ``reference_system(g, q)``, byte for byte,
+    and so every zero is +0.0, with the dense route forced on every graph; on digraphs too, where
+    qI - L is not symmetric."""
+    from scipy.linalg import lapack
+    factored = []
+    dgetrf = lapack.dgetrf
+    monkeypatch.setattr(lapack, "dgetrf", lambda a, **k: factored.append(np.array(a.T)) or dgetrf(a, **k))
+    monkeypatch.setattr(spectral, "DENSE_SHARE", 0.0)
+    rng = random.Random(str(fam))
+    for g in (make_family(fam), random_digraph(rng), random_digraph(rng)):
+        for q in (1e-9, 0.36, 2.8):
+            partition_function(g, q)
+            M = factored.pop()
+            assert M.tobytes() == reference_system(g, q).toarray().tobytes()
+            assert not np.signbit(M[M == 0.0]).any()
+
+
+@pytest.mark.parametrize("q", [1e-20, 1e-300])
+@pytest.mark.parametrize("fam", [Complete(300), Complete(4), Bottleneck(20, 4, 2.0), Cycle(1000), Path(40)], ids=str)
+def test_factor_raises_when_q_rounds_away_from_every_weight(fam, q, monkeypatch):
+    """When every q + W(v) rounds to W(v), the stored matrix is -L, which is singular: both routes
+    raise NumericError before they factor, so log Z, hitting probabilities and root marginals do."""
+    from scipy.linalg import lapack
+    from scipy.sparse import linalg
+    for module, name in ((lapack, "dgetrf"), (linalg, "splu")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} was called"))
+    g = make_family(fam)
+    assert np.array_equal(q + g.out_weight, g.out_weight)
+    for call in (
+        lambda: partition_function(g, q),
+        lambda: hitting_prob(g, 0, 1, q),
+        lambda: roots_marginal(g, q, [0]),
+    ):
+        with pytest.raises(NumericError, match="rounding"):
+            call()
+
+
+def test_factor_answers_when_q_survives_in_one_diagonal_entry():
+    """A vertex with no out-edges keeps q on its diagonal: it is a sink, and qI - L is nonsingular."""
+    g = WeightedDigraph(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)])  # vertex 2 has W = 0
+    q = 1e-20
+    assert not np.array_equal(q + g.out_weight, g.out_weight)
+    assert partition_function(g, q).log() == pytest.approx(math.log(q * 1.0 * 1.0), rel=1e-12)
+
+
 def test_factored_matrix_is_the_transpose_on_digraphs():
     """With one-way edges and unequal weights each way, SuperLU gets (qI - L)^T, entry for entry."""
     one_way = 0

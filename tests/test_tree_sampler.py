@@ -29,7 +29,7 @@ from lepart import (
     split_seed,
     undirected,
 )
-from lepart import estimators, wilson
+from lepart import estimators, graphs, wilson
 from lepart.graphs import is_tree, leaf_first
 from lepart.spectral import TreePairCorrelation
 from lepart.wilson import ForestSampler, RootedForest, TreeSampler, _roots, _uniforms, forest_sampler, tree_uniforms
@@ -271,6 +271,27 @@ def test_leaf_first_lists_children_contiguously():
             p = int(parent[v])
             assert position[p] < position[v]
             assert up[v] == g.weight(v, p) and down[v] == g.weight(p, v)
+
+
+def test_forest_sampler_searches_a_tree_once(monkeypatch):
+    """``is_tree`` and ``TreeSampler``'s ``leaf_first(g, 0)`` share one breadth-first search, which
+    is csgraph's, and a caller that edits the parent array it gets does not edit the shared one."""
+    from scipy.sparse.csgraph import breadth_first_order
+    searches = []
+    search = graphs._breadth_first
+    monkeypatch.setattr(graphs, "_breadth_first", lambda g, root: searches.append(root) or search(g, root))
+    for seed in range(10):
+        g = random_tree(seed, 40, seed % 2 == 1)
+        del searches[:]
+        assert isinstance(forest_sampler(g, 0.3), TreeSampler)
+        assert searches == [0]
+        order, parent = leaf_first(g, 0)[:2]
+        want_order, want_parent = breadth_first_order(g._undirected, 0, directed=True, return_predecessors=True)
+        want_parent[0] = -1
+        assert np.array_equal(order, want_order) and np.array_equal(parent, want_parent)
+        parent[:] = 7
+        assert np.array_equal(leaf_first(g, 0)[1], want_parent) and searches == [0]
+        assert leaf_first(g, 3)[1][3] == -1 and searches == [0, 3]  # another root takes its own search
 
 
 def rows_count(sampler, seed: int, start: int, stop: int, x: int, y: int) -> int:

@@ -362,6 +362,30 @@ def test_directed_and_large_graphs_keep_the_cemetery():
 
 
 @pytest.mark.parametrize(
+    "fam, q", [(Complete(4), 1e-17), (Complete(30), 1e-17), (Complete(300), 1e-20), (Bottleneck(200, 20, 1.0), 1e-20), (Complete(3), 1e-320)],
+    ids=str,
+)
+def test_walks_are_rooted_at_the_hub_when_q_rounds_away(fam, q, monkeypatch):
+    """When every q + W(v) rounds to W(v), walks to the cemetery cannot end: the hub is the root on
+    undirected graphs of any size, MAX_HUB_VERTICES or not, chosen without a solve, and forests come out."""
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: pytest.fail("solved"))
+    g = make_family(fam)
+    assert wilson._walk_root(g, q) == hub(g) == 0
+    sampler = forest_sampler(g, q)
+    assert sampler.root == 0
+    for row in sampler.draw(5, 0, 3 if g.n < 100 else 1).tolist():
+        forest = RootedForest(tuple(row))
+        forest.validate(g)
+        assert len(forest.roots) == 1
+
+
+def test_directed_graphs_keep_the_cemetery_when_q_rounds_away():
+    g = WeightedDigraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (0, 2, 2.0)])
+    assert not g.is_symmetric and np.array_equal(1e-20 + g.out_weight, g.out_weight)
+    assert wilson._walk_root(g, 1e-20) == ROOT
+
+
+@pytest.mark.parametrize(
     "g, q", [(make_family(Bottleneck(10, 4, 0.3)), 0.05), (make_family(Complete(6)), 0.1), (TWO_TRIANGLES, 0.05)],
     ids=["bottleneck", "complete6", "two-triangles"],
 )
