@@ -352,6 +352,7 @@ def test_walk_root_is_the_cheaper_of_cemetery_and_hub():
 
 def test_directed_and_large_graphs_keep_the_cemetery():
     assert forest_sampler(ONE_WAY, 0.01).root == ROOT
+    assert wilson._walk_root(ONE_WAY, 1e-300) == ROOT  # even where q is lost to rounding in every q + W(v)
     with pytest.raises(ParameterError):
         ForestSampler(ONE_WAY, 0.01, root=0)
     with pytest.raises(ParameterError):
@@ -377,12 +378,6 @@ def test_walks_are_rooted_at_the_hub_when_q_rounds_away(fam, q, monkeypatch):
         forest = RootedForest(tuple(row))
         forest.validate(g)
         assert len(forest.roots) == 1
-
-
-def test_directed_graphs_keep_the_cemetery_when_q_rounds_away():
-    g = WeightedDigraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (0, 2, 2.0)])
-    assert not g.is_symmetric and np.array_equal(1e-20 + g.out_weight, g.out_weight)
-    assert wilson._walk_root(g, 1e-20) == ROOT
 
 
 @pytest.mark.parametrize(
