@@ -9,8 +9,9 @@ from users, files and the sparse families pass every check of
 bottleneck, are built from their weight matrix by ``_from_weights``, where
 one pass over the matrix checks the weights and the CSR order holds by
 construction. Both end in the same store step, which also keeps each edge's
-flat key ``src * n + dst``: :func:`laplacian` and the dense factorization
-scatter at those keys into an n x n buffer.
+flat key ``src * n + dst``, strictly increasing: :func:`laplacian` and the
+dense factorization scatter at those keys into an n x n buffer, and
+:meth:`WeightedDigraph.weight` is one binary search of them.
 
 Vertex labeling conventions (fixed so correlation queries are reproducible):
 
@@ -92,10 +93,10 @@ class WeightedDigraph:
 
     ``WeightedDigraph(n, edges)`` takes ``(src, dst, weight)`` triples and
     :meth:`from_arrays` takes three parallel arrays; both run the same checks.
-    ``edges``, ``out`` and :meth:`weight` are views derived from the arrays
-    on first use. The arrays are read-only, so instances are immutable and
-    safe to share across threads. Two graphs are equal when they have the
-    same vertex count and the same edges.
+    ``edges`` is a tuple view built from the arrays on first use, and
+    :meth:`weight` searches the sorted edge keys. The arrays are read-only,
+    so instances are immutable and safe to share across threads. Two graphs
+    are equal when they have the same vertex count and the same edges.
     """
 
     n: int
@@ -157,8 +158,8 @@ class WeightedDigraph:
 
         ``keys`` are the edges' flat indices ``src * n + dst`` into an n x n
         array, strictly increasing: :func:`laplacian` and the dense
-        factorization scatter at them, and SuperLU's matrix finds each row's
-        diagonal slot among them.
+        factorization scatter at them, SuperLU's matrix finds each row's
+        diagonal slot among them, and :meth:`weight` searches them.
         """
         self.n = int(n)
         self.indptr = indptr
@@ -179,15 +180,13 @@ class WeightedDigraph:
         """``(src, dst, weight)`` triples sorted by (src, dst)."""
         return tuple(zip(self._rows.tolist(), self.indices.tolist(), self.weights.tolist()))
 
-    @cached_property
-    def out(self) -> tuple[dict[int, float], ...]:
-        """Out-neighbor weight maps, one per vertex."""
-        ptr, dst, w = self.indptr.tolist(), self.indices.tolist(), self.weights.tolist()
-        return tuple(dict(zip(dst[a:b], w[a:b])) for a, b in zip(ptr, ptr[1:]))
-
     def weight(self, x: int, y: int) -> float:
-        """Weight of the directed edge (x, y), or 0 if absent."""
-        return self.out[x].get(y, 0.0)
+        """Weight of the directed edge (x, y), or 0 if absent; ParameterError unless both are ids in 0..n-1."""
+        n, keys = self.n, self._keys
+        check_vertices(n, (x, y))
+        key = x * n + y
+        i = keys.searchsorted(key)
+        return float(self.weights[i]) if i < len(keys) and keys[i] == key else 0.0
 
     @cached_property
     def is_symmetric(self) -> bool:
@@ -200,33 +199,26 @@ class WeightedDigraph:
         )
 
     @cached_property
-    def _pairs(self) -> np.ndarray:
-        """The undirected pairs joined by an edge either way, as keys min * n + max."""
-        rows, cols = self._rows, self.indices
-        keys = np.sort(np.minimum(rows, cols) * self.n + np.maximum(rows, cols))
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        return keys[first]  # np.unique(keys), without its several-fold overhead
-
-    @cached_property
     def _undirected(self):
         """The sparse adjacency with every edge both ways, for csgraph's directed routines.
 
         A directed search of it is some 10x faster than csgraph's own
-        symmetrization; a graph storing each pair both ways is used as it is.
+        symmetrization; a symmetric graph is used as it is.
         """
         from scipy import sparse
         adjacency = sparse.csr_array((self.weights, self.indices, self.indptr), shape=(self.n, self.n))
-        return adjacency if len(self.indices) == 2 * len(self._pairs) else adjacency + adjacency.T
+        return adjacency if self.is_symmetric else adjacency + adjacency.T
 
     @cached_property
     def _is_tree(self) -> bool:
         n = self.n
         # A tree has n - 1 undirected pairs, each stored once or twice.
-        if not n - 1 <= len(self.indices) <= 2 * (n - 1) or len(self._pairs) != n - 1:
+        if not n - 1 <= len(self.indices) <= 2 * (n - 1):
             return False
-        # n - 1 pairs form a tree exactly when they connect all n vertices
-        return len(self._search_from_0[0]) == n
+        # connected, and no edge outside the search tree, so no edge closes a cycle
+        order, parent = self._search_from_0
+        rows, cols = self._rows, self.indices
+        return len(order) == n and bool(np.all((parent[rows] == cols) | (parent[cols] == rows)))
 
     @cached_property
     def _search_from_0(self) -> tuple[np.ndarray, np.ndarray]:
@@ -261,8 +253,10 @@ def undirected(n: int, pairs: Iterable[Edge]) -> WeightedDigraph:
 
 
 def _both_ways(n: int, a, b, w) -> WeightedDigraph:
-    """The graph with edges a[i] -> b[i] and b[i] -> a[i], both of weight w[i]."""
-    return WeightedDigraph.from_arrays(n, np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((w, w)))
+    """The graph with edges a[i] -> b[i] and b[i] -> a[i], both of weight w[i]: symmetric by construction."""
+    g = WeightedDigraph.from_arrays(n, np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((w, w)))
+    g.is_symmetric = True
+    return g
 
 
 def _from_weights(W: np.ndarray) -> WeightedDigraph:
@@ -560,7 +554,8 @@ def delete_edge(g: WeightedDigraph, x: int, y: int) -> WeightedDigraph:
     """Remove the directed edge (x, y)."""
     if g.weight(x, y) == 0.0:
         raise ParameterError(f"no edge ({x},{y}) to delete")
-    return WeightedDigraph(g.n, tuple(e for e in g.edges if (e[0], e[1]) != (x, y)))
+    keep = g._keys != x * g.n + y
+    return WeightedDigraph.from_arrays(g.n, g._rows[keep], g.indices[keep], g.weights[keep])
 
 
 def contract_edge(g: WeightedDigraph, x: int, y: int) -> tuple[WeightedDigraph, list[int]]:
@@ -568,28 +563,20 @@ def contract_edge(g: WeightedDigraph, x: int, y: int) -> tuple[WeightedDigraph, 
 
     All outgoing edges of x are dropped, then x and y merge into a single
     vertex that keeps y's outgoing edges and the incoming edges of both.
-    Parallel edges created by the merge are combined by weight addition; a
-    merged self-loop (an edge y->x) is dropped. Returns the contracted graph
-    and the old->new vertex id map.
+    Parallel edges created by the merge are combined by weight addition, in
+    edge order; a merged self-loop (an edge y->x) is dropped. Returns the
+    contracted graph and the old->new vertex id map.
     """
     if g.weight(x, y) == 0.0:
         raise ParameterError(f"cannot contract missing edge ({x},{y})")
-    mapping = [0] * g.n
-    for v in range(g.n):
-        if v == x:
-            continue
-        mapping[v] = v - (1 if v > x else 0)
+    m = g.n - 1
+    mapping = np.arange(g.n) - (np.arange(g.n) > x)
     mapping[x] = mapping[y]
-    acc: dict[tuple[int, int], float] = {}
-    for u, v, w in g.edges:
-        if u == x:
-            continue  # outgoing edges of the tail disappear
-        uu, vv = mapping[u], mapping[v]
-        if uu == vv:
-            continue  # merged self-loop
-        acc[(uu, vv)] = acc.get((uu, vv), 0.0) + w
-    edges = tuple((u, v, w) for (u, v), w in acc.items())
-    return WeightedDigraph(g.n - 1, edges), mapping
+    src, dst = mapping[g._rows], mapping[g.indices]
+    keep = (g._rows != x) & (src != dst)  # outgoing edges of the tail and merged self-loops go
+    keys, merged = np.unique(src[keep] * m + dst[keep], return_inverse=True)
+    w = np.bincount(merged, weights=g.weights[keep])  # each merged pair summed in edge order from 0.0, as per edge
+    return WeightedDigraph.from_arrays(m, keys // m, keys % m, w), mapping.tolist()
 
 
 # -- tree structure ---------------------------------------------------------

@@ -126,9 +126,8 @@ def green_kernel(g: WeightedDigraph, q: float) -> np.ndarray:
     cross-checks call it, as an oracle for the sparse routes below.
     """
     check_q(q)
-    M = q * np.eye(g.n) - laplacian(g)
     try:
-        return np.linalg.solve(M, q * np.eye(g.n))
+        return np.linalg.solve(_dense(g, -g.weights, q + g.out_weight), q * np.eye(g.n))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"failed to invert qI - L at q={q}: {exc}") from exc
 

@@ -48,9 +48,12 @@ forest waits for walks to be killed, about (q + W)/q steps each on a dense
 graph at small q; rooted at a vertex of large weight W, the walks mostly
 stop on reaching it. :func:`forest_sampler` roots them at the vertex of
 largest W when one dense solve says that takes fewer expected steps
-(:func:`_walk_root`), and always when q is lost to rounding in every
-q + W(v), where walks to the cemetery would not end; directed graphs keep
-the cemetery.
+(:func:`_walk_root`); directed graphs keep the cemetery. Where q is lost to
+rounding in q + W(v), a walk is never killed at v, and the walks from the
+vertices that reach no vertex where q survives would not end: on an
+undirected graph where those vertices form one component, the walks are
+rooted at its vertex of largest W, and otherwise :func:`forest_sampler`
+raises :class:`~lepart.errors.NumericError`.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ from random import Random
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, StructureError, check_q
-from .graphs import WeightedDigraph, check_vertices, is_tree, laplacian, leaf_first
+from .errors import FormatError, NumericError, ParameterError, StructureError, check_q
+from .graphs import WeightedDigraph, _dense, check_vertices, is_tree, leaf_first
 from .spectral import _pivots
 
 __all__ = [
@@ -478,10 +481,40 @@ def forest_sampler(g: WeightedDigraph, q: float) -> ForestSampler | TreeSampler:
     """The sampler for (g, q): :class:`TreeSampler` on a tree, Wilson's :class:`ForestSampler` otherwise.
 
     Wilson's walks are rooted where they take fewer expected steps
-    (:func:`_walk_root`).
+    (:func:`_walk_root`). When some vertex's walk could reach neither that
+    root nor a vertex where q survives in q + W(v), it would not end, and
+    :class:`NumericError` is raised instead.
     """
     check_q(q)
-    return TreeSampler(g, q) if is_tree(g) else ForestSampler(g, q, root=_walk_root(g, q))
+    if is_tree(g):
+        return TreeSampler(g, q)
+    root = _walk_root(g, q)
+    if _stranded(g, q, root).any():
+        raise NumericError(f"q={q} is lost to rounding in every q + W(v) that some walks can reach: they would not end")
+    return ForestSampler(g, q, root=root)
+
+
+def _stranded(g: WeightedDigraph, q: float, root: int) -> np.ndarray:
+    """The vertices from which no path of edges reaches ``root`` or a vertex where q + W(v) != W(v).
+
+    A walk is killed at v by u < q, with u uniform on [0, q + W(v)), which
+    is as good as never met when q + W(v) rounds to W(v), so a walk that
+    starts at a stranded vertex does not end. The search runs only when
+    some q + W(v) rounds: each round adds the sources of the edges into
+    the vertices reached so far.
+    """
+    reached = q + g.out_weight != g.out_weight
+    if reached.all():
+        return ~reached
+    if root != ROOT:
+        reached[root] = True
+    rows, cols = g._rows, g.indices
+    while True:
+        grown = reached.copy()
+        grown[rows[reached[cols]]] = True
+        if np.array_equal(grown, reached):
+            return ~reached
+        reached = grown
 
 
 def _walk_root(g: WeightedDigraph, q: float) -> int:
@@ -493,26 +526,28 @@ def _walk_root(g: WeightedDigraph, q: float) -> int:
     G_vv + G_hh - 2 G_vh, so E(h) - E(cemetery) = C G_hh - 2 (Gc)_h, where C
     = sum_v c(v) + nq. One dense solve gives the column G e_h. Since G_hh >=
     1/c_h and (Gc)_h <= c_h / q, the hub cannot win when q C >= 2 c_h^2, and
-    no solve is made. When every q + W(v) rounds to W(v), a walk's killing
-    test u < q, with u uniform on [0, q + W(v)), is as good as never met, so
-    walks to the cemetery would not end: the hub is taken, with no solve, on
-    a graph of any size. Directed graphs, and otherwise graphs of more than
+    no solve is made. When walks to the cemetery would not end from some
+    vertices (:func:`_stranded`), the root is the vertex of largest W among
+    them, with no solve, on a graph of any size; it serves them all when
+    they form one component (every vertex, when q is lost to rounding in
+    every q + W(v)). Directed graphs, and otherwise graphs of more than
     :data:`MAX_HUB_VERTICES` vertices, keep the cemetery.
     """
     n = g.n
     if not g.is_symmetric:
         return ROOT
     c = q + g.out_weight
+    stranded = _stranded(g, q, ROOT)
+    if stranded.any():
+        return int(np.flatnonzero(stranded)[np.argmax(c[stranded])])
     h = int(np.argmax(c))
-    if np.array_equal(c, g.out_weight):
-        return h
     total = float(c.sum()) + n * q
     if n > MAX_HUB_VERTICES or q * total >= 2.0 * c[h] ** 2:
         return ROOT
     e_h = np.zeros(n)
     e_h[h] = 1.0
     try:
-        column = np.linalg.solve(q * np.eye(n) - laplacian(g), e_h)
+        column = np.linalg.solve(_dense(g, -g.weights, c), e_h)
     except np.linalg.LinAlgError:  # singular to rounding: keep the cemetery
         return ROOT
     return h if total * column[h] < 2.0 * float(column @ c) else ROOT

@@ -54,6 +54,12 @@ dense. On an undirected graph the library's CSR-read-as-CSC matrix must
 equal it entry for entry, and its values must equal by ``==`` those of the
 route ``spectral._factor`` takes.
 
+Edge surgery, ``delete_edge_per_edge(g, x, y)`` and
+``contract_edge_per_edge(g, x, y)``: the per-edge loops over ``g.edges``
+that the array forms in :mod:`lepart.graphs` replaced, merging parallel
+edges by a dict sum in edge order; the array forms must give the same
+graphs byte for byte.
+
 Per-forest events: :class:`OracleForest` is a :class:`lepart.RootedForest`
 with the per-forest root queries ``root_of`` (a chain walk) and
 ``root_count``, which the library left behind when events became row
@@ -218,7 +224,9 @@ def tree_pair_separation(g, x, y, q):
 def enumerate_forests_dfs(g):
     """Depth-first assignment of parent pointers with incremental cycle checks."""
     n = g.n
-    choices = [[(ROOT, 1.0)] + sorted(g.out[v].items()) for v in range(n)]
+    choices = [[(ROOT, 1.0)] for _ in range(n)]
+    for x, y, w in g.edges:  # sorted by (src, dst)
+        choices[x].append((y, w))
     parent = [ROOT] * n
     forests, weights, roots = [], [], []
 
@@ -315,3 +323,32 @@ def wilson_steps(g, q, root):
         return float(c @ np.diag(G))
     h = root
     return float(c @ (np.diag(G) + G[h, h] - 2 * G[:, h]) + g.n * q * G[h, h])
+
+
+def delete_edge_per_edge(g, x, y):
+    """The graph without the directed edge (x, y), rebuilt from the other edge tuples."""
+    if g.weight(x, y) == 0.0:
+        raise ParameterError(f"no edge ({x},{y}) to delete")
+    return WeightedDigraph(g.n, tuple(e for e in g.edges if (e[0], e[1]) != (x, y)))
+
+
+def contract_edge_per_edge(g, x, y):
+    """Directed contraction of (x, y), one edge at a time: x's out-edges go, x merges into y,
+    parallel edges add by a dict sum in edge order and merged self-loops go."""
+    if g.weight(x, y) == 0.0:
+        raise ParameterError(f"cannot contract missing edge ({x},{y})")
+    mapping = [0] * g.n
+    for v in range(g.n):
+        if v == x:
+            continue
+        mapping[v] = v - (1 if v > x else 0)
+    mapping[x] = mapping[y]
+    acc = {}
+    for u, v, w in g.edges:
+        if u == x:
+            continue
+        uu, vv = mapping[u], mapping[v]
+        if uu == vv:
+            continue
+        acc[(uu, vv)] = acc.get((uu, vv), 0.0) + w
+    return WeightedDigraph(g.n - 1, tuple((u, v, w) for (u, v), w in acc.items())), mapping

@@ -286,6 +286,31 @@ def test_sample_ends_when_q_rounds_away_from_every_weight(capsys):
     assert row.count(-1) == 1
 
 
+@pytest.mark.parametrize(
+    "tsv, q, code",
+    [
+        ("# n=3\n0\t1\t1\n1\t2\t2\n2\t0\t0.5\n", "1e-320", 3),  # a one-way 3-cycle
+        ("".join(f"{a}\t{b}\t1\n{b}\t{a}\t1\n" for a, b in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))), "1e-320", 3),
+        ("# n=4\n" + "".join(f"{a}\t{b}\t1\n{b}\t{a}\t1\n" for a, b in ((0, 1), (1, 2), (0, 2))), "1e-20", 0),
+    ],
+    ids=["one-way-cycle", "two-triangles", "triangle+isolated"],
+)
+def test_sample_ends_where_q_rounds_away_somewhere(tmp_path, capsys, tsv, q, code):
+    """Where q is lost to rounding in q + W(v), ``sample`` exits 3 when some walk could not end, as
+    ``z --method det`` does, and otherwise roots the walks in the one component where q is lost."""
+    path = tmp_path / "g.tsv"
+    path.write_text(tsv)
+    got, out, err = run(capsys, "sample", "--graph", str(path), "--q", q)
+    assert got == code
+    if code == 3:
+        assert err.startswith("numeric error:") and "would not end" in err
+        assert run(capsys, "z", "--graph", str(path), "--q", q, "--method", "det")[0] == 3
+    else:
+        row = json.loads(out.strip().splitlines()[1])
+        RootedForest(tuple(row)).validate(load_edge_list(tsv))
+        assert row[3] == -1
+
+
 def test_negative_replicas_exit_2(capsys):
     assert run(capsys, "corr", "--family", "path:n=5", "--pair", "1,5", "--q", "1", "--method", "mc", "--replicas", "-5")[0] == 2
     assert run(capsys, "sweep", "--family", "path:n=5", "--q-grid", "log:0.1:1:3", "--pair", "1,5", "--replicas", "-3")[0] == 2
@@ -400,8 +425,10 @@ def test_import_loads_no_scipy(module):
         ["corr", "--family", "path:n=12", "--pair", "2,9", "--q", "0.5", "--method", "closed"],
         ["sample", "--family", "cycle:n=7", "--q", "1", "--seed", "7"],
         ["corr", "--family", "bottleneck:n=6,m=3,w=0.5", "--pair", "1,8", "--q", "1", "--method", "mc", "--replicas", "300"],
+        # q lost to rounding in every q + W(v): the search for stranded walks runs in numpy
+        ["sample", "--family", "bottleneck:n=6,m=3,w=0.5", "--q", "1e-320", "--seed", "7"],
     ],
-    ids=["gen", "z-closed", "corr-closed-path", "sample-cycle", "corr-mc-bottleneck"],
+    ids=["gen", "z-closed", "corr-closed-path", "sample-cycle", "corr-mc-bottleneck", "sample-bottleneck-tiny-q"],
 )
 def test_commands_that_need_no_scipy_load_none(argv):
     script = f"import sys\nfrom lepart.cli import main\nif main(sys.argv[1:]): sys.exit('failed')\n{_NO_SCIPY}"

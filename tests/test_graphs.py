@@ -31,9 +31,11 @@ from lepart.graphs import (
     contract_edge,
     delete_edge,
     is_tree,
+    leaf_first,
     tree_path,
 )
 from lepart.wilson import ForestSampler
+from oracles import contract_edge_per_edge, delete_edge_per_edge
 
 ALL_FAMILIES = [
     Path(5),
@@ -106,8 +108,8 @@ def test_bottleneck22_isomorphic_to_path4():
     mapped = {(relabel[x], relabel[y], w) for x, y, w in bg.edges}
     assert mapped == set(make_family(Path(4)).edges)
     # degree/weight multisets agree too
-    bw = sorted(sorted(bg.out[v].values()) for v in range(4))
-    pw = sorted(sorted(make_family(Path(4)).out[v].values()) for v in range(4))
+    bw = sorted(sorted(w for x, _, w in bg.edges if x == v) for v in range(4))
+    pw = sorted(sorted(w for x, _, w in make_family(Path(4)).edges if x == v) for v in range(4))
     assert bw == pw
 
 
@@ -259,20 +261,133 @@ def test_random_tree_paths_are_paths(n, data):
     assert len(set(p)) == len(p)
 
 
-@settings(max_examples=100)
-@given(st.integers(1, 12), st.data())
-def test_pairs_equal_np_unique(n, data):
-    """``_pairs`` dedups sorted keys by hand; it must equal np.unique of them."""
-    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(["one", "both"]))
+@st.composite
+def digraphs(draw, max_n=12):
+    """Digraphs of at most ``max_n`` vertices whose pairs are joined one way, the other or both, with
+    unequal weights each way; half of them grow from a random spanning tree, so trees come often,
+    and the others are often disconnected."""
+    n = draw(st.integers(1, max_n))
+    pairs = set()
+    if draw(st.booleans()):
+        label = draw(st.permutations(range(n)))
+        pairs |= {frozenset((label[v], label[draw(st.integers(0, v - 1))])) for v in range(1, n)}
+    if n >= 2:
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda c: c[0] != c[1])
+        pairs |= {frozenset(c) for c in draw(st.lists(cells, max_size=draw(st.sampled_from([0, 1, n]))))}
     edges = []
-    for u, v, kind in data.draw(st.lists(cells, max_size=3 * n, unique_by=lambda c: (min(c[0], c[1]), max(c[0], c[1])))):
-        if u != v:
-            edges += [(u, v, 1.0)] + ([(v, u, 2.0)] if kind == "both" else [])
-    g = WeightedDigraph(n, edges)
-    rows, cols = g._rows, g.indices
-    want = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
-    assert g._pairs.dtype == want.dtype
-    assert np.array_equal(g._pairs, want)
+    for a, b in sorted(sorted(p) for p in pairs):
+        way = draw(st.sampled_from(["forward", "back", "both"]))
+        if way != "back":
+            edges.append((a, b, draw(st.floats(0.1, 10.0))))
+        if way != "forward":
+            edges.append((b, a, draw(st.floats(0.1, 10.0))))
+    return WeightedDigraph(n, edges)
+
+
+def union_find_is_tree(g: WeightedDigraph) -> bool:
+    """n - 1 undirected pairs that union-find joins without closing a cycle."""
+    pairs = {(min(x, y), max(x, y)) for x, y, _ in g.edges}
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        root[ra] = rb
+    return len(pairs) == g.n - 1
+
+
+def plain_leaf_first(g: WeightedDigraph, root: int):
+    """A first-in first-out search over each vertex's neighbours either way, in increasing id order."""
+    w = {(x, y): wt for x, y, wt in g.edges}
+    nbrs = [sorted({y for x, y in w if x == v} | {x for x, y in w if y == v}) for v in range(g.n)]
+    order, parent = [root], [-1] * g.n
+    for v in order:  # grows as it is read
+        for u in nbrs[v]:
+            if u != root and parent[u] == -1:
+                parent[u] = v
+                order.append(u)
+    up = [w.get((v, p), 0.0) if p >= 0 else 0.0 for v, p in enumerate(parent)]
+    down = [w.get((p, v), 0.0) if p >= 0 else 0.0 for v, p in enumerate(parent)]
+    return order, parent, up, down
+
+
+@settings(max_examples=200)
+@given(digraphs(), st.data())
+def test_tree_test_and_leaf_first_match_union_find_and_a_plain_search(g, data):
+    """``is_tree`` against union-find, and ``leaf_first`` from 0 (the search ``is_tree`` keeps) and
+    from another root against a plain search, on one-way, two-way, unequal and disconnected digraphs."""
+    assert is_tree(g) is union_find_is_tree(g)
+    if not is_tree(g):
+        return
+    for root in (0, data.draw(st.integers(0, g.n - 1))):
+        want = plain_leaf_first(g, root)
+        got = leaf_first(g, root)
+        for a, b in zip(got, want):
+            assert a.tolist() == b
+
+
+@settings(max_examples=100)
+@given(digraphs())
+def test_weight_is_the_edge_weight_or_0(g):
+    w = {(x, y): wt for x, y, wt in g.edges}
+    for x in range(g.n):
+        for y in range(g.n):
+            got = g.weight(x, y)
+            assert type(got) is float and got == w.get((x, y), 0.0)
+            assert g.weight(np.int64(x), np.int32(y)) == got
+    for x, y in ((-1, 0), (0, -1), (g.n, 0), (0, g.n), (-1, g.n)):
+        with pytest.raises(ParameterError, match="out of range"):
+            g.weight(x, y)
+
+
+def test_edge_ids_out_of_range_raise():
+    g = make_family(Cycle(3))
+    for call in (g.weight, lambda x, y: delete_edge(g, x, y), lambda x, y: contract_edge(g, x, y)):
+        for x, y in ((-1, 0), (5, 0), (0, 3)):
+            with pytest.raises(ParameterError, match="out of range"):
+                call(x, y)
+        for x, y in ((0.5, 1), (1, 2.0)):
+            with pytest.raises(ParameterError, match="not an integer"):
+                call(x, y)
+
+
+def assert_same_graph(got: WeightedDigraph, want: WeightedDigraph) -> None:
+    assert got.n == want.n
+    for a, b in zip((got.indptr, got.indices, got.weights, got.out_weight, got._keys),
+                    (want.indptr, want.indices, want.weights, want.out_weight, want._keys)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150)
+@given(digraphs(), st.data())
+def test_edge_surgery_matches_the_per_edge_loops(g, data):
+    """``delete_edge`` and ``contract_edge`` give the graphs of the per-edge loops they replaced,
+    byte for byte, merged parallel edges included, and the same vertex map."""
+    if not g.edges:
+        return
+    x, y, _ = data.draw(st.sampled_from(g.edges))
+    assert_same_graph(delete_edge(g, x, y), delete_edge_per_edge(g, x, y))
+    (got, mapping), (want, want_mapping) = contract_edge(g, x, y), contract_edge_per_edge(g, x, y)
+    assert_same_graph(got, want)
+    assert mapping == want_mapping and all(type(v) is int for v in mapping)
+
+
+def test_contraction_merges_parallel_edges_as_a_per_edge_sum():
+    """Contracting 0 -> 1 of a weighted K5 merges every z -> 0 with z -> 1, summing in edge order."""
+    g = WeightedDigraph(5, [(u, v, 0.1 * (1 + u + 3 * v)) for u in range(5) for v in range(5) if u != v])
+    got, mapping = contract_edge(g, 0, 1)
+    want, _ = contract_edge_per_edge(g, 0, 1)
+    assert_same_graph(got, want)
+    assert mapping == [0, 0, 1, 2, 3]
+    for z in (2, 3, 4):
+        assert got.weight(mapping[z], 0) == 0.0 + g.weight(z, 0) + g.weight(z, 1)
+    assert [got.weight(0, mapping[z]) for z in (2, 3, 4)] == [g.weight(1, z) for z in (2, 3, 4)]
 
 
 # -- CSR core against the per-edge tuple builder it replaced ---------------------
@@ -356,7 +471,7 @@ def test_csr_family_matches_tuple_builder(fam):
     g = make_family(fam)
     assert g.n == n
     assert g.edges == edges
-    assert g.out == out
+    assert tuple(dict((y, w) for _, y, w in g.edges[a:b]) for a, b in zip(g.indptr, g.indptr[1:])) == out
     assert g.out_weight.dtype == np.float64 and g.out_weight.tobytes() == total.tobytes()
     assert laplacian(g).tobytes() == L.tobytes()
     assert WeightedDigraph(n, reversed(edges)) == g

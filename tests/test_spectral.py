@@ -212,18 +212,36 @@ def test_factor_route_follows_the_share_of_nonzeros(fam, dense, monkeypatch):
     assert called == (["dgetrf"] if dense else ["splu"])
 
 
+_TRIANGLE = [(0, 1, 0.1), (1, 2, 0.1), (0, 2, 0.5)]
+_K30 = make_family(Complete(30))
+
+
 @pytest.mark.parametrize(
-    "g",
-    [make_family(Complete(4)), make_family(Complete(30)), undirected(3, [(0, 1, 0.1), (1, 2, 0.1), (0, 2, 0.5)])],
-    ids=["complete4", "complete30", "triangle"],
+    "g, everywhere",
+    [
+        pytest.param(make_family(Complete(4)), True, id="complete4"),
+        pytest.param(_K30, True, id="complete30"),
+        pytest.param(undirected(3, _TRIANGLE), True, id="triangle"),
+        pytest.param(WeightedDigraph.from_arrays(31, _K30._rows, _K30.indices, _K30.weights), False, id="complete30+isolated"),
+        pytest.param(undirected(4, _TRIANGLE), False, id="triangle+isolated"),
+    ],
 )
-def test_factor_raises_below_the_rounding_of_the_weights(g):
-    """At q = 1e-17, q + W(v) rounds to W(v): dense LU meets a zero pivot on Complete(4), swaps
-    rows on Complete(30), and ends on a last pivot of -1.1e-16 on the triangle without a swap.
-    Each raises rather than return a log of rounding error."""
-    for call in (lambda: partition_function(g, 1e-17), lambda: hitting_prob(g, 0, 1, 1e-17)):
-        with pytest.raises(NumericError):
-            call()
+def test_factor_raises_below_the_rounding_of_the_weights(g, everywhere, monkeypatch):
+    """At q = 1e-17 and 1e-20, q + W(v) rounds to W(v) on every vertex of the first three graphs, so
+    ``_factor`` raises its rounding error before either route factors. An isolated vertex keeps q on
+    its diagonal, so the last two graphs are factored, and each route, forced, raises from its own
+    checks on the singular block -L: dense LU on a pivot that is not positive or a row swap, and
+    SuperLU on an exactly singular factor or a pivot that is not positive. None returns a log of
+    rounding error."""
+    for share in (0.0, math.inf):
+        monkeypatch.setattr(spectral, "DENSE_SHARE", share)
+        for q in (1e-17, 1e-20):
+            for call in (lambda: partition_function(g, q), lambda: hitting_prob(g, 0, 1, q)):
+                with pytest.raises(NumericError) as err:
+                    call()
+                message = str(err.value)
+                assert ("lost to rounding in every q + W(v)" in message) is everywhere
+                assert everywhere or ("dense LU" if share == 0.0 else "sparse LU") in message
 
 
 @pytest.mark.parametrize("fam", UNDIRECTED_SYSTEMS + [Complete(230), Bottleneck(200, 10, 0.2), Bottleneck(180, 40, 1.0)], ids=str)
@@ -485,7 +503,10 @@ def _separation_by_slogdet(g: WeightedDigraph, path: list[int], q: float) -> flo
     """
     d = len(path) - 1
     on_path = set(path)
-    adj = [set(g.out[v]) | {u for u in range(g.n) if v in g.out[u]} for v in range(g.n)]
+    adj = [set() for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
     pieces = []
     for z in path:
         block, stack = {z}, [z]
@@ -569,7 +590,7 @@ def test_adjacent_agreement_on_random_trees(n, pyrng):
     rng = random.Random(pyrng.random())
     g = random_weighted_tree(n, rng)
     x = rng.randrange(n)
-    nbrs = sorted(g.out[x])
+    nbrs = [v for u, v, _ in g.edges if u == x]
     y = rng.choice(nbrs)
     for q in (0.3, 3.0):
         a = adjacent_separation(g, x, y, q)

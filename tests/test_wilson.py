@@ -15,6 +15,7 @@ from lepart import (
     Cycle,
     FormatError,
     HierarchicalTree,
+    NumericError,
     ParameterError,
     Partition,
     Path,
@@ -378,6 +379,62 @@ def test_walks_are_rooted_at_the_hub_when_q_rounds_away(fam, q, monkeypatch):
         forest = RootedForest(tuple(row))
         forest.validate(g)
         assert len(forest.roots) == 1
+
+
+UNIT_TRIANGLE = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "g, q, root",
+    [
+        (undirected(4, UNIT_TRIANGLE), 1e-20, 0),  # vertex 3 is isolated
+        (undirected(4, [(1, 2, 1.0), (2, 3, 2.0), (1, 3, 0.5)]), 1e-20, 2),  # vertex 0 is isolated
+        (undirected(31, [(a, b, 1.0) for a in range(30) for b in range(a + 1, 30)]), 1e-17, 0),
+    ],
+    ids=["triangle+isolated", "isolated+weighted-triangle", "complete30+isolated"],
+)
+def test_walks_are_rooted_in_the_one_component_where_q_rounds_away(g, q, root, monkeypatch):
+    """Walks to the cemetery cannot end from a component where every q + W(v) rounds to W(v), while
+    q survives at an isolated vertex: the root is that component's vertex of largest weight, with no
+    solve, and forests come out, with one root in each component."""
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: pytest.fail("solved"))
+    assert wilson._walk_root(g, q) == root
+    sampler = forest_sampler(g, q)
+    assert sampler.root == root
+    for row in sampler.draw(5, 0, 3).tolist():
+        forest = RootedForest(tuple(row))
+        forest.validate(g)
+        assert len(forest.roots) == 2  # one where q is lost, and the vertex where q survives
+
+
+def test_directed_walks_end_at_a_vertex_where_q_survives():
+    """A one-way triangle draining into a sink: q survives only in q + W(3) = q, and every walk
+    reaches 3, so the cemetery stays the root and each forest is a spanning tree rooted at 3."""
+    g = WeightedDigraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (2, 3, 1.0)])
+    sampler = forest_sampler(g, 1e-320)
+    assert sampler.root == ROOT
+    for row in sampler.draw(3, 0, 5).tolist():
+        RootedForest(tuple(row)).validate(g)
+        assert [v for v, p in enumerate(row) if p == ROOT] == [3]
+
+
+@pytest.mark.parametrize(
+    "g, q",
+    [
+        (WeightedDigraph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5)]), 1e-320),
+        (ONE_WAY, 1e-300),
+        (undirected(6, UNIT_TRIANGLE + [(a + 3, b + 3, w) for a, b, w in UNIT_TRIANGLE]), 1e-320),
+        (undirected(7, UNIT_TRIANGLE + [(a + 3, b + 3, w) for a, b, w in UNIT_TRIANGLE]), 1e-20),
+    ],
+    ids=["one-way-cycle", "one-way", "two-triangles", "two-triangles+isolated"],
+)
+def test_forest_sampler_raises_where_walks_would_not_end(g, q):
+    """Some walk could reach neither the walks' root nor a vertex where q survives in q + W(v): on a
+    digraph, which keeps the cemetery, or on two components where q is lost, of which the root
+    serves one."""
+    with pytest.raises(NumericError, match="would not end"):
+        forest_sampler(g, q)
+    assert wilson._walk_root(g, q) == (ROOT if not g.is_symmetric else 0)
 
 
 @pytest.mark.parametrize(
