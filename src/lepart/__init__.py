@@ -27,7 +27,6 @@ from .graphs import (
     Path,
     Star,
     WeightedDigraph,
-    family_to_string,
     laplacian,
     load_edge_list,
     make_family,
@@ -51,9 +50,7 @@ from .wilson import (
     Partition,
     RootedForest,
     TreeSampler,
-    forest_from_json,
     forest_sampler,
-    forest_to_json,
     partition_of,
     split_seed,
 )

@@ -32,7 +32,7 @@ from .errors import FormatError, LepartError, NumericError, ParameterError, chec
 from .estimators import CORRELATION_METHODS, CorrelationQuery, closed_form_z, exact_route, mc_correlation, sweep
 from .graphs import WeightedDigraph, load_edge_list, make_family, parse_family, save_edge_list
 from .spectral import partition_function
-from .wilson import RootedForest, forest_sampler, forest_to_json, partition_of
+from .wilson import RootedForest, forest_sampler, partition_of
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
@@ -225,7 +225,7 @@ def _cmd_sample(args, out) -> int:
     if args.format == "json":
         print(json.dumps(payload), file=out)
     else:
-        print(forest_to_json(forest), file=out)
+        print(json.dumps(payload["parent"]), file=out)
         print("blocks," + ";".join("|".join(str(v) for v in b) for b in part.blocks), file=out)
     return 0
 

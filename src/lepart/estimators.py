@@ -68,7 +68,6 @@ __all__ = [
     "sweep",
     "ExactRoute",
     "exact_route",
-    "exact_correlation",
     "closed_form_correlation",
     "closed_form_z",
     "LayerCrossing",
@@ -293,18 +292,6 @@ def exact_route(
             raise ParameterError("method 'closed' needs a family pair with a closed form")
         return None
     return ExactRoute("closed", closed)
-
-
-def exact_correlation(
-    g: WeightedDigraph, x: int, y: int, q: float, family: FamilySpec | None = None
-) -> float | None:
-    """P(x and y in different blocks) at one q, or None when no exact route applies.
-
-    Resolves :func:`exact_route` (``auto``) and evaluates it once; to evaluate
-    many q, keep the route and call its ``at``.
-    """
-    route = exact_route(g, x, y, family)
-    return None if route is None else route.at(q)
 
 
 # -- family closed forms --------------------------------------------------------

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Union
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, StructureError, check_weight
+from .errors import FormatError, ParameterError, check_weight
 
 __all__ = [
     "WeightedDigraph",
@@ -49,7 +49,6 @@ __all__ = [
     "FamilySpec",
     "make_family",
     "parse_family",
-    "family_to_string",
     "undirected",
     "laplacian",
     "load_edge_list",
@@ -58,7 +57,6 @@ __all__ = [
     "contract_edge",
     "is_tree",
     "leaf_first",
-    "tree_path",
     "check_vertices",
 ]
 
@@ -452,26 +450,6 @@ def parse_family(text: str) -> FamilySpec:
         raise ParameterError(f"bad parameters for family {name!r}: {exc}") from exc
 
 
-def _float_text(x: float) -> str:
-    """``repr``, which round-trips every finite float, with no ``+`` to split ``weights`` on."""
-    return repr(float(x)).replace("e+", "e")
-
-
-def family_to_string(spec: FamilySpec) -> str:
-    """Inverse of :func:`parse_family`."""
-    for name, cls in _FAMILY_NAMES.items():
-        if isinstance(spec, cls):
-            parts = []
-            for field in spec.__dataclass_fields__:
-                val = getattr(spec, field)
-                if field == "weights":
-                    parts.append("weights=" + "+".join(_float_text(w) for w in val))
-                else:
-                    parts.append(f"{field}={_float_text(val)}" if isinstance(val, float) else f"{field}={val}")
-            return f"{name}:{','.join(parts)}"
-    raise ParameterError(f"unknown family spec {spec!r}")
-
-
 # -- Laplacian ----------------------------------------------------------------
 
 
@@ -627,22 +605,3 @@ def check_vertices(n: int, vertices: Iterable[int]) -> None:
             raise ParameterError(f"vertex {v!r} is not an integer id")
         if not 0 <= v < n:
             raise ParameterError(f"vertex {v} out of range for n={n}")
-
-
-def tree_path(g: WeightedDigraph, x: int, y: int) -> list[int]:
-    """The unique undirected path from x to y in a tree."""
-    return _hang_pair(g, x, y)[1]
-
-
-def _hang_pair(g: WeightedDigraph, x: int, y: int):
-    """:func:`leaf_first` from x, and the path from x to y read off its parent array."""
-    check_vertices(g.n, (x, y))
-    if x == y:
-        raise ParameterError("need two distinct vertices")
-    if not is_tree(g):
-        raise StructureError("tree_path needs a tree (as an undirected graph)")
-    hung = leaf_first(g, x)
-    path = [y]
-    while path[-1] != x:
-        path.append(int(hung[1][path[-1]]))
-    return hung, path[::-1]

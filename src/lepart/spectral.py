@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from .errors import NumericError, ParameterError, StructureError, check_q
-from .graphs import WeightedDigraph, _dense, _hang_pair, check_vertices, is_tree, laplacian
+from .graphs import WeightedDigraph, _dense, check_vertices, is_tree, laplacian, leaf_first
 from .logvalue import LogValue
 
 __all__ = [
@@ -108,11 +108,6 @@ def _factor(g: WeightedDigraph, q: float):
     return pivots, lambda rhs: lu.solve(rhs, trans="N" if g.is_symmetric else "T")
 
 
-def _solve(g: WeightedDigraph, q: float, rhs: np.ndarray) -> np.ndarray:
-    """(qI - L)^{-1} rhs against :func:`_factor`'s factors."""
-    return _factor(g, q)[1](rhs)
-
-
 def partition_function(g: WeightedDigraph, q: float) -> LogValue:
     """Normalizing constant det(qI - L) of the forest measure, in log space."""
     return LogValue(float(np.sum(np.log(_factor(g, q)[0]))))
@@ -144,7 +139,7 @@ def roots_marginal(g: WeightedDigraph, q: float, vertices) -> float:
         raise ParameterError("need a nonempty vertex set")
     rhs = np.zeros((g.n, len(idx)))
     rhs[idx, range(len(idx))] = q
-    return float(np.linalg.det(_solve(g, q, rhs)[idx]))
+    return float(np.linalg.det(_factor(g, q)[1](rhs)[idx]))
 
 
 def laplacian_spectrum(g: WeightedDigraph) -> np.ndarray:
@@ -175,7 +170,7 @@ def hitting_prob(g: WeightedDigraph, x: int, y: int, q: float) -> float:
         raise ParameterError("need two distinct vertices")
     rhs = np.zeros(g.n)
     rhs[y] = 1.0
-    column = _solve(g, q, rhs)
+    column = _factor(g, q)[1](rhs)
     return float(column[x] / column[y])
 
 
@@ -220,12 +215,20 @@ class TreePairCorrelation:
     below q + W(v) and every update adds positive terms, so a call costs
     O(n) without cancellation, overflow or underflow, and a tiny separation
     probability keeps its relative precision (the tests go down to q = 1e-300).
+    ``path`` is the tree path z_0 = x, ..., z_d = y, from the tree hung at x.
     """
 
     def __init__(self, g: WeightedDigraph, x: int, y: int):
         if not is_tree(g):
             raise StructureError("operation requires a tree (as an undirected graph)")
-        (order, parent, up, down), path = _hang_pair(g, x, y)
+        check_vertices(g.n, (x, y))
+        if x == y:
+            raise ParameterError("need two distinct vertices")
+        order, parent, up, down = leaf_first(g, x)
+        path = [y]  # read off the parent array, from y up to x
+        while path[-1] != x:
+            path.append(int(parent[path[-1]]))
+        path.reverse()
         self.path = path
         self.d = len(path) - 1
         self._n = g.n

@@ -48,17 +48,17 @@ forest waits for walks to be killed, about (q + W)/q steps each on a dense
 graph at small q; rooted at a vertex of large weight W, the walks mostly
 stop on reaching it. :func:`forest_sampler` roots them at the vertex of
 largest W when one dense solve says that takes fewer expected steps
-(:func:`_walk_root`); directed graphs keep the cemetery. Where q is lost to
-rounding in q + W(v), a walk is never killed at v, and the walks from the
-vertices that reach no vertex where q survives would not end: on an
-undirected graph where those vertices form one component, the walks are
-rooted at its vertex of largest W, and otherwise :func:`forest_sampler`
-raises :class:`~lepart.errors.NumericError`.
+(:func:`_walk_root`); directed graphs keep the cemetery. Where the kill
+probability q/(q + W(v)) is below :data:`KILL_FLOOR` = 1e-8 (and where q is
+lost to rounding in q + W(v), so it is 0), the walks from the vertices that
+reach no vertex above the floor would not end in practice, each needing
+over 1e8 expected steps: on an undirected graph where those vertices form
+one component, the walks are rooted at its vertex of largest W, and
+otherwise :func:`forest_sampler` raises :class:`~lepart.errors.NumericError`.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,7 +67,7 @@ from random import Random
 
 import numpy as np
 
-from .errors import FormatError, NumericError, ParameterError, StructureError, check_q
+from .errors import NumericError, ParameterError, StructureError, check_q
 from .graphs import WeightedDigraph, _dense, check_vertices, is_tree, leaf_first
 from .spectral import _pivots
 
@@ -81,8 +81,6 @@ __all__ = [
     "forest_sampler",
     "split_seed",
     "tree_uniforms",
-    "forest_to_json",
-    "forest_from_json",
 ]
 
 #: Parent-pointer value marking a root.
@@ -476,13 +474,17 @@ def _jump_tables(above: np.ndarray) -> list[np.ndarray]:
 #: Largest graph on which :func:`forest_sampler` weighs a vertex root (one dense solve).
 MAX_HUB_VERTICES = 256
 
+#: Least kill probability q / (q + W(v)) at which a walk counts as ending (:func:`_stranded`).
+KILL_FLOOR = 1e-8
+
 
 def forest_sampler(g: WeightedDigraph, q: float) -> ForestSampler | TreeSampler:
     """The sampler for (g, q): :class:`TreeSampler` on a tree, Wilson's :class:`ForestSampler` otherwise.
 
     Wilson's walks are rooted where they take fewer expected steps
     (:func:`_walk_root`). When some vertex's walk could reach neither that
-    root nor a vertex where q survives in q + W(v), it would not end, and
+    root nor a vertex whose kill probability q / (q + W(v)) is at least
+    :data:`KILL_FLOOR`, it would not end in practice, and
     :class:`NumericError` is raised instead.
     """
     check_q(q)
@@ -490,20 +492,25 @@ def forest_sampler(g: WeightedDigraph, q: float) -> ForestSampler | TreeSampler:
         return TreeSampler(g, q)
     root = _walk_root(g, q)
     if _stranded(g, q, root).any():
-        raise NumericError(f"q={q} is lost to rounding in every q + W(v) that some walks can reach: they would not end")
+        raise NumericError(
+            f"q={q} kills walks with probability below {KILL_FLOOR:.0e} at every vertex that some walks can reach:"
+            f" they would not end (over {1 / KILL_FLOOR:.0e} expected steps each)"
+        )
     return ForestSampler(g, q, root=root)
 
 
 def _stranded(g: WeightedDigraph, q: float, root: int) -> np.ndarray:
-    """The vertices from which no path of edges reaches ``root`` or a vertex where q + W(v) != W(v).
+    """The vertices from which no path of edges reaches ``root`` or a vertex where q >= KILL_FLOOR (q + W(v)).
 
-    A walk is killed at v by u < q, with u uniform on [0, q + W(v)), which
-    is as good as never met when q + W(v) rounds to W(v), so a walk that
-    starts at a stranded vertex does not end. The search runs only when
-    some q + W(v) rounds: each round adds the sources of the edges into
-    the vertices reached so far.
+    A walk at v is killed with probability q / (q + W(v)). A walk that
+    starts at a stranded vertex is killed with probability below
+    :data:`KILL_FLOOR` = 1e-8 at every step, so it needs over 1e8 expected
+    steps, about 20 s at the measured 5.2 M steps/s, and it does not end in
+    practice; where q + W(v) rounds to W(v), it never ends. The search runs
+    only when some vertex is below the floor: each round adds the sources
+    of the edges into the vertices reached so far.
     """
-    reached = q + g.out_weight != g.out_weight
+    reached = q >= KILL_FLOOR * (q + g.out_weight)
     if reached.all():
         return ~reached
     if root != ROOT:
@@ -527,10 +534,12 @@ def _walk_root(g: WeightedDigraph, q: float) -> int:
     = sum_v c(v) + nq. One dense solve gives the column G e_h. Since G_hh >=
     1/c_h and (Gc)_h <= c_h / q, the hub cannot win when q C >= 2 c_h^2, and
     no solve is made. When walks to the cemetery would not end from some
-    vertices (:func:`_stranded`), the root is the vertex of largest W among
-    them, with no solve, on a graph of any size; it serves them all when
-    they form one component (every vertex, when q is lost to rounding in
-    every q + W(v)). Directed graphs, and otherwise graphs of more than
+    vertices (:func:`_stranded`: kill probabilities below
+    :data:`KILL_FLOOR`), the root is the vertex of largest W among them,
+    with no solve, on a graph of any size; it serves them all when they
+    form one component (every vertex, when q is below the floor at every
+    vertex). So the solve is never made at a q that rounding would swamp.
+    Directed graphs, and otherwise graphs of more than
     :data:`MAX_HUB_VERTICES` vertices, keep the cemetery.
     """
     n = g.n
@@ -551,20 +560,3 @@ def _walk_root(g: WeightedDigraph, q: float) -> int:
     except np.linalg.LinAlgError:  # singular to rounding: keep the cemetery
         return ROOT
     return h if total * column[h] < 2.0 * float(column @ c) else ROOT
-
-
-def forest_to_json(forest: RootedForest) -> str:
-    """JSON array of parent entries, -1 marking a root."""
-    return json.dumps(list(forest.parent))
-
-
-def forest_from_json(text: str, g: WeightedDigraph | None = None) -> RootedForest:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad forest JSON: {exc}") from exc
-    if not isinstance(data, list) or not all(type(v) is int for v in data):  # bool is an int subclass
-        raise FormatError("forest JSON must be an array of integers")
-    forest = RootedForest(tuple(data))
-    forest.validate(g)
-    return forest

@@ -36,6 +36,8 @@ Leaf-first pivots on a tree, ``tree_pivots(g, q, root, path)``: the
 plain elimination loop s[p] += w(p, v) s[v] / (s[v] + w(v, p)), which
 ``TreeSampler`` and ``TreePairCorrelation`` must reproduce bit for bit, and
 ``tree_pair_separation(g, x, y, q)``, the two-point separation built on it.
+Its path comes from ``tree_path(g, x, y)``, a plain first-in first-out
+search over ``g.edges``, which ``TreePairCorrelation.path`` must match.
 The hypothesis strategy ``asymmetric_trees()`` draws small trees with
 independent weights per direction, some edges one-way, so some of a
 vertex's pick intervals have zero width.
@@ -54,6 +56,9 @@ dense. On an undirected graph the library's CSR-read-as-CSC matrix must
 equal it entry for entry, and its values must equal by ``==`` those of the
 route ``spectral._factor`` takes.
 
+Family strings, ``family_to_string(spec)``: the inverse of
+:func:`lepart.parse_family`, which the round-trip tests hold it to.
+
 Edge surgery, ``delete_edge_per_edge(g, x, y)`` and
 ``contract_edge_per_edge(g, x, y)``: the per-edge loops over ``g.edges``
 that the array forms in :mod:`lepart.graphs` replaced, merging parallel
@@ -70,6 +75,7 @@ the tests can hold column expressions against it.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 from hypothesis import strategies as st
@@ -87,7 +93,7 @@ from lepart import (
     laplacian,
     z_path,
 )
-from lepart.graphs import leaf_first, tree_path
+from lepart.graphs import _FAMILY_NAMES, leaf_first
 
 #: Spectral product evaluation is skipped above this size (cost and trig error).
 MAX_SPECTRAL_N = 10_000
@@ -201,6 +207,26 @@ def asymmetric_trees(draw):
         for a, b in draw(st.sampled_from([((u, v), (v, u)), ((u, v),), ((v, u),)])):
             edges.append((a, b, draw(weight)))
     return WeightedDigraph(n, edges)
+
+
+def tree_path(g, x, y):
+    """The path from x to y in the tree g, by a first-in first-out search from x over ``g.edges``."""
+    neighbours = [[] for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    parent = {x: None}
+    queue = deque([x])
+    while queue:
+        u = queue.popleft()
+        for v in neighbours[u]:
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    path = [y]
+    while path[-1] != x:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def tree_pair_separation(g, x, y, q):
@@ -323,6 +349,26 @@ def wilson_steps(g, q, root):
         return float(c @ np.diag(G))
     h = root
     return float(c @ (np.diag(G) + G[h, h] - 2 * G[:, h]) + g.n * q * G[h, h])
+
+
+def _float_text(x):
+    """``repr``, which round-trips every finite float, with no ``+`` to split ``weights`` on."""
+    return repr(float(x)).replace("e+", "e")
+
+
+def family_to_string(spec):
+    """The family string that :func:`lepart.parse_family` reads back as ``spec``."""
+    for name, cls in _FAMILY_NAMES.items():
+        if isinstance(spec, cls):
+            parts = []
+            for field in spec.__dataclass_fields__:
+                val = getattr(spec, field)
+                if field == "weights":
+                    parts.append("weights=" + "+".join(_float_text(w) for w in val))
+                else:
+                    parts.append(f"{field}={_float_text(val)}" if isinstance(val, float) else f"{field}={val}")
+            return f"{name}:{','.join(parts)}"
+    raise ParameterError(f"unknown family spec {spec!r}")
 
 
 def delete_edge_per_edge(g, x, y):

@@ -311,6 +311,27 @@ def test_sample_ends_where_q_rounds_away_somewhere(tmp_path, capsys, tsv, q, cod
         assert row[3] == -1
 
 
+@pytest.mark.parametrize("family, q", [("complete:n=300", "1e-6"), ("cycle:n=300", "1e-9")])
+def test_sample_ends_below_the_kill_floor(capsys, family, q):
+    """Killed with probability below KILL_FLOOR at every vertex, the cemetery's walks would take over
+    1e8 steps on these graphs of more than MAX_HUB_VERTICES vertices; rooted at the hub, one forest is drawn."""
+    code, out, _ = run(capsys, "sample", "--family", family, "--q", q)
+    assert code == 0
+    row = json.loads(out.strip().splitlines()[1])
+    RootedForest(tuple(row)).validate(make_family(parse_family(family)))
+    assert row.count(-1) == 1
+
+
+def test_sample_exits_3_on_a_digraph_below_the_kill_floor(tmp_path, capsys):
+    """A one-way 3-cycle keeps the cemetery, and at q = 1e-9 no q + W(v) rounds, but each walk would
+    need over 1e8 expected steps: ``sample`` exits 3 rather than run them."""
+    path = tmp_path / "g.tsv"
+    path.write_text("# n=3\n0\t1\t1\n1\t2\t2\n2\t0\t0.5\n")
+    code, out, err = run(capsys, "sample", "--graph", str(path), "--q", "1e-9")
+    assert code == 3
+    assert err.startswith("numeric error:") and "would not end" in err
+
+
 def test_negative_replicas_exit_2(capsys):
     assert run(capsys, "corr", "--family", "path:n=5", "--pair", "1,5", "--q", "1", "--method", "mc", "--replicas", "-5")[0] == 2
     assert run(capsys, "sweep", "--family", "path:n=5", "--q-grid", "log:0.1:1:3", "--pair", "1,5", "--replicas", "-3")[0] == 2

@@ -7,19 +7,21 @@ LepartError; a CLI run must exit 0 with finite numbers on stdout, or exit 2.
 """
 
 import contextlib
+import importlib
 import io
 import math
+import pkgutil
 import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lepart
 from lepart import LepartError, make_family, parse_family
 from lepart.cli import main
 from lepart.estimators import (
     CorrelationQuery,
     closed_form_correlation,
-    exact_correlation,
     exact_route,
     sweep,
 )
@@ -46,6 +48,12 @@ def _probability_or_error(call) -> None:
     assert value is None or 0.0 <= value <= 1.0, value
 
 
+def _auto_at(g, x, y, q, spec):
+    """The ``auto`` route's value at q, or None when no exact route applies."""
+    route = exact_route(g, x, y, spec)
+    return None if route is None else route.at(q)
+
+
 def _sweep_values(spec, x, y, q, replicas):
     table = sweep(spec, [q], [CorrelationQuery("c", x, y)], replicas, 1)
     for row in table.rows:
@@ -69,7 +77,7 @@ def test_library_entry_points(family, x, y, q, method, replicas):
         assert route is None or route.method in ("enum", "tree", "closed")
     if route is not None:
         _probability_or_error(lambda: route.at(q))
-    _probability_or_error(lambda: exact_correlation(g, x, y, q, spec))
+    _probability_or_error(lambda: _auto_at(g, x, y, q, spec))
     _probability_or_error(lambda: closed_form_correlation(spec, x, y, q))
     try:
         _sweep_values(spec, x, y, q, replicas)
@@ -97,3 +105,16 @@ def test_cli_commands(family, x, y, q, method, z_method, replicas):
     for code, out in runs:
         assert code in (0, 2), (code, out)
         assert code == 2 or not re.search("nan|inf", out, re.IGNORECASE), out
+
+
+def test_every_public_name_resolves():
+    """Each name in each lepart module's ``__all__`` is an attribute of that module.
+
+    Tracers and star imports read every listed name, so an entry left behind
+    by a deletion fails here rather than at their ``getattr``.
+    """
+    names = ["lepart"] + [f"lepart.{m.name}" for m in pkgutil.iter_modules(lepart.__path__)]
+    for name in names:
+        mod = importlib.import_module(name)
+        missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
+        assert not missing, (name, missing)

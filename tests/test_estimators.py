@@ -33,7 +33,6 @@ from lepart.estimators import (
     RootQuery,
     closed_form_correlation,
     detect_layers_experiment,
-    exact_correlation,
     exact_route,
     poisson_binomial_pmf,
 )
@@ -160,7 +159,7 @@ def test_mc_root_count_needs_a_replica():
         lambda g: tree_correlation(g, 0.5, 3, 0.7),
         lambda g: hitting_prob(g, 0.5, 3, 0.7),
         lambda g: mc_correlation(g, 0.7, 0.5, 3, 10, 1),
-        lambda g: exact_correlation(g, 1, "3", 0.7),
+        lambda g: exact_route(g, 1, "3"),
         lambda g: sweep(g, [0.7], [RootQuery("r", (np.float64(2.0),))], 10, 1),
     ],
     ids=["roots_marginal", "tree_correlation", "hitting_prob", "mc_correlation", "exact_correlation", "sweep"],
@@ -204,7 +203,7 @@ def test_out_of_range_vertices():
         with pytest.raises(ParameterError):
             sweep(g, [1.0], [CorrelationQuery("c", x, y)], 0, 1)
         with pytest.raises(ParameterError):
-            exact_correlation(g, x, y, 1.0)
+            exact_route(g, x, y)
     with pytest.raises(ParameterError):
         sweep(g, [1.0], [RootQuery("r", (9,))], 0, 1)
     for family, x, y in ((Star(20), 0, 30), (Path(5), -1, 2), (CommunityStar(6, 2, 0.5), 1, 6), (Bottleneck(3, 2, 1.0), 0, 5)):
@@ -218,8 +217,6 @@ def test_out_of_range_vertices():
         for method in ("auto", "enum", "tree", "closed", "mc"):
             with pytest.raises(ParameterError, match="distinct"):
                 exact_route(g, v, v, family, method)
-        with pytest.raises(ParameterError, match="distinct"):
-            exact_correlation(g, v, v, 1.0, family)
         with pytest.raises(ParameterError, match="distinct"):
             sweep(family, [1.0], [CorrelationQuery("c", v, v)], 0, 1)
 
@@ -386,11 +383,11 @@ def test_detect_layers_grid_below_threshold():
 
 def test_exact_correlation_dispatch():
     g8 = make_family(Path(8))
-    assert exact_correlation(g8, 0, 7, 1.0) is not None  # enumeration
+    assert exact_route(g8, 0, 7).method == "enum"
     g9 = make_family(Path(9))
-    assert exact_correlation(g9, 0, 8, 1.0) == pytest.approx(tree_correlation(g9, 0, 8, 1.0))
+    assert exact_route(g9, 0, 8).at(1.0) == pytest.approx(tree_correlation(g9, 0, 8, 1.0))
     cyc = make_family(Cycle(12))
-    assert exact_correlation(cyc, 0, 6, 1.0) is None
+    assert exact_route(cyc, 0, 6) is None
 
 
 def test_exact_route_order_and_forced_methods():
@@ -411,7 +408,7 @@ def test_exact_route_order_and_forced_methods():
     assert (tree.method, closed.method) == ("tree", "closed")
     for q in (1e-3, 0.4, 1.0, 30.0):
         assert tree.at(q) == pytest.approx(closed.at(q), rel=1e-12)
-        assert tree.at(q) == exact_correlation(g, 0, 7, q)
+        assert tree.at(q) == exact_route(g, 0, 7).at(q)
     small = make_family(Path(6))
     assert exact_route(small, 0, 5, None, "tree").at(0.3) == pytest.approx(
         exact_route(small, 0, 5).at(0.3), rel=1e-12

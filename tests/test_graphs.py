@@ -18,7 +18,6 @@ from lepart import (
     Path,
     Star,
     WeightedDigraph,
-    family_to_string,
     laplacian,
     load_edge_list,
     make_family,
@@ -32,10 +31,10 @@ from lepart.graphs import (
     delete_edge,
     is_tree,
     leaf_first,
-    tree_path,
 )
+from lepart.spectral import TreePairCorrelation
 from lepart.wilson import ForestSampler
-from oracles import contract_edge_per_edge, delete_edge_per_edge
+from oracles import contract_edge_per_edge, delete_edge_per_edge, family_to_string, tree_path
 
 ALL_FAMILIES = [
     Path(5),
@@ -239,9 +238,9 @@ def test_tree_predicates():
     assert is_tree(make_family(HierarchicalTree(2, 2, (1.0, 1.0))))
     assert not is_tree(make_family(Cycle(4)))
     assert not is_tree(WeightedDigraph(3, ((0, 1, 1.0), (1, 0, 1.0))))  # disconnected
-    assert tree_path(make_family(Path(5)), 1, 4) == [1, 2, 3, 4]
-    star = make_family(Star(5))
-    assert tree_path(star, 1, 2) == [1, 0, 2]
+    path5, star = make_family(Path(5)), make_family(Star(5))
+    assert TreePairCorrelation(path5, 1, 4).path == tree_path(path5, 1, 4) == [1, 2, 3, 4]
+    assert TreePairCorrelation(star, 1, 2).path == tree_path(star, 1, 2) == [1, 0, 2]
 
 
 @settings(max_examples=50)
@@ -255,7 +254,8 @@ def test_random_tree_paths_are_paths(n, data):
     assert is_tree(g)
     x = data.draw(st.integers(0, n - 2))
     y = data.draw(st.integers(x + 1, n - 1))
-    p = tree_path(g, x, y)
+    p = TreePairCorrelation(g, x, y).path
+    assert p == tree_path(g, x, y)
     assert p[0] == x and p[-1] == y
     assert all(g.weight(a, b) > 0 for a, b in zip(p, p[1:]))
     assert len(set(p)) == len(p)

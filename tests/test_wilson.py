@@ -13,7 +13,6 @@ from lepart import (
     Bottleneck,
     Complete,
     Cycle,
-    FormatError,
     HierarchicalTree,
     NumericError,
     ParameterError,
@@ -26,8 +25,6 @@ from lepart import (
     WeightedDigraph,
     brute_z,
     enumerate_forests,
-    forest_from_json,
-    forest_to_json,
     laplacian,
     make_family,
     partition_of,
@@ -70,19 +67,6 @@ def test_forest_validation():
     with pytest.raises(StructureError):
         RootedForest((2, ROOT, ROOT)).validate(g)  # (0,2) is not a path edge
     RootedForest((1, ROOT, 1)).validate(g)
-
-
-def test_forest_json_round_trip():
-    f = RootedForest((1, ROOT, 1, 0))
-    assert forest_from_json(forest_to_json(f)) == f
-    assert forest_to_json(RootedForest((ROOT, 0))) == "[0, -1]".replace("0, -1", "-1, 0")  # [-1, 0]
-    with pytest.raises(Exception):
-        forest_from_json("[[1]]")
-    # bool is an int subclass in Python, so true/false would read as 1/0
-    with pytest.raises(FormatError, match="array of integers"):
-        forest_from_json("[true, -1]", make_family(Path(2)))
-    with pytest.raises(FormatError):
-        forest_from_json("[false]")
 
 
 def test_sampler_determinism_and_seed_splitting():
@@ -379,6 +363,23 @@ def test_walks_are_rooted_at_the_hub_when_q_rounds_away(fam, q, monkeypatch):
         forest = RootedForest(tuple(row))
         forest.validate(g)
         assert len(forest.roots) == 1
+
+
+@pytest.mark.parametrize("fam, q", [(Complete(300), 1e-6), (Complete(30), 1e-12)], ids=str)
+def test_walks_are_rooted_at_the_hub_below_the_kill_floor(fam, q, monkeypatch):
+    """q survives in every q + W(v), but kills a walk with probability below KILL_FLOOR at every vertex,
+    so walks to the cemetery would take over 1e8 steps: the hub is the root, chosen without a solve,
+    also on graphs of more than MAX_HUB_VERTICES vertices, and forests come out."""
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: pytest.fail("solved"))
+    g = make_family(fam)
+    c = q + g.out_weight
+    assert np.all(c != g.out_weight) and np.all(q < wilson.KILL_FLOOR * c)
+    assert wilson._walk_root(g, q) == hub(g) == 0
+    sampler = forest_sampler(g, q)
+    assert sampler.root == 0
+    forest = RootedForest(tuple(sampler.draw(5, 0, 1)[0].tolist()))
+    forest.validate(g)
+    assert len(forest.roots) == 1
 
 
 UNIT_TRIANGLE = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
