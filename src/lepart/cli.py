@@ -10,11 +10,14 @@ failure (a failed factorization, or an input whose exact value overflows
 double precision), 4 verification failure.
 
 ``main(argv)`` may be called repeatedly in one process: the argument parser
-is built once, on the first call, and reused. Importing the CLI loads no
-SciPy; a route loads the part it needs on first use: tree routes load
-``scipy.sparse.csgraph``, ``z --method det`` loads ``scipy.linalg`` on a
-dense graph and ``scipy.sparse.linalg`` on a sparse one, and ``verify``
-loads ``scipy.special``.
+is built once, on the first call, and reused, and each call parses argv once,
+with the subcommand's own parser. Importing the CLI loads no SciPy; a route
+loads the part it needs on first use: tree routes load
+``scipy.sparse.csgraph`` only for a tree whose labels are not a breadth-first
+order from vertex 0 (every family tree's are), ``z --method det`` takes the
+pivots on a tree and loads ``scipy.linalg`` on another dense graph and
+``scipy.sparse.linalg`` on another sparse one, and ``verify`` loads
+``scipy.special``.
 """
 
 from __future__ import annotations
@@ -53,9 +56,13 @@ def _add_common(p: argparse.ArgumentParser, replicas_default: int = 0) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``lepart`` parser, built on the first call and shared after it."""
+    """The ``lepart`` parser, built on the first call and shared after it.
+
+    Its ``commands`` maps each subcommand's name to the subcommand's own parser.
+    """
     parser = argparse.ArgumentParser(prog="lepart", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("gen", help="emit a family graph as edge-list TSV")
     p.add_argument("--family", required=True)
@@ -127,7 +134,9 @@ def _parse_grid(text: str) -> list[float]:
     if not (0 < lo < hi < math.inf) or count < 2:
         raise ParameterError("--q-grid needs 0 < lo < hi < inf and count >= 2")
     if parts[0] == "log":
-        return list(np.logspace(math.log10(lo), math.log10(hi), count))
+        grid = np.logspace(math.log10(lo), math.log10(hi), count)
+        grid[[0, -1]] = lo, hi  # 10 ** log10(lo) need not round back to lo
+        return list(grid)
     return list(np.linspace(lo, hi, count))
 
 
@@ -270,9 +279,22 @@ _COMMANDS = {
 }
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by its subcommand's own parser, and by the full parser, with its messages,
+    when there is no such subcommand or the subcommand's parser leaves arguments unrecognised."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

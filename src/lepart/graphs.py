@@ -220,8 +220,14 @@ class WeightedDigraph:
 
     @cached_property
     def _search_from_0(self) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_breadth_first` from vertex 0, read-only: :func:`is_tree` and :func:`leaf_first` share it."""
-        found = _breadth_first(self, 0)
+        """csgraph's breadth-first order from vertex 0 and its predecessors, read-only.
+
+        :func:`is_tree` and :func:`leaf_first` share it. Labels that already
+        are such an order, as every family tree's are, give it without SciPy
+        (:func:`_labelled_breadth_first`); other graphs take csgraph's search
+        (:func:`_breadth_first`).
+        """
+        found = _labelled_breadth_first(self) or _breadth_first(self)
         for a in found:
             a.flags.writeable = False
         return found
@@ -564,25 +570,26 @@ def is_tree(g: WeightedDigraph) -> bool:
     """True when the underlying undirected graph is a spanning tree (worked out once per graph).
 
     The breadth-first search from vertex 0 that decides it is kept for
-    :func:`leaf_first` from vertex 0, so a tree's sampler searches once.
+    :func:`leaf_first`, so a tree is searched once.
     """
     return g._is_tree
 
 
-def leaf_first(g: WeightedDigraph, root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The tree g hung from ``root``, listed for elimination from the leaves up.
+def leaf_first(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tree g hung from vertex 0, listed for elimination from the leaves up.
 
     Returns ``(order, parent, up, down)``. ``order`` is the breadth-first
-    vertex order from ``root``: read backwards, every vertex comes after all
-    of its descendants, and the children of one vertex are contiguous, in
-    increasing id order. ``parent[v]`` is v's neighbour toward ``root``,
-    ``up[v] = w(v, parent[v])`` and ``down[v] = w(parent[v], v)``, each 0
-    where that direction is absent. At ``root``, parent is -1 and both
-    weights are 0. g must be a tree (see :func:`is_tree`).
+    vertex order from 0, the search :func:`is_tree` keeps: read backwards,
+    every vertex comes after all of its descendants, and the children of
+    one vertex are contiguous, in increasing id order. ``parent[v]`` is v's
+    neighbour toward 0, ``up[v] = w(v, parent[v])`` and
+    ``down[v] = w(parent[v], v)``, each 0 where that direction is absent.
+    At 0, parent is -1 and both weights are 0. g must be a tree (see
+    :func:`is_tree`).
     """
-    order, parent = g._search_from_0 if root == 0 else _breadth_first(g, root)
-    parent = parent.copy()  # the search from 0 is kept on g
-    parent[root] = -1
+    order, parent = g._search_from_0
+    parent = parent.copy()  # the search is kept on g
+    parent[0] = -1
     rows, cols = g._rows, g.indices
     up, down = np.zeros(g.n), np.zeros(g.n)
     to_parent = parent[rows] == cols
@@ -592,10 +599,30 @@ def leaf_first(g: WeightedDigraph, root: int) -> tuple[np.ndarray, np.ndarray, n
     return order, parent, up, down
 
 
-def _breadth_first(g: WeightedDigraph, root: int) -> tuple[np.ndarray, np.ndarray]:
-    """csgraph's breadth-first order of the vertices reached from ``root``, and their predecessors."""
+def _labelled_breadth_first(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray] | None:
+    """csgraph's breadth-first search from 0, read off the labels, or None where they are not one.
+
+    The labels are a breadth-first order from 0 when each v >= 1 has exactly
+    one neighbour, either way, with a smaller id, and those neighbours are
+    nondecreasing in v. Then every edge joins some v to that neighbour, so
+    g is a tree, and a first-in first-out search from 0 that visits
+    neighbours in increasing id order meets the vertices as 0, 1, ..., n-1,
+    each from that neighbour.
+    """
+    rows, cols = g._rows, g.indices
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    parent = np.full(g.n, -1, dtype=np.int64)
+    parent[hi] = lo  # each v's smaller neighbours agree, or the check below fails
+    if not (np.all(parent[1:] >= 0) and np.array_equal(parent[hi], lo) and np.all(parent[2:] >= parent[1:-1])):
+        return None
+    parent[0] = -9999
+    return np.arange(g.n, dtype=np.int32), parent.astype(np.int32)
+
+
+def _breadth_first(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray]:
+    """csgraph's breadth-first order of the vertices reached from 0, and their predecessors."""
     from scipy.sparse.csgraph import breadth_first_order
-    return breadth_first_order(g._undirected, root, directed=True, return_predecessors=True)
+    return breadth_first_order(g._undirected, 0, directed=True, return_predecessors=True)
 
 
 def check_vertices(n: int, vertices: Iterable[int]) -> None:

@@ -17,9 +17,12 @@ harmless: the determinant is the same, and a solve against qI - L asks
 for the transposed system. On an undirected graph the transpose is qI - L
 itself, entry for entry. The partition function is the product of the
 pivots; hitting probabilities and root marginals are solves against them.
-The dense kernel (:func:`green_kernel`) is only an oracle. On a tree the
-probability that two vertices share a block is a sum of positive products of
-subtree determinants, which one leaf-to-path elimination evaluates in O(n).
+The dense kernel (:func:`green_kernel`) is only an oracle. On a tree,
+eliminating every vertex into its parent, leaves first, forms each pivot as
+a sum of positive terms (:func:`_tree_pivots`), which gives the partition
+function without a factorization, and the probability that two vertices
+share a block is a sum of positive products of subtree determinants, which
+one leaf-to-path elimination evaluates in O(n).
 """
 
 from __future__ import annotations
@@ -109,7 +112,18 @@ def _factor(g: WeightedDigraph, q: float):
 
 
 def partition_function(g: WeightedDigraph, q: float) -> LogValue:
-    """Normalizing constant det(qI - L) of the forest measure, in log space."""
+    """Normalizing constant det(qI - L) of the forest measure, in log space.
+
+    On a tree, eliminating each vertex into its parent, leaves first, leaves
+    the pivot s_v + w(v, parent) at v and s_0 at vertex 0, where s_v are the
+    positive pivots of :func:`_tree_pivots`, so log Z is the sum of their
+    logs: no factorization, no SciPy, and no subtraction, so no digits are
+    lost at small q. Other graphs take :func:`_factor`'s pivots.
+    """
+    if is_tree(g):
+        check_q(q)
+        _, _, up, s = _tree_pivots(g, q)
+        return LogValue(float(np.sum(np.log(np.add(s, up)))))
     return LogValue(float(np.sum(np.log(_factor(g, q)[0]))))
 
 
@@ -195,6 +209,15 @@ def _pivots(q: float, n: int, steps, bound: list[float] | None = None) -> list[f
     return s
 
 
+def _tree_pivots(g: WeightedDigraph, q: float, bound: list[float] | None = None):
+    """``(order, parent, up, s)``: :func:`~lepart.graphs.leaf_first` and the :func:`_pivots` of the tree g
+    with every vertex eliminated into its parent, in reversed breadth-first order."""
+    order, parent, up, down = leaf_first(g)
+    v = order[:0:-1]
+    steps = zip(v.tolist(), parent[v].tolist(), up[v].tolist(), down[v].tolist())
+    return order, parent, up, _pivots(q, g.n, steps, bound)
+
+
 class TreePairCorrelation:
     """Exact two-point separation probability on a tree, reusable across q.
 
@@ -215,7 +238,14 @@ class TreePairCorrelation:
     below q + W(v) and every update adds positive terms, so a call costs
     O(n) without cancellation, overflow or underflow, and a tiny separation
     probability keeps its relative precision (the tests go down to q = 1e-300).
-    ``path`` is the tree path z_0 = x, ..., z_d = y, from the tree hung at x.
+    ``path`` is the tree path z_0 = x, ..., z_d = y.
+
+    The pieces come from the tree hung from vertex 0 (:func:`leaf_first`),
+    so no search is made from x: x and y climb to their lowest common
+    ancestor, and its ancestors are eliminated from 0 downward with their
+    pointers reversed, each into its child toward the path. Every pivot adds
+    its pieces' terms in decreasing id order, as when the tree is hung from
+    x, so the values do not depend on where it is hung.
     """
 
     def __init__(self, g: WeightedDigraph, x: int, y: int):
@@ -224,22 +254,39 @@ class TreePairCorrelation:
         check_vertices(g.n, (x, y))
         if x == y:
             raise ParameterError("need two distinct vertices")
-        order, parent, up, down = leaf_first(g, x)
-        path = [y]  # read off the parent array, from y up to x
-        while path[-1] != x:
-            path.append(int(parent[path[-1]]))
-        path.reverse()
-        self.path = path
+        order, parent, up, down = leaf_first(g)
+        above = parent.tolist()
+        rise = [x]  # x and its ancestors
+        while rise[-1]:
+            rise.append(above[rise[-1]])
+        height = {v: i for i, v in enumerate(rise)}
+        fall = [y]  # y and its ancestors, up to the lowest common one, rise[k]
+        while fall[-1] not in height:
+            fall.append(above[fall[-1]])
+        k = height[fall[-1]]
+        # the path climbs rise to the lowest common ancestor and descends fall; chain runs from 0
+        # down to that ancestor, and each vertex of it but the last is eliminated into the next
+        chain, rise, fall = np.array(rise[k:][::-1]), rise[:k], fall[-2::-1]
+        self.path = path = [*rise, int(chain[-1]), *fall]
         self.d = len(path) - 1
         self._n = g.n
-        # Hung from x, every vertex off the path points toward the path, so
-        # the elimination list, leaves first, is the reversed breadth-first
-        # order without the path vertices.
-        self._steps = list(zip(path[1:], down[path[1:]].tolist(), up[path[1:]].tolist()))
-        off_path = np.ones(g.n, dtype=bool)
-        off_path[path] = False
-        v = order[off_path[order]][::-1]
-        self._elim = list(zip(v.tolist(), parent[v].tolist(), up[v].tolist(), down[v].tolist()))
+        fwd, back = np.concatenate((up[rise], down[fall])), np.concatenate((down[rise], up[fall]))
+        self._steps = list(zip(path[1:], fwd.tolist(), back.tolist()))
+        off = np.ones(g.n, dtype=bool)
+        off[path] = off[chain] = False
+        v = order[off[order]][::-1]  # the other vertices, each into its parent, leaves first
+        into = chain[1:]
+        c, p = np.concatenate((v, chain[:-1])), np.concatenate((parent[v], into))
+        w_cp, w_pc = np.concatenate((up[v], down[into])), np.concatenate((down[v], up[into]))
+        # A chain vertex takes its predecessor's term in id order among its children's, as when
+        # hung from x: the steps into the chain, predecessors included, go last, by chain position
+        # and then by decreasing id. Where ids increase away from 0 that is the order they came in.
+        rank = np.full(g.n, -1)
+        rank[chain] = np.arange(len(chain))
+        slot = rank[p]
+        last = np.flatnonzero(slot >= 0)
+        steps = np.concatenate((np.flatnonzero(slot < 0), last[np.lexsort((-c[last], slot[last]))]))
+        self._elim = list(zip(c[steps].tolist(), p[steps].tolist(), w_cp[steps].tolist(), w_pc[steps].tolist()))
 
     def at(self, q: float) -> float:
         """Separation probability at killing rate q."""

@@ -68,8 +68,8 @@ from random import Random
 import numpy as np
 
 from .errors import NumericError, ParameterError, StructureError, check_q
-from .graphs import WeightedDigraph, _dense, check_vertices, is_tree, leaf_first
-from .spectral import _pivots
+from .graphs import WeightedDigraph, _dense, check_vertices, is_tree
+from .spectral import _tree_pivots
 
 __all__ = [
     "ROOT",
@@ -362,11 +362,9 @@ class TreeSampler:
         check_q(q)
         self.graph = g
         self.q = q
-        order, parent, up, down = leaf_first(g, 0)
-        order, n = order.astype(np.int64), g.n
-        v = order[:0:-1]  # leaves first, without the root
         bound: list[float] = []
-        s = _pivots(q, n, zip(v.tolist(), parent[v].tolist(), up[v].tolist(), down[v].tolist()), bound)
+        order, parent, up, s = _tree_pivots(g, q, bound)
+        order, n = order.astype(np.int64), g.n
         # from here on, vertices are indexed by breadth-first position
         position = np.empty(n, dtype=np.int64)
         position[order] = np.arange(n)

@@ -33,11 +33,13 @@ walk steps per forest when the walks are rooted at ``root`` (the cemetery,
 ``ROOT``, or a vertex of an undirected graph), from one dense inverse.
 
 Leaf-first pivots on a tree, ``tree_pivots(g, q, root, path)``: the
-plain elimination loop s[p] += w(p, v) s[v] / (s[v] + w(v, p)), which
-``TreeSampler`` and ``TreePairCorrelation`` must reproduce bit for bit, and
-``tree_pair_separation(g, x, y, q)``, the two-point separation built on it.
-Its path comes from ``tree_path(g, x, y)``, a plain first-in first-out
-search over ``g.edges``, which ``TreePairCorrelation.path`` must match.
+plain elimination loop s[p] += w(p, v) s[v] / (s[v] + w(v, p)) over the
+tree hung from ``root`` by ``plain_search(g, root)``, a first-in first-out
+search over ``g.edges``. ``TreeSampler`` and ``TreePairCorrelation`` must
+reproduce it bit for bit, the second for every root x: it hangs the tree
+from vertex 0 only. ``tree_pair_separation(g, x, y, q)`` is the two-point
+separation built on it, along ``tree_path(g, x, y)``, which
+``TreePairCorrelation.path`` must match.
 The hypothesis strategy ``asymmetric_trees()`` draws small trees with
 independent weights per direction, some edges one-way, so some of a
 vertex's pick intervals have zero width.
@@ -75,7 +77,6 @@ the tests can hold column expressions against it.
 """
 
 import math
-from collections import deque
 
 import numpy as np
 from hypothesis import strategies as st
@@ -93,7 +94,7 @@ from lepart import (
     laplacian,
     z_path,
 )
-from lepart.graphs import _FAMILY_NAMES, leaf_first
+from lepart.graphs import _FAMILY_NAMES
 
 #: Spectral product evaluation is skipped above this size (cost and trig error).
 MAX_SPECTRAL_N = 10_000
@@ -177,20 +178,37 @@ def adjacent_separation(g, x, y, q):
     return (1.0 - p - r + p * r) / (1.0 - p * r)
 
 
+def plain_search(g, root):
+    """The breadth-first order from ``root`` and each vertex's predecessor (-1 at ``root``), by a
+    first-in first-out search that visits each vertex's neighbours, either way, in increasing id order."""
+    neighbours = [set() for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    order, parent = [root], {root: -1}
+    for u in order:  # grows as it is read
+        for v in sorted(neighbours[u]):
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+    return order, parent
+
+
 def tree_pivots(g, q, root, path=()):
     """Pivots of the tree g hung from ``root``, by vertex, and their partial sums.
 
     Every vertex but ``root`` and the ``path`` vertices is eliminated into
-    its parent, leaves first (reversed breadth-first order), and ``bound``
-    records the parent's pivot after each step.
+    its parent, leaves first (reversed breadth-first order of
+    :func:`plain_search`), and ``bound`` records the parent's pivot after
+    each step.
     """
-    order, parent = leaf_first(g, root)[:2]
+    order, parent = plain_search(g, root)
     kept = {root, *path}
     s = [q] * g.n
     bound = []
-    for v in order[::-1].tolist():
+    for v in order[::-1]:
         if v not in kept:
-            p = int(parent[v])
+            p = parent[v]
             s[p] += g.weight(p, v) * s[v] / (s[v] + g.weight(v, p))
             bound.append(s[p])
     return s, bound
@@ -210,19 +228,8 @@ def asymmetric_trees(draw):
 
 
 def tree_path(g, x, y):
-    """The path from x to y in the tree g, by a first-in first-out search from x over ``g.edges``."""
-    neighbours = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    parent = {x: None}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        for v in neighbours[u]:
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
+    """The path from x to y in the tree g, read off :func:`plain_search` from x."""
+    parent = plain_search(g, x)[1]
     path = [y]
     while path[-1] != x:
         path.append(parent[path[-1]])

@@ -185,6 +185,20 @@ def test_sweep_csv(capsys):
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))  # monotone in q
 
 
+def test_q_grid_starts_and_ends_at_its_endpoints(capsys):
+    """A grid's first and last points are lo and hi exactly; 10 ** log10(0.3) rounds to 0.29999999999999993."""
+    code, out, _ = run(capsys, "sweep", "--family", "path:n=5", "--pair", "1,5", "--q-grid", "log:0.3:3:3")
+    assert code == 0
+    assert [float(line.split(",")[0]) for line in out.splitlines()[2:]][::2] == [0.3, 3.0]
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        lo, hi = np.sort(10.0 ** rng.uniform(-12, 12, 2)).tolist()
+        count = int(rng.integers(2, 9))
+        for kind in ("log", "lin"):
+            grid = cli._parse_grid(f"{kind}:{lo!r}:{hi!r}:{count}")
+            assert (grid[0], grid[-1], len(grid)) == (lo, hi, count)
+
+
 def test_sweep_builds_its_graph_once(capsys, monkeypatch):
     import lepart.estimators as estimators
     import lepart.graphs as graphs
@@ -448,8 +462,18 @@ def test_import_loads_no_scipy(module):
         ["corr", "--family", "bottleneck:n=6,m=3,w=0.5", "--pair", "1,8", "--q", "1", "--method", "mc", "--replicas", "300"],
         # q lost to rounding in every q + W(v): the search for stranded walks runs in numpy
         ["sample", "--family", "bottleneck:n=6,m=3,w=0.5", "--q", "1e-320", "--seed", "7"],
+        # family trees are labelled in breadth-first order, so their search is read off the labels
+        ["sample", "--family", "path:n=2000", "--q", "0.01", "--seed", "7"],
+        ["corr", "--family", "hier:d=2,h=5,weights=1+2+4+8+16", "--pair", "11,41", "--q", "0.3", "--method", "tree"],
+        ["corr", "--family", "star:n=40,w=0.5", "--pair", "3,4", "--q", "0.5", "--method", "mc", "--replicas", "300"],
+        ["sweep", "--family", "commstar:n=40,k=10,w=0.5", "--pair", "2,21", "--q-grid", "log:0.2:4:3", "--replicas", "80"],
+        # a tree's log Z is the sum of the logs of its pivots
+        ["z", "--family", "path:n=2000", "--q", "0.5", "--method", "det"],
     ],
-    ids=["gen", "z-closed", "corr-closed-path", "sample-cycle", "corr-mc-bottleneck", "sample-bottleneck-tiny-q"],
+    ids=[
+        "gen", "z-closed", "corr-closed-path", "sample-cycle", "corr-mc-bottleneck", "sample-bottleneck-tiny-q",
+        "sample-path", "corr-tree-hier", "corr-mc-star", "sweep-commstar", "z-det-path",
+    ],
 )
 def test_commands_that_need_no_scipy_load_none(argv):
     script = f"import sys\nfrom lepart.cli import main\nif main(sys.argv[1:]): sys.exit('failed')\n{_NO_SCIPY}"
@@ -523,7 +547,7 @@ MC_CASES = {
     "commstar:n=40,k=10,w=0.5": ("2,21", "0.2", "c1d3a5f29dc12220973376850177e0703135e100530a58ccb21b36925dee273d",
                                  "469c4b9a5bc81ae6c30afced9e4d886403de1f2b1005d51a8a8ca287064c3264"),
     "hier:d=2,h=5,weights=1+2+4+8+16": ("11,41", "0.3", "ba7cb92706f806b334654481d340677af8dcbfd9b7b6b73d7a7797539ad22941",
-                                        "bbe2ccaaae0ed5fdced2b910cdcc7fc0a601d3861156ff5b9d8ae70644d69b63"),
+                                        "cbd6ee608f363806d6d61d8942b1a4b7a138033dbbae6d7cfee2e68c2e3eee16"),
 }
 
 

@@ -467,6 +467,7 @@ def _pinned_logs():
 
 
 def test_closed_form_logs_are_pinned():
-    # any change in how a log is summed changes its last bits, and so this digest
+    # any change in how a log is summed changes its last bits, and so this digest; the trees'
+    # partition_function values are the sums of the logs of their pivots
     digest = hashlib.sha256("\n".join(repr(v.log()) for v in _pinned_logs()).encode())
-    assert digest.hexdigest() == "7e893fc5c56f2d9344e42a629cf7d3fb7722449aa47c194fad9f55a4168d9670"
+    assert digest.hexdigest() == "1f84e33e007a8efe4ee92f5518a3b517d206078b841f3f588024c6c3fe8577fd"

@@ -34,7 +34,7 @@ from lepart.graphs import (
 )
 from lepart.spectral import TreePairCorrelation
 from lepart.wilson import ForestSampler
-from oracles import contract_edge_per_edge, delete_edge_per_edge, family_to_string, tree_path
+from oracles import contract_edge_per_edge, delete_edge_per_edge, family_to_string, plain_search, tree_path
 
 ALL_FAMILIES = [
     Path(5),
@@ -302,34 +302,91 @@ def union_find_is_tree(g: WeightedDigraph) -> bool:
     return len(pairs) == g.n - 1
 
 
-def plain_leaf_first(g: WeightedDigraph, root: int):
-    """A first-in first-out search over each vertex's neighbours either way, in increasing id order."""
+def plain_leaf_first(g: WeightedDigraph):
+    """``leaf_first`` of a tree from :func:`oracles.plain_search` from 0 and the edge weights."""
     w = {(x, y): wt for x, y, wt in g.edges}
-    nbrs = [sorted({y for x, y in w if x == v} | {x for x, y in w if y == v}) for v in range(g.n)]
-    order, parent = [root], [-1] * g.n
-    for v in order:  # grows as it is read
-        for u in nbrs[v]:
-            if u != root and parent[u] == -1:
-                parent[u] = v
-                order.append(u)
+    order, parent = plain_search(g, 0)
+    parent = [parent[v] for v in range(g.n)]
     up = [w.get((v, p), 0.0) if p >= 0 else 0.0 for v, p in enumerate(parent)]
     down = [w.get((p, v), 0.0) if p >= 0 else 0.0 for v, p in enumerate(parent)]
     return order, parent, up, down
 
 
 @settings(max_examples=200)
-@given(digraphs(), st.data())
-def test_tree_test_and_leaf_first_match_union_find_and_a_plain_search(g, data):
-    """``is_tree`` against union-find, and ``leaf_first`` from 0 (the search ``is_tree`` keeps) and
-    from another root against a plain search, on one-way, two-way, unequal and disconnected digraphs."""
+@given(digraphs())
+def test_tree_test_and_leaf_first_match_union_find_and_a_plain_search(g):
+    """``is_tree`` against union-find, and ``leaf_first`` (the search ``is_tree`` keeps) against a
+    plain search from 0, on one-way, two-way, unequal and disconnected digraphs."""
     assert is_tree(g) is union_find_is_tree(g)
     if not is_tree(g):
         return
-    for root in (0, data.draw(st.integers(0, g.n - 1))):
-        want = plain_leaf_first(g, root)
-        got = leaf_first(g, root)
-        for a, b in zip(got, want):
-            assert a.tolist() == b
+    for a, b in zip(leaf_first(g), plain_leaf_first(g)):
+        assert a.tolist() == b
+
+
+@st.composite
+def breadth_first_labelled_trees(draw, max_n=12):
+    """Trees whose labels are a breadth-first order from 0: each v >= 1 hangs from a smaller id,
+    nondecreasing in v, by an edge one way, the other or both, with unequal weights each way."""
+    n = draw(st.integers(1, max_n))
+    parent = [0] * n
+    for v in range(2, n):
+        parent[v] = draw(st.integers(parent[v - 1], v - 1))
+    edges = []
+    for v in range(1, n):
+        for a, b in draw(st.sampled_from([((parent[v], v),), ((v, parent[v]),), ((parent[v], v), (v, parent[v]))])):
+            edges.append((a, b, draw(st.floats(0.1, 10.0))))
+    return WeightedDigraph(n, edges)
+
+
+def csgraph_search(g: WeightedDigraph):
+    from scipy.sparse.csgraph import breadth_first_order
+    return breadth_first_order(g._undirected, 0, directed=True, return_predecessors=True)
+
+
+@settings(max_examples=200)
+@given(breadth_first_labelled_trees())
+def test_search_read_off_breadth_first_labels_is_csgraphs(g):
+    """On trees labelled in breadth-first order, one-way edges and unequal weights included, the
+    search read off the labels is csgraph's: the same order and predecessors, both int32."""
+    got = graphs._labelled_breadth_first(g)
+    assert got is not None and is_tree(g)
+    for a, b in zip(got, csgraph_search(g)):
+        assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
+
+
+@settings(max_examples=200)
+@given(digraphs())
+def test_search_read_off_the_labels_answers_only_for_breadth_first_labels(g):
+    """On any digraph, a search read off the labels is csgraph's, and where the labels are not a
+    breadth-first order from 0 it gives way to csgraph's."""
+    order, parent = csgraph_search(g)
+    got = graphs._labelled_breadth_first(g)
+    if got is None:
+        assert not (len(order) == g.n and np.array_equal(order, np.arange(g.n)) and is_tree(g))
+    else:
+        assert np.array_equal(got[0], order) and np.array_equal(got[1], parent) and is_tree(g)
+
+
+def test_search_falls_back_to_csgraph_on_other_labellings(monkeypatch):
+    """Family trees are searched without csgraph; a tree labelled otherwise, and a graph that is not
+    a tree but has the edge count of one, take csgraph's search."""
+    searches = []
+    search = graphs._breadth_first
+    monkeypatch.setattr(graphs, "_breadth_first", lambda g: searches.append(g) or search(g))
+    for fam in (Path(1), Path(7), Star(6, 0.5), CommunityStar(9, 3, 2.0), HierarchicalTree(3, 3, (1.0, 2.0, 4.0))):
+        assert is_tree(make_family(fam)) and searches == []
+    others = [
+        undirected(3, [(0, 2, 1.0), (2, 1, 1.0)]),  # 1 has no smaller neighbour
+        undirected(5, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (0, 4, 1.0)]),  # parents 0, 0, 1, 0
+        undirected(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]),  # 2 has two smaller neighbours
+    ]
+    for g, tree in zip(others, (True, True, False)):
+        assert graphs._labelled_breadth_first(g) is None
+        assert is_tree(g) is tree and searches[-1] is g
+        if tree:
+            for a, b in zip(leaf_first(g), plain_leaf_first(g)):
+                assert a.tolist() == b
 
 
 @settings(max_examples=100)

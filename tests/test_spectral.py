@@ -36,7 +36,8 @@ from lepart import (
     undirected,
     z_path,
 )
-from lepart.graphs import contract_edge, delete_edge
+from lepart.estimators import closed_form_z
+from lepart.graphs import contract_edge, delete_edge, is_tree
 from lepart import spectral
 from lepart.errors import NumericError
 from lepart.spectral import DENSE_SHARE, TreePairCorrelation, _transposed
@@ -145,7 +146,7 @@ def test_factored_matrix_is_the_sparse_algebra_one_on_undirected_graphs(fam):
         else:
             lu = reference_factor(g, q)
             pivots, solve = lu.U.diagonal(), lu.solve
-        assert partition_function(g, q).log() == float(np.sum(np.log(pivots)))
+        assert float(np.sum(np.log(spectral._factor(g, q)[0]))) == float(np.sum(np.log(pivots)))
         if g.n >= 2:
             x, y = 0, g.n - 1
             rhs = np.zeros(g.n)
@@ -159,9 +160,9 @@ def test_factored_matrix_is_the_sparse_algebra_one_on_undirected_graphs(fam):
 
 
 def _values_by_route(g: WeightedDigraph, q: float, share: float, monkeypatch) -> list[float]:
-    """log Z, a hitting probability and a root marginal, with ``DENSE_SHARE`` set to ``share``."""
+    """``_factor``'s log det, a hitting probability and a root marginal, with ``DENSE_SHARE`` set to ``share``."""
     monkeypatch.setattr(spectral, "DENSE_SHARE", share)
-    values = [partition_function(g, q).log()]
+    values = [float(np.sum(np.log(spectral._factor(g, q)[0])))]
     if g.n >= 2:
         values += [hitting_prob(g, 0, g.n - 1, q), roots_marginal(g, q, sorted({0, g.n // 2, g.n - 1}))]
     return values
@@ -201,15 +202,19 @@ _DENSE_FAMILIES = (
 
 @pytest.mark.parametrize("fam, dense", [(f, False) for f in _SPARSE_FAMILIES] + [(f, True) for f in _DENSE_FAMILIES], ids=str)
 def test_factor_route_follows_the_share_of_nonzeros(fam, dense, monkeypatch):
-    """``_factor`` calls LAPACK's dgetrf on the benchmark's cliques and SuperLU on its trees and cycles."""
+    """``_factor`` calls LAPACK's dgetrf on the benchmark's cliques and SuperLU on its trees and cycles;
+    ``partition_function`` factors the cliques and cycles, and on the trees calls neither."""
     from scipy.linalg import lapack
     from scipy.sparse import linalg
     called = []
     for module, name in ((lapack, "dgetrf"), (linalg, "splu")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, f=original, name=name, **k: called.append(name) or f(*a, **k))
-    partition_function(make_family(fam), 0.5)
+    g = make_family(fam)
+    spectral._factor(g, 0.5)
     assert called == (["dgetrf"] if dense else ["splu"])
+    partition_function(g, 0.5)
+    assert called == (["dgetrf"] if dense else ["splu"]) * (1 if is_tree(g) else 2)
 
 
 _TRIANGLE = [(0, 1, 0.1), (1, 2, 0.1), (0, 2, 0.5)]
@@ -257,7 +262,7 @@ def test_dense_route_factors_the_sparse_algebra_matrix(fam, monkeypatch):
     rng = random.Random(str(fam))
     for g in (make_family(fam), random_digraph(rng), random_digraph(rng)):
         for q in (1e-9, 0.36, 2.8):
-            partition_function(g, q)
+            spectral._factor(g, q)
             M = factored.pop()
             assert M.tobytes() == reference_system(g, q).toarray().tobytes()
             assert not np.signbit(M[M == 0.0]).any()
@@ -267,15 +272,20 @@ def test_dense_route_factors_the_sparse_algebra_matrix(fam, monkeypatch):
 @pytest.mark.parametrize("fam", [Complete(300), Complete(4), Bottleneck(20, 4, 2.0), Cycle(1000), Path(40)], ids=str)
 def test_factor_raises_when_q_rounds_away_from_every_weight(fam, q, monkeypatch):
     """When every q + W(v) rounds to W(v), the stored matrix is -L, which is singular: both routes
-    raise NumericError before they factor, so log Z, hitting probabilities and root marginals do."""
+    raise NumericError before they factor, so log Z, hitting probabilities and root marginals do.
+    On a tree, log Z comes from the pivots, which never form q + W(v), and matches the closed form."""
     from scipy.linalg import lapack
     from scipy.sparse import linalg
     for module, name in ((lapack, "dgetrf"), (linalg, "splu")):
         monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} was called"))
     g = make_family(fam)
     assert np.array_equal(q + g.out_weight, g.out_weight)
+    if is_tree(g):
+        assert partition_function(g, q).log() == pytest.approx(closed_form_z(fam, q).log(), rel=1e-14)
+    else:
+        with pytest.raises(NumericError, match="rounding"):
+            partition_function(g, q)
     for call in (
-        lambda: partition_function(g, q),
         lambda: hitting_prob(g, 0, 1, q),
         lambda: roots_marginal(g, q, [0]),
     ):
@@ -309,6 +319,42 @@ def test_partition_function_path_beyond_dense_reach():
     g = make_family(Path(n))
     for q in (1e-3, 0.01, 1.0, 1e3):
         assert abs(partition_function(g, q).log() - z_path(n, q).log()) <= 1e-9
+
+
+def _relabelled_tree(seed: int, n: int) -> WeightedDigraph:
+    """A random tree in random labels, each edge one way or both, with weights drawn per direction."""
+    rng = random.Random(seed)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        for a, b in rng.choice([((u, v),), ((v, u),), ((u, v), (v, u))]):
+            edges.append((label[a], label[b], math.exp(rng.uniform(-3.0, 3.0))))
+    return WeightedDigraph(n, edges)
+
+
+_TREE_FAMILIES = [Path(1), Path(2), Path(40), Path(2000), Star(12, 0.5), CommunityStar(20, 6, 0.1), HierarchicalTree(2, 3, (0.5, 1.0, 4.0))]
+
+
+def test_tree_log_z_from_the_pivots_matches_lu():
+    """On trees, log Z comes from the pivots, and at q >= 1e-3 it is within 1e-12 of LU's log det
+    (relative to |log Z| beyond 1), on the families and on trees with one-way edges, unequal
+    weights and labels in no breadth-first order."""
+    trees = [make_family(fam) for fam in _TREE_FAMILIES] + [_relabelled_tree(seed, 2 + seed) for seed in range(30)]
+    for g in trees:
+        assert is_tree(g)
+        for q in (1e-3, 0.7, 20.0):
+            lu = float(np.sum(np.log(spectral._factor(g, q)[0])))
+            assert abs(partition_function(g, q).log() - lu) <= 1e-12 * max(1.0, abs(lu)), (g, q)
+
+
+def test_tree_log_z_keeps_its_digits_at_small_q():
+    """At q = 1e-9 and 1e-12 the pivots keep log Z of the tree families within 1e-12 of their closed
+    forms; LU, which subtracts, is off by up to 8.9e-5 there."""
+    for fam in (Path(2), Path(30), Path(2000), Star(12, 0.5), CommunityStar(20, 6, 0.1)):
+        for q in (1e-12, 1e-9):
+            assert abs(partition_function(make_family(fam), q).log() - closed_form_z(fam, q).log()) <= 1e-12, (fam, q)
 
 
 # -- Green kernel ----------------------------------------------------------

@@ -33,7 +33,7 @@ from lepart import estimators, graphs, wilson
 from lepart.graphs import is_tree, leaf_first
 from lepart.spectral import TreePairCorrelation
 from lepart.wilson import ForestSampler, RootedForest, TreeSampler, _roots, _uniforms, forest_sampler, tree_uniforms
-from oracles import asymmetric_trees, oracle_forests, tree_pair_separation, tree_pivots
+from oracles import asymmetric_trees, oracle_forests, tree_pair_separation, tree_path, tree_pivots
 
 
 def random_tree(seed: int, n: int, one_way: bool) -> WeightedDigraph:
@@ -177,7 +177,7 @@ def per_vertex_rows(g: WeightedDigraph, q: float, u: np.ndarray) -> list[list[in
     the child that ``bisect_right`` finds among the pivots v reaches as its
     children are eliminated (:func:`oracles.tree_pivots`).
     """
-    order, parent, up, _ = leaf_first(g, 0)
+    order, parent, up, _ = leaf_first(g)
     order, parent, up = order.tolist(), parent.tolist(), up.tolist()
     s, bound = tree_pivots(g, q, 0)
     children: dict[int, tuple[list[float], list[int]]] = {}
@@ -262,7 +262,7 @@ def test_rows_do_not_depend_on_the_split(monkeypatch):
 def test_leaf_first_lists_children_contiguously():
     for seed in range(20):
         g = random_tree(seed, 15, seed % 2 == 1)
-        order, parent, up, down = leaf_first(g, 0)
+        order, parent, up, down = leaf_first(g)
         assert sorted(order.tolist()) == list(range(g.n)) and order[0] == 0 and parent[0] == -1
         position = np.empty(g.n, dtype=int)
         position[order] = np.arange(g.n)
@@ -274,24 +274,23 @@ def test_leaf_first_lists_children_contiguously():
 
 
 def test_forest_sampler_searches_a_tree_once(monkeypatch):
-    """``is_tree`` and ``TreeSampler``'s ``leaf_first(g, 0)`` share one breadth-first search, which
+    """``is_tree`` and ``TreeSampler``'s ``leaf_first(g)`` share one breadth-first search, which
     is csgraph's, and a caller that edits the parent array it gets does not edit the shared one."""
     from scipy.sparse.csgraph import breadth_first_order
     searches = []
     search = graphs._breadth_first
-    monkeypatch.setattr(graphs, "_breadth_first", lambda g, root: searches.append(root) or search(g, root))
+    monkeypatch.setattr(graphs, "_breadth_first", lambda g: searches.append(g) or search(g))
     for seed in range(10):
         g = random_tree(seed, 40, seed % 2 == 1)
         del searches[:]
         assert isinstance(forest_sampler(g, 0.3), TreeSampler)
-        assert searches == [0]
-        order, parent = leaf_first(g, 0)[:2]
+        assert searches == [g]
+        order, parent = leaf_first(g)[:2]
         want_order, want_parent = breadth_first_order(g._undirected, 0, directed=True, return_predecessors=True)
         want_parent[0] = -1
         assert np.array_equal(order, want_order) and np.array_equal(parent, want_parent)
         parent[:] = 7
-        assert np.array_equal(leaf_first(g, 0)[1], want_parent) and searches == [0]
-        assert leaf_first(g, 3)[1][3] == -1 and searches == [0, 3]  # another root takes its own search
+        assert np.array_equal(leaf_first(g)[1], want_parent) and searches == [g]
 
 
 def rows_count(sampler, seed: int, start: int, stop: int, x: int, y: int) -> int:
@@ -463,3 +462,20 @@ def test_pivots_match_the_plain_loop(g, q):
     rng = Random(g.n)
     for x, y in [(0, g.n - 1)] + [tuple(rng.sample(range(g.n), 2)) for _ in range(4)]:
         assert TreePairCorrelation(g, x, y).at(q) == tree_pair_separation(g, x, y, q)
+
+
+def test_tree_pair_matches_the_tree_hung_from_x_under_any_labelling():
+    """``TreePairCorrelation`` hangs the tree from vertex 0 and reverses the pointers above the pair;
+    its path and values equal by ``==`` those of the tree hung from x by a plain search, whatever the
+    labels, including those where an ancestor's id exceeds its children's."""
+    for seed in range(60):
+        rng = Random(seed)
+        g = random_tree(seed, rng.randint(2, 40), seed % 3 > 0)
+        label = list(range(g.n))
+        rng.shuffle(label)
+        h = WeightedDigraph(g.n, [(label[a], label[b], w) for a, b, w in g.edges])
+        for x, y in [tuple(rng.sample(range(g.n), 2)) for _ in range(6)]:
+            pair = TreePairCorrelation(h, x, y)
+            assert pair.path == tree_path(h, x, y)
+            for q in (1e-12, 1e-3, 0.7, 20.0):
+                assert pair.at(q) == tree_pair_separation(h, x, y, q)
